@@ -98,7 +98,9 @@ class NonEmptyTerminal(LatPolyError):
 
 
 class CompileGap(LatPolyError):
-    """Internal: a trace step admits no transformation realization."""
+    """Internal: no classifier-passing path reaches the trivial polytope
+    although the reduction ends empty, or a postcondition of a compiled or
+    normalized plan broke.  Treated as a bug."""
 
 
 class InvalidPlan(LatPolyError):

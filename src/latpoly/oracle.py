@@ -271,7 +271,10 @@ def cross_check_thm37(corpus) -> list[CrossCheckRow]:
         if empties:
             trace = R.good_reduce(g)
             compile_cost = PL.compile_plan(trace, p).cost_abs
-            assert compile_cost == cost == G.area_abs(p)
+            if not compile_cost == cost == G.area_abs(p):
+                raise errors.CompileGap(
+                    f"compiled cost {compile_cost}, oracle cost {cost} and "
+                    f"area_abs {G.area_abs(p)} differ")
         steps_ok = _plan_steps_minimal(p, plan) if cost == G.area_abs(p) else True
         rows.append(CrossCheckRow(
             tuple((q.x, q.y) for q in p.ver0), tuple((q.x, q.y) for q in p.ver1),

@@ -3,6 +3,12 @@ reduction to the empty graph into a minimal-area rectangle plan, realize
 the crossing surgeries as single rectangle moves, normalize mixed plans to
 normal-only ones, and classify the steps of any given plan.
 
+Compilation is a depth-first descent through moves that pass the label
+classifier.  Such a move lowers |label| by one on every cell under its
+rectangle and changes no label outside it, so it lowers ``area_abs`` by
+exactly its own area: any path of passing moves that reaches the trivial
+polytope is a minimal plan.
+
 Sign bookkeeping: a reversed step records its rectangle by the diagonal
 pair it adds to the terminal vertices.  That is the pair consumed when the
 whole transformation is read forward, so summing signed rectangle areas
@@ -12,13 +18,12 @@ reversed block backwards reuses the same stored rectangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import errors
 from . import geometry as G
 from .geometry import GridPoint, LatticePolytope, Rect
 from . import dotgraph as DG
-from .dotgraph import analyze, associate, canonical_form
+from .dotgraph import analyze, associate
 from .reduce import ReductionTrace
 
 
@@ -220,116 +225,63 @@ def compile_plan(trace: ReductionTrace, p: LatticePolytope) -> TransformPlan:
     transformation plan whose every rectangle passes the minimality
     classifier.
 
-    Deletions compile to searches through label-respecting moves that end
-    at the deleted component's graph; the crossing surgeries in good order
-    compile to their single rectangles (found by the same search).  The
-    result is normalized to normal moves only.
+    The trace only certifies that such a plan exists; the plan itself is
+    found by depth-first descent through classifier-passing moves to the
+    trivial polytope.  A passing move lowers ``area_abs`` by exactly its own
+    area, so every such path is a minimal plan.  The result is normalized
+    to normal moves only.  Raises ``CompileGap`` when no passing path
+    reaches the trivial polytope or a postcondition fails.
     """
     if not DG.equivalent_mod_E_I(trace.start, associate(p)):
         raise errors.InvalidPlan("trace does not start at the polytope's graph")
     if not trace.terminal.is_empty():
         raise errors.NonEmptyTerminal("the reduction must end empty")
-    subgoals: list[str] = []
-    skip_next = False
-    for i, s in enumerate(trace.steps):
-        if s.kind in ("IVa1", "IVa2"):
-            continue                      # realized jointly with the deletion
-        if s.kind == "I":
-            continue                      # no geometric content
-        form = canonical_form(s.after)
-        if not subgoals or subgoals[-1] != form:
-            subgoals.append(form)
-    empty_form = canonical_form(DG.empty_graph())
-    if not subgoals or subgoals[-1] != empty_form:
-        subgoals.append(empty_form)
-
-    steps: list[PlanStep] = []
-    state = p
-    for goal in subgoals:
-        found = _search_to_form(state, goal)
-        if found is None:
-            found = _search_to_form(state, empty_form)
-            if found is None:
-                raise errors.CompileGap("no label-respecting route to the goal")
-            steps.extend(found[0])
-            state = found[1]
-            break
-        steps.extend(found[0])
-        state = found[1]
-    if not G.trivial(state):
-        found = _search_to_form(state, empty_form)
-        if found is None:
-            raise errors.CompileGap("no label-respecting completion")
-        steps.extend(found[0])
-        state = found[1]
+    steps = _descend(p)
+    if steps is None:
+        raise errors.CompileGap("no classifier-passing path reaches the trivial polytope")
     plan = normalize(TransformPlan(tuple(steps)), p)
-    assert G.trivial(replay(p, plan))
-    assert plan.cost_abs == G.area_abs(p), "compiled plan is not minimal"
-    assert plan.cost_signed == G.area_signed(p), "signed-area identity broken"
+    if not G.trivial(replay(p, plan)):
+        raise errors.CompileGap("compiled plan does not replay to the trivial polytope")
+    if plan.cost_abs != G.area_abs(p):
+        raise errors.CompileGap("compiled plan is not minimal")
+    if plan.cost_signed != G.area_signed(p):
+        raise errors.CompileGap("signed-area identity broken")
     return plan
 
 
-@lru_cache(maxsize=65536)
-def _poly_form(ver0: frozenset, ver1: frozenset) -> str:
-    return canonical_form(associate(LatticePolytope(
-        G.PointConfig(ver0), G.PointConfig(ver1))))
-
-
-def _state_form(p: LatticePolytope) -> str:
-    return _poly_form(p.ver0.points, p.ver1.points)
-
-
-def _search_to_form(p: LatticePolytope, goal: str):
-    """Breadth-first search through classifier-passing moves to a state
-    whose graph has the given canonical form."""
-    if _state_form(p) == goal:
-        return [], p
-    from collections import deque
-    start = (p.ver0.points, p.ver1.points)
-    seen = {start}
-    queue = deque([(p, [])])
-    while queue:
-        cur, path = queue.popleft()
-        for step in _passing_steps(cur):
-            nxt = apply_step(cur, step)
-            key = (nxt.ver0.points, nxt.ver1.points)
-            if key in seen:
-                continue
-            seen.add(key)
-            npath = path + [step]
-            if _state_form(nxt) == goal:
-                return npath, nxt
-            if G.area_abs(nxt) > 0:
-                queue.append((nxt, npath))
+def _descend(p: LatticePolytope) -> list[PlanStep] | None:
+    """The first path of classifier-passing moves from p to a trivial
+    polytope, or None.  Passing moves lower ``area_abs``, so the moves form
+    a finite DAG and backtracking out of dead states is complete; the stack
+    is explicit because a path may take up to ``area_abs`` moves."""
+    dead: set[tuple[frozenset, frozenset]] = set()
+    stack = [(p, _passing_steps(p), None)]
+    while stack:
+        state, moves, _ = stack[-1]
+        if G.trivial(state):
+            return [step for _, _, step in stack[1:]]
+        for step in moves:
+            nxt = apply_step(state, step)
+            if (nxt.ver0.points, nxt.ver1.points) not in dead:
+                stack.append((nxt, _passing_steps(nxt), step))
+                break
+        else:
+            dead.add((state.ver0.points, state.ver1.points))
+            stack.pop()
     return None
 
 
-@lru_cache(maxsize=262144)
-def _step_passes(ver0: frozenset, ver1: frozenset, rect: Rect, mode: str) -> bool:
-    p = LatticePolytope(G.PointConfig(ver0), G.PointConfig(ver1))
-    return classify_step(p, rect, mode, with_tag=False).minimal
-
-
-def _passing_steps(p: LatticePolytope) -> list[PlanStep]:
-    out = []
-    pts0 = sorted(p.ver0.points)
-    for i in range(len(pts0)):
-        for j in range(i + 1, len(pts0)):
-            v, w = pts0[i], pts0[j]
-            if v.x == w.x or v.y == w.y:
-                continue
-            if _step_passes(p.ver0.points, p.ver1.points, Rect(v, w), "normal"):
-                out.append(normal_step(v, w))
-    pts1 = sorted(p.ver1.points)
-    for i in range(len(pts1)):
-        for j in range(i + 1, len(pts1)):
-            v, w = pts1[i], pts1[j]
-            if v.x == w.x or v.y == w.y:
-                continue
-            step = reversed_step(v, w)
-            if _step_passes(p.ver0.points, p.ver1.points, step.rect, "reversed"):
-                out.append(step)
-    return out
+def _passing_steps(p: LatticePolytope):
+    """Yield the classifier-passing moves of p: normal moves on pairs of
+    initial vertices, then reversed moves on pairs of terminal vertices."""
+    for mode, points, make in (("normal", p.ver0.points, normal_step),
+                               ("reversed", p.ver1.points, reversed_step)):
+        pts = sorted(points)
+        for i, v in enumerate(pts):
+            for w in pts[i + 1:]:
+                step = make(v, w)
+                if classify_step(p, step.rect, mode, with_tag=False).minimal:
+                    yield step
 
 
 # ---------------------------------------------------------------- normalize --
@@ -356,10 +308,11 @@ def normalize(plan: TransformPlan, p: LatticePolytope) -> TransformPlan:
     out = normals + [PlanStep(s.rect, "normal") for s in reversed(reverseds)]
     result = TransformPlan(tuple(out))
     check = replay(p, result)
-    assert G.trivial(check) and check.ver0.points == p.ver1.points, \
-        "normalization broke the endpoints"
-    assert sorted((min(s.rect.v, s.rect.w), max(s.rect.v, s.rect.w))
-                  for s in result.steps) == \
-        sorted((min(s.rect.v, s.rect.w), max(s.rect.v, s.rect.w))
-               for s in plan.steps), "normalization changed the rectangles"
+    if not (G.trivial(check) and check.ver0.points == p.ver1.points):
+        raise errors.CompileGap("normalization broke the endpoints")
+    if sorted((min(s.rect.v, s.rect.w), max(s.rect.v, s.rect.w))
+              for s in result.steps) != \
+            sorted((min(s.rect.v, s.rect.w), max(s.rect.v, s.rect.w))
+                   for s in plan.steps):
+        raise errors.CompileGap("normalization changed the rectangles")
     return result

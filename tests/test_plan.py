@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -192,6 +195,61 @@ def test_compile_rejects_nonempty_terminal():
     if not trace.terminal.is_empty():
         with pytest.raises(errors.NonEmptyTerminal):
             PL.compile_plan(trace, p)
+
+
+_normalize = PL.normalize
+
+
+def detoured_normalize(plan, p):
+    """normalize, then a move on two terminal points and its inverse: the
+    plan still replays but is no longer minimal."""
+    out = _normalize(plan, p)
+    a, b = sorted(p.ver1.points)[:2]
+    detour = (PL.normal_step(a, b), PL.normal_step(P(a.x, b.y), P(b.x, a.y)))
+    return PL.TransformPlan(out.steps + detour)
+
+
+def test_compile_postcondition_raises_compile_gap(monkeypatch):
+    monkeypatch.setattr(PL, "normalize", detoured_normalize)
+    p = staircase()
+    with pytest.raises(errors.CompileGap):
+        PL.compile_plan(R.good_reduce(D.associate(p)), p)
+
+
+def test_compile_postcondition_holds_under_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import test_plan as T\n"
+            "T.PL.normalize = T.detoured_normalize\n"
+            "p = T.staircase()\n"
+            "T.PL.compile_plan(T.R.good_reduce(T.D.associate(p)), p)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=here, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "latpoly.errors.CompileGap: compiled plan is not minimal" in proc.stderr
+
+
+def test_compile_past_desk_scale():
+    compiled = 0
+    for n in (10, 12, 14):
+        rng = random.Random(n)
+        for _ in range(12):
+            xs = rng.sample(range(3 * n), n)
+            ys = rng.sample(range(3 * n), n)
+            ys1 = ys[:]
+            rng.shuffle(ys1)
+            p = G.validate_polytope(list(zip(xs, ys)), list(zip(xs, ys1)))
+            trace = R.good_reduce(D.associate(p))
+            if not trace.terminal.is_empty():
+                continue
+            plan = PL.compile_plan(trace, p)
+            assert PL.verify_minimal(plan, p)
+            cur = p
+            for step in plan.steps:
+                assert PL.classify_step(cur, step.rect, step.mode, with_tag=False).minimal
+                cur = PL.apply_step(cur, step)
+            compiled += 1
+    assert compiled == 29
 
 
 # ---------------------------------------------------------------- normalize --
