@@ -9,6 +9,7 @@ canonical encoding of the labeled combinatorial map.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ from .arrangement import Arrangement, Pt, Seg, winding_2x
 
 E, N, W, S = (1, 0), (0, 1), (-1, 0), (0, -1)
 CCW_DIRS = (E, N, W, S)
+FORM_CACHE_SIZE = 16384     # bound of every cache keyed by canonical_form
 
 
 def _direction(a: Pt, b: Pt) -> Pt:
@@ -53,7 +55,7 @@ class DottedGraph:
     def build(curves, dots=()) -> "DottedGraph":
         normed = []
         for raw in curves:
-            pts = [(int(p[0]), int(p[1])) for p in raw]
+            pts = [G.grid_point(p) for p in raw]
             if pts and pts[0] == pts[-1]:
                 pts = pts[:-1]
             pts = _merge_collinear(pts)
@@ -62,8 +64,7 @@ class DottedGraph:
             k = pts.index(min(pts))
             pts = pts[k:] + pts[:k]
             normed.append(tuple(pts))
-        g = DottedGraph(tuple(sorted(normed)),
-                        frozenset((int(d[0]), int(d[1])) for d in dots))
+        g = DottedGraph(tuple(sorted(normed)), frozenset(map(G.grid_point, dots)))
         _validate(g)
         return g
 
@@ -104,75 +105,64 @@ def _validate(g: DottedGraph) -> None:
     corners: set[Pt] = set()
     for curve in g.curves:
         n = len(curve)
-        for i in range(n):
-            _direction(curve[i], curve[(i + 1) % n])   # axis-parallel, nonzero
-        for p in curve:
+        dirs = [_direction(curve[i], curve[(i + 1) % n]) for i in range(n)]
+        for i, p in enumerate(curve):
             if p in corners:
                 raise errors.InvalidGraph(f"coincident corners at {p}")
             corners.add(p)
-        for i in range(n):
-            din = _direction(curve[(i - 1) % n], curve[i])
-            dout = _direction(curve[i], curve[(i + 1) % n])
-            if din[0] != 0 and dout[0] != 0 or din[1] != 0 and dout[1] != 0:
-                raise errors.InvalidGraph(f"collinear corner survived at {curve[i]}")
+            if (dirs[i - 1][0] == 0) == (dirs[i][0] == 0):
+                raise errors.InvalidGraph(f"collinear corner survived at {p}")
+    _segment_pass(g)
 
-    segs = all_segments(g)
-    # same-line overlap and T-junctions
-    for i in range(len(segs)):
-        ci, si, s1 = segs[i]
-        for j in range(i + 1, len(segs)):
-            cj, sj, s2 = segs[j]
-            a1 = s1[0][0] == s1[1][0]
-            a2 = s2[0][0] == s2[1][0]
-            if a1 == a2:
-                # parallel: forbid interval overlap on the same line
-                if a1:
-                    if s1[0][0] == s2[0][0]:
-                        lo1, hi1 = sorted((s1[0][1], s1[1][1]))
-                        lo2, hi2 = sorted((s2[0][1], s2[1][1]))
-                        if max(lo1, lo2) < min(hi1, hi2):
-                            raise errors.InvalidGraph(f"collinear overlap at x={s1[0][0]}")
-                else:
-                    if s1[0][1] == s2[0][1]:
-                        lo1, hi1 = sorted((s1[0][0], s1[1][0]))
-                        lo2, hi2 = sorted((s2[0][0], s2[1][0]))
-                        if max(lo1, lo2) < min(hi1, hi2):
-                            raise errors.InvalidGraph(f"collinear overlap at y={s1[0][1]}")
+
+def _segment_pass(g: DottedGraph) -> dict[Pt, tuple]:
+    """Check how the segments of g meet each other and the dots, and return
+    the crossings: point -> ((curve, seg) of the horizontal strand,
+    (curve, seg) of the vertical one).
+
+    Segments are bucketed by coordinate line, as in ``Arrangement``; each
+    horizontal segment bisects for the vertical lines strictly inside its
+    x-range.  This is the orthogonal case of Bentley & Ottmann's crossing
+    search: O(s log s) plus one lookup per (horizontal, vertical line) pair
+    in range, not all s² segment pairs.  With distinct corners, segments
+    overlap on a line exactly when the later one's start corner lies inside
+    the earlier one, a T-junction, so one check per line rejects both; after
+    it no point is interior to two segments of one axis (no triple points).
+    """
+    v_by_x: dict[int, list] = {}        # x -> [(ylo, yhi, curve, seg)]
+    h_by_y: dict[int, list] = {}        # y -> [(xlo, xhi, curve, seg)]
+    for ci, curve in enumerate(g.curves):
+        n = len(curve)
+        for si, (x1, y1) in enumerate(curve):
+            x2, y2 = curve[(si + 1) % n]
+            if x1 == x2:
+                v_by_x.setdefault(x1, []).append((min(y1, y2), max(y1, y2), ci, si))
             else:
-                for p in (s2[0], s2[1]):
-                    if _interior(p, s1):
-                        raise errors.InvalidGraph(f"T-junction: corner {p} inside a segment")
-                for p in (s1[0], s1[1]):
-                    if _interior(p, s2):
-                        raise errors.InvalidGraph(f"T-junction: corner {p} inside a segment")
-
-    crossings = _crossing_points(g)
-    for d in g.dots:
-        if d in crossings:
-            raise errors.DotOnCrossing(f"dot at crossing {d}")
-        if not any(_on_segment(d, seg) for _, _, seg in segs):
-            raise errors.InvalidGraph(f"dot {d} not on any curve")
-
-
-def _crossing_points(g: DottedGraph) -> dict[Pt, tuple]:
-    """point -> ((curve,seg) of horizontal strand, (curve,seg) of vertical)."""
-    segs = all_segments(g)
+                h_by_y.setdefault(y1, []).append((min(x1, x2), max(x1, x2), ci, si))
+    for axis, by_line in (("x", v_by_x), ("y", h_by_y)):
+        for line, segs in by_line.items():
+            segs.sort()
+            for (_, hi, _, _), (lo, _, _, _) in zip(segs, segs[1:]):
+                if lo < hi:
+                    corner = (line, lo) if axis == "x" else (lo, line)
+                    raise errors.InvalidGraph(f"collinear overlap at {axis}={line}: "
+                                              f"T-junction at corner {corner}")
+    xs = sorted(v_by_x)
     found: dict[Pt, tuple] = {}
-    for i in range(len(segs)):
-        ci, si, s1 = segs[i]
-        v1 = s1[0][0] == s1[1][0]
-        for j in range(i + 1, len(segs)):
-            cj, sj, s2 = segs[j]
-            v2 = s2[0][0] == s2[1][0]
-            if v1 == v2:
-                continue
-            hs, vs = ((cj, sj, s2), (ci, si, s1)) if v1 else ((ci, si, s1), (cj, sj, s2))
-            hseg, vseg = hs[2], vs[2]
-            p = (vseg[0][0], hseg[0][1])
-            if _interior(p, hseg) and _interior(p, vseg):
-                if p in found:
-                    raise errors.InvalidGraph(f"triple point at {p}")
-                found[p] = ((hs[0], hs[1]), (vs[0], vs[1]))
+    for y, hsegs in h_by_y.items():
+        for xlo, xhi, hc, hi in hsegs:
+            for x in xs[bisect_right(xs, xlo):bisect_left(xs, xhi)]:
+                vsegs = v_by_x[x]       # disjoint: only the last starting below y
+                k = bisect_left(vsegs, (y,)) - 1
+                if k >= 0 and vsegs[k][1] > y:
+                    found[(x, y)] = ((hc, hi), vsegs[k][2:])
+    for d in g.dots:
+        if d in found:
+            raise errors.DotOnCrossing(f"dot at crossing {d}")
+        x, y = d
+        if not any(lo <= y <= hi for lo, hi, _, _ in v_by_x.get(x, ())) and \
+                not any(lo <= x <= hi for lo, hi, _, _ in h_by_y.get(y, ())):
+            raise errors.InvalidGraph(f"dot {d} not on any curve")
     return found
 
 
@@ -224,7 +214,7 @@ class GraphAnalysis:
 
     def __init__(self, g: DottedGraph):
         self.g = g
-        self.crossings = _crossing_points(g)
+        self.crossings = _segment_pass(g)
         segs = [seg for _, _, seg in all_segments(g)]
         self.arr = Arrangement(segs)
         self.arcs = self._build_arcs()
@@ -473,9 +463,7 @@ def associate(p: G.LatticePolytope) -> DottedGraph:
     """The dotted graph of a polytope: boundary curves dotted at the
     non-isolated initial vertices."""
     iso = G.isolated_vertices(p)
-    curves = [tuple((q.x, q.y) for q in cyc) for cyc in G.boundary_cycles(p)]
-    dots = [(q.x, q.y) for q in sorted(p.ver0.points - iso)]
-    return DottedGraph.build(curves, dots)
+    return DottedGraph.build(G.boundary_cycles(p), p.ver0.points - iso)
 
 
 def find_components(g: DottedGraph) -> list[ComponentCert]:
@@ -496,7 +484,7 @@ def equivalent_mod_E_I(g1: DottedGraph, g2: DottedGraph) -> bool:
     return canonical_form(g1) == canonical_form(g2)
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=FORM_CACHE_SIZE)
 def canonical_form(g: DottedGraph) -> str:
     an = analyze(g)
     nodes: list = []
@@ -653,10 +641,8 @@ def realize(g: DottedGraph) -> G.LatticePolytope:
             else:
                 ver1.append(curve[i])
     p = G.validate_polytope(ver0, ver1)
-    realized = {tuple(sorted((s[0], s[1]))) for s in
-                (seg for _, _, seg in all_segments(work))}
-    derived = {tuple(sorted(((a.x, a.y), (b.x, b.y))))
-               for a, b in G.x_edges(p) + G.y_edges(p)}
+    realized = {tuple(sorted(seg)) for _, _, seg in all_segments(work)}
+    derived = {tuple(sorted(seg)) for seg in G.boundary_segments(p)}
     if realized != derived:
         raise errors.RoutingFailure("realized boundary does not match the derived edges")
     return p

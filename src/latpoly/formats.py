@@ -7,7 +7,7 @@ import json
 
 from . import errors
 from . import geometry as G
-from .geometry import GridPoint, LatticePolytope, Rect
+from .geometry import LatticePolytope, Rect
 from . import dotgraph as DG
 from .dotgraph import DottedGraph
 from . import plan as PL
@@ -18,8 +18,7 @@ def dumps(obj) -> str:
 
 
 def polytope_to_obj(p: LatticePolytope) -> dict:
-    return {"ver0": [[q.x, q.y] for q in sorted(p.ver0.points)],
-            "ver1": [[q.x, q.y] for q in sorted(p.ver1.points)]}
+    return {"ver0": sorted(p.ver0.points), "ver1": sorted(p.ver1.points)}
 
 
 def obj_to_polytope(obj) -> LatticePolytope:
@@ -51,8 +50,7 @@ def _locate_dot(g: DottedGraph, d):
 
 def obj_to_graph(obj) -> DottedGraph:
     try:
-        curves = [[tuple(int(c) for c in p) for p in curve]
-                  for curve in obj["curves"]]
+        curves = [[G.grid_point(p) for p in curve] for curve in obj["curves"]]
         dots = []
         for rec in obj.get("dots", []):
             curve = curves[rec["curve"]]
@@ -61,7 +59,9 @@ def obj_to_graph(obj) -> DottedGraph:
             b = curve[(rec["segment"] + 1) % n]
             dx = (b[0] > a[0]) - (b[0] < a[0])
             dy = (b[1] > a[1]) - (b[1] < a[1])
-            off = int(rec["offset"])
+            off = rec["offset"]
+            if type(off) is not int:
+                raise TypeError(f"dot offset must be an integer: {off!r}")
             dots.append((a[0] + dx * off, a[1] + dy * off))
         return DottedGraph.build(curves, dots)
     except (KeyError, TypeError, ValueError, IndexError) as e:
@@ -71,7 +71,7 @@ def obj_to_graph(obj) -> DottedGraph:
 def plan_to_obj(plan: PL.TransformPlan) -> list:
     out = []
     for s in plan.steps:
-        rec = {"v": [s.rect.v.x, s.rect.v.y], "w": [s.rect.w.x, s.rect.w.y]}
+        rec = {"v": s.rect.v, "w": s.rect.w}
         if s.mode != "normal":
             rec["mode"] = s.mode
         out.append(rec)
@@ -82,10 +82,13 @@ def obj_to_plan(obj) -> PL.TransformPlan:
     try:
         steps = []
         for rec in obj:
-            rect = Rect(GridPoint(*rec["v"]), GridPoint(*rec["w"]))
-            steps.append(PL.PlanStep(rect, rec.get("mode", "normal")))
+            rect = Rect(G.grid_point(rec["v"]), G.grid_point(rec["w"]))
+            mode = rec.get("mode", "normal")
+            if mode not in ("normal", "reversed"):
+                raise ValueError(f"unknown step mode {mode!r}")
+            steps.append(PL.PlanStep(rect, mode))
         return PL.TransformPlan(tuple(steps))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, errors.DegenerateRectangle) as e:
         raise errors.ParseError(f"bad plan document: {e}") from e
 
 

@@ -9,23 +9,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import errors
 from .arrangement import Arrangement, Seg
 
 
-@dataclass(frozen=True, order=True)
-class GridPoint:
+class GridPoint(NamedTuple):
+    """A lattice point: an ``(x, y)`` tuple with named coordinates, so it
+    can stand wherever a ``Pt`` tuple does."""
     x: int
     y: int
 
-    def __repr__(self) -> str:
-        return f"({self.x}, {self.y})"
+    __repr__ = tuple.__repr__
 
 
 def P(x: int, y: int) -> GridPoint:
     """Shorthand constructor used heavily in tests."""
     return GridPoint(x, y)
+
+
+def grid_point(p) -> GridPoint:
+    """Parse an input point.  Raises TypeError unless ``p`` has exactly two
+    coordinates, each an ``int`` (so not a ``bool`` or a ``float``)."""
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise TypeError(f"a point needs exactly two coordinates: {p!r}") from None
+    if type(x) is not int or type(y) is not int:
+        raise TypeError(f"point coordinates must be integers: {p!r}")
+    return p if type(p) is GridPoint else GridPoint(x, y)
 
 
 @dataclass(frozen=True)
@@ -36,8 +49,7 @@ class PointConfig:
 
     @staticmethod
     def of(points) -> "PointConfig":
-        pts = frozenset(GridPoint(int(p[0]), int(p[1])) if not isinstance(p, GridPoint) else p
-                        for p in points)
+        pts = frozenset(map(grid_point, points))
         xs = [p.x for p in pts]
         ys = [p.y for p in pts]
         if len(set(xs)) != len(xs):
@@ -150,12 +162,7 @@ def y_edges(p: LatticePolytope) -> list[tuple[GridPoint, GridPoint]]:
 
 
 def boundary_segments(p: LatticePolytope) -> list[Seg]:
-    segs: list[Seg] = []
-    for a, b in x_edges(p):
-        segs.append(((a.x, a.y), (b.x, b.y)))
-    for a, b in y_edges(p):
-        segs.append(((a.x, a.y), (b.x, b.y)))
-    return segs
+    return x_edges(p) + y_edges(p)
 
 
 def boundary_cycles(p: LatticePolytope) -> list[list[GridPoint]]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import errors
 from . import geometry as G
-from .geometry import GridPoint, LatticePolytope, Rect
+from .geometry import LatticePolytope, Rect
 from . import dotgraph as DG
 from . import reduce as R
 from . import plan as PL
@@ -33,8 +33,7 @@ def min_cost(ver0, ver1, limit: int = DESK_LIMIT) -> tuple[int, PL.TransformPlan
     while heap:
         cost, path, conf = heapq.heappop(heap)
         if conf == goal:
-            steps = tuple(PL.normal_step(GridPoint(*v), GridPoint(*w))
-                          for v, w in path)
+            steps = tuple(PL.normal_step(v, w) for v, w in path)
             return cost, PL.TransformPlan(steps)
         if best.get(conf, (10 ** 9, None)) < (cost, path):
             continue
@@ -48,7 +47,7 @@ def min_cost(ver0, ver1, limit: int = DESK_LIMIT) -> tuple[int, PL.TransformPlan
                 nconf = frozenset(G.rect_transform(
                     G.PointConfig(conf), v, w).points)
                 ncost = cost + abs(G.rect_area_signed(rect))
-                npath = path + (((v.x, v.y), (w.x, w.y)),)
+                npath = path + ((v, w),)
                 if best.get(nconf, (10 ** 9, None)) > (ncost, npath):
                     best[nconf] = (ncost, npath)
                     heapq.heappush(heap, (ncost, npath, nconf))
@@ -246,7 +245,7 @@ class CrossCheckRow:
     steps_all_minimal: bool
 
 
-_EMPTIES_CACHE: dict[str, bool] = {}
+_EMPTIES_CACHE: dict[str, bool] = {}      # oldest entry evicted at the bound
 
 
 def reduction_empties(g: DG.DottedGraph) -> bool:
@@ -254,6 +253,8 @@ def reduction_empties(g: DG.DottedGraph) -> bool:
     hit = _EMPTIES_CACHE.get(form)
     if hit is None:
         hit = R.good_reduce(g).terminal.is_empty()
+        if len(_EMPTIES_CACHE) >= DG.FORM_CACHE_SIZE:
+            del _EMPTIES_CACHE[next(iter(_EMPTIES_CACHE))]
         _EMPTIES_CACHE[form] = hit
     return hit
 
@@ -277,8 +278,7 @@ def cross_check_thm37(corpus) -> list[CrossCheckRow]:
                     f"area_abs {G.area_abs(p)} differ")
         steps_ok = _plan_steps_minimal(p, plan) if cost == G.area_abs(p) else True
         rows.append(CrossCheckRow(
-            tuple((q.x, q.y) for q in p.ver0), tuple((q.x, q.y) for q in p.ver1),
-            empties, compile_cost, cost, G.area_abs(p),
+            tuple(p.ver0), tuple(p.ver1), empties, compile_cost, cost, G.area_abs(p),
             cost == G.area_abs(p) and not empties, steps_ok))
     return rows
 

@@ -153,7 +153,7 @@ def realize_IVa1(p: LatticePolytope, site) -> tuple[Rect, str]:
         raise errors.NotIVa1Site("quadrant must be a diagonal direction")
     g = associate(p)
     an = analyze(g)
-    c = (cx, cy)
+    c = GridPoint(cx, cy)
     if c not in an.crossings:
         raise errors.NotIVa1Site(f"{c} is not a crossing of the boundary")
     arm_h = an.arms[(c, (sx, 0))]
@@ -184,9 +184,9 @@ def _check_clean_rectangle(p: LatticePolytope, v, w, c) -> None:
     crossing edges; otherwise the move does not present the surgery."""
     xlo, xhi = sorted((v.x, w.x))
     ylo, yhi = sorted((v.y, w.y))
-    for a, b in G.x_edges(p) + G.y_edges(p):
-        if (a.y == b.y == c[1] and min(a.x, b.x) <= c[0] <= max(a.x, b.x)) or \
-                (a.x == b.x == c[0] and min(a.y, b.y) <= c[1] <= max(a.y, b.y)):
+    for a, b in G.boundary_segments(p):
+        if (a.y == b.y == c.y and min(a.x, b.x) <= c.x <= max(a.x, b.x)) or \
+                (a.x == b.x == c.x and min(a.y, b.y) <= c.y <= max(a.y, b.y)):
             continue                      # a crossing edge itself
         sxlo, sxhi = sorted((a.x, b.x))
         sylo, syhi = sorted((a.y, b.y))
@@ -200,7 +200,7 @@ def _check_clean_rectangle(p: LatticePolytope, v, w, c) -> None:
 
 def _face_of_quadrant(an, c, sx, sy):
     from .deform import _face_of_2x
-    return _face_of_2x(an.arr, (2 * c[0] + sx, 2 * c[1] + sy))
+    return _face_of_2x(an.arr, (2 * c.x + sx, 2 * c.y + sy))
 
 
 def _viable(an, arc_key):
@@ -211,10 +211,10 @@ def _viable(an, arc_key):
 def _edge_endpoint(p: LatticePolytope, c, horizontal: bool, sign: int) -> GridPoint:
     edges = G.x_edges(p) if horizontal else G.y_edges(p)
     for a, b in edges:
-        if horizontal and a.y == c[1] and min(a.x, b.x) < c[0] < max(a.x, b.x):
-            return a if (a.x - c[0]) * sign > 0 else b
-        if not horizontal and a.x == c[0] and min(a.y, b.y) < c[1] < max(a.y, b.y):
-            return a if (a.y - c[1]) * sign > 0 else b
+        if horizontal and a.y == c.y and min(a.x, b.x) < c.x < max(a.x, b.x):
+            return a if (a.x - c.x) * sign > 0 else b
+        if not horizontal and a.x == c.x and min(a.y, b.y) < c.y < max(a.y, b.y):
+            return a if (a.y - c.y) * sign > 0 else b
     raise errors.NotIVa1Site("no boundary edge through the crossing")
 
 

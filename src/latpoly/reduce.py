@@ -228,7 +228,7 @@ class ExplorationReport:
     skipped_exclusion: int = 0
 
 
-_COND_A_CACHE: dict[str, bool] = {}
+_COND_A_CACHE: dict[str, bool] = {}       # oldest entry evicted at the bound
 
 
 def explore_reductions(g: DottedGraph, budget: int = 2000,
@@ -253,6 +253,8 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
                     ok = DF.check_condition_A_everywhere(cur)
                 except errors.BudgetExceeded:
                     ok = False
+                if len(_COND_A_CACHE) >= DG.FORM_CACHE_SIZE:
+                    del _COND_A_CACHE[next(iter(_COND_A_CACHE))]
                 _COND_A_CACHE[form] = ok
             if not ok:
                 report.condition_A_ok = False

@@ -100,10 +100,10 @@ def render_svg(obj, math_axes: bool = False) -> str:
     if isinstance(obj, G.LatticePolytope):
         segs = G.boundary_segments(obj)
         iso = G.isolated_vertices(obj)
-        marks = [("disk", (q.x, q.y)) for q in sorted(obj.ver0.points)]
-        marks += [("x", (q.x, q.y)) for q in sorted(obj.ver1.points)]
+        marks = [("disk", q) for q in sorted(obj.ver0.points)]
+        marks += [("x", q) for q in sorted(obj.ver1.points)]
         arr = G._arrangement(obj)
-        extra = [(q.x, q.y) for q in sorted(iso)]
+        extra = sorted(iso)
     elif isinstance(obj, DG.DottedGraph):
         an = DG.analyze(obj)
         segs = [seg for _, _, seg in DG.all_segments(obj)]

@@ -140,3 +140,30 @@ def test_plan_without_emptying_reduction(tmp_path, capsys):
     assert cli.main(["plan", str(path)]) == 3
     out = capsys.readouterr().out
     assert "NO-PLAN" in out
+
+
+def test_non_integer_coordinates_exit_2(tmp_path):
+    docs = [{"ver0": [[0, 0], [1.7, 1]], "ver1": [[1, 0], [0, 1]]},
+            {"ver0": [[0, 0], [True, 1]], "ver1": [[True, 0], [0, 1]]},
+            {"ver0": [[0, 0, 0], [1, 1]], "ver1": [[1, 0], [0, 1]]},
+            {"curves": [[[0, 0], [4, 0], [4, 4], [0.5, 4]]]},
+            {"curves": [[[0, 0], [4, 0], [4, 4], [0, 4]]],
+             "dots": [{"curve": 0, "segment": 0, "offset": 1.5}]},
+            {"curves": [[[0, 0], [4, 0], [4, 4], [0, 4]]],
+             "dots": [{"curve": 0, "segment": 0, "offset": True}]}]
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2, doc
+
+
+def test_bad_plan_documents_exit_2(tmp_path, capsys):
+    path = write_square(tmp_path)
+    for i, steps in enumerate([[{"v": [0, 0], "w": [1.0, 1]}],
+                               [{"v": [0, 0], "w": [True, 1]}],
+                               [{"v": [0, 0], "w": [0, 1]}],
+                               [{"v": [0, 0], "w": [1, 1], "mode": "sideways"}]]):
+        plan_path = tmp_path / f"plan{i}.json"
+        plan_path.write_text(json.dumps(steps))
+        assert cli.main(["verify", path, "--plan", str(plan_path)]) == 2, steps
+    assert "cost signed" not in capsys.readouterr().out

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latpoly import errors, geometry as G
 from latpoly import dotgraph as D
@@ -92,6 +93,38 @@ def test_build_rejects_dot_off_curve():
         D.DottedGraph.build([[(0, 0), (4, 0), (4, 4), (0, 4)]], [(2, 2)])
 
 
+SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
+
+
+def transposed(curves):
+    return [[(y, x) for x, y in c] for c in curves]
+
+
+INVALID_GRAPHS = {
+    "non-axis step": ([[(0, 0), (4, 0), (4, 4), (1, 3)]], []),
+    "fewer than 4 corners": ([[(0, 0), (4, 0), (4, 4)]], []),
+    "coincident corners": ([SQUARE, [(4, 4), (8, 4), (8, 8), (4, 8)]], []),
+    "horizontal overlap": ([SQUARE, [(1, 0), (3, 0), (3, -4), (1, -4)]], []),
+    "vertical overlap": (transposed([SQUARE, [(1, 0), (3, 0), (3, -4), (1, -4)]]), []),
+    "corner inside a horizontal segment":
+        ([SQUARE, [(3, 0), (7, 0), (7, -4), (3, -4)]], []),
+    "corner inside a vertical segment":
+        (transposed([SQUARE, [(3, 0), (7, 0), (7, -4), (3, -4)]]), []),
+    "dot on a crossing": ([[(0, 0), (2, 0), (2, 2), (1, 2), (1, -1), (0, -1)]], [(1, 0)]),
+    "dot off every curve": ([SQUARE], [(2, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_GRAPHS))
+def test_build_rejection_classes(case):
+    curves, dots = INVALID_GRAPHS[case]
+    want = errors.DotOnCrossing if case == "dot on a crossing" else errors.InvalidGraph
+    with pytest.raises(errors.InvalidGraph) as info:
+        D.DottedGraph.build(curves, dots)
+    if info.type is not want:       # not an assert: the test also runs under -O
+        pytest.fail(f"{case}: raised {info.type.__name__}, want {want.__name__}")
+
+
 def test_empty_graph():
     g = D.empty_graph()
     assert g.is_empty()
@@ -148,6 +181,26 @@ def test_associate_satisfies_invariants_fuzz():
         # every dot sits on exactly one arc
         counted = sum(len(a.dots) for a in an.arcs)
         assert counted == len(g.dots)
+
+
+@st.composite
+def polytopes(draw, max_points=12):
+    """An n-point polytope on the 3n x 3n grid, n <= max_points."""
+    n = draw(st.integers(1, max_points))
+    coords = st.lists(st.integers(0, 3 * n - 1), min_size=n, max_size=n, unique=True)
+    xs, ys = draw(coords), draw(coords)
+    ys1 = draw(st.permutations(ys))
+    return G.validate_polytope(list(zip(xs, ys)), list(zip(xs, ys1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes())
+def test_associate_crossings_and_segments_match_edges(p):
+    g = D.associate(p)
+    brute = {(c.x, a.y) for a, b in G.x_edges(p) for c, d in G.y_edges(p)
+             if min(a.x, b.x) < c.x < max(a.x, b.x) and min(c.y, d.y) < a.y < max(c.y, d.y)}
+    assert set(D.analyze(g).crossings) == brute
+    assert {seg for _, _, seg in D.all_segments(g)} == set(G.boundary_segments(p))
 
 
 # -------------------------------------------------------- components ----

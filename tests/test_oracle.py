@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from latpoly import errors, geometry as G, oracle as O
+from latpoly import errors, geometry as G, oracle as O, dotgraph as D
 
 
 def test_min_cost_square():
@@ -96,3 +96,12 @@ def test_random_dotted_graph_generator():
         from latpoly import dotgraph as D
         an = D.analyze(g)
         assert all(a.dots for a in an.arcs)
+
+
+def test_empties_cache_stays_bounded(monkeypatch):
+    bound = D.FORM_CACHE_SIZE
+    monkeypatch.setattr(O, "_EMPTIES_CACHE", {f"old{i}": True for i in range(bound)})
+    g = D.associate(G.validate_polytope([(0, 0), (1, 1)], [(1, 0), (0, 1)]))
+    assert O.reduction_empties(g)
+    assert len(O._EMPTIES_CACHE) <= bound
+    assert "old0" not in O._EMPTIES_CACHE and D.canonical_form(g) in O._EMPTIES_CACHE

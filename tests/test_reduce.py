@@ -186,3 +186,12 @@ def test_explore_confluence_on_fixtures():
         rep = R.explore_reductions(g, check_A=True)
         if rep.condition_A_ok:
             assert len(rep.terminals) == 1
+
+
+def test_condition_A_cache_stays_bounded(monkeypatch):
+    bound = D.FORM_CACHE_SIZE
+    monkeypatch.setattr(R, "_COND_A_CACHE", {f"old{i}": True for i in range(bound)})
+    R.explore_reductions(square_graph())
+    assert len(R._COND_A_CACHE) <= bound
+    assert "old0" not in R._COND_A_CACHE
+    assert D.canonical_form(D.normalized(square_graph())) in R._COND_A_CACHE
