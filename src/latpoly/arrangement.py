@@ -53,7 +53,6 @@ class Face:
     omega: int
     area: int                 # total area of the finite cells of the face
     unbounded: bool
-    cells: tuple[tuple[int, int], ...]
     sample2: Pt               # doubled coordinates of one interior point
 
 
@@ -66,12 +65,11 @@ class Arrangement:
 
     def __init__(self, segs: list[Seg], face_winding: bool = True):
         self.face_winding = face_winding
-        self.segs = list(segs)
         xs: set[int] = set()
         ys: set[int] = set()
         self._v_by_x: dict[int, list[tuple[int, int, int]]] = {}  # x -> (lo,hi,dir)
         self._h_by_y: dict[int, list[tuple[int, int, int]]] = {}
-        for seg in self.segs:
+        for seg in segs:
             (x1, y1), (x2, y2) = seg
             xs.update((x1, x2))
             ys.update((y1, y2))
@@ -164,21 +162,24 @@ class Arrangement:
                         continue
                 union(cid(c, r), cid(c, r + 1))
 
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for c in range(ncol):
-            for r in range(nrow):
-                groups.setdefault(find(cid(c, r)), []).append((c, r))
+        # cell i is (c, r) = divmod(i, nrow); scanning i in order meets each
+        # face first at its smallest cell, which fixes the face order
+        self._nrow = nrow
+        groups: dict[int, list[int]] = {}
+        for i in range(ncol * nrow):
+            groups.setdefault(find(i), []).append(i)
 
         faces: list[Face] = []
-        self._cell_face: dict[tuple[int, int], int] = {}
-        for cells in sorted(groups.values()):
-            cells.sort()
+        self._cell_face = [0] * (ncol * nrow)
+        for cells in groups.values():
             idx = len(faces)
-            om = omegas[cells[0][0]][cells[0][1]]
+            c0, r0 = divmod(cells[0], nrow)
+            om = omegas[c0][r0]
             unbounded = False
             area = 0
             sample2 = None
-            for c, r in cells:
+            for i in cells:
+                c, r = divmod(i, nrow)
                 assert not self.face_winding or omegas[c][r] == om, \
                     "winding not constant on a face"
                 infinite = c == 0 or c == ncol - 1 or r == 0 or r == nrow - 1
@@ -188,12 +189,10 @@ class Arrangement:
                     area += (self.xs[c] - self.xs[c - 1]) * (self.ys[r] - self.ys[r - 1])
                     if sample2 is None:
                         sample2 = (self._col_sample2(c), self._row_sample2(r))
+                self._cell_face[i] = idx
             if sample2 is None:
-                sample2 = (self._col_sample2(cells[0][0]), self._row_sample2(cells[0][1]))
-            face = Face(idx, om, area, unbounded, tuple(cells), sample2)
-            faces.append(face)
-            for cell in cells:
-                self._cell_face[cell] = idx
+                sample2 = (self._col_sample2(c0), self._row_sample2(r0))
+            faces.append(Face(idx, om, area, unbounded, sample2))
         self.faces = faces
         unb = [f for f in faces if f.unbounded]
         assert len(unb) == 1, "unbounded face must be unique"
@@ -204,7 +203,13 @@ class Arrangement:
     # -- queries ---------------------------------------------------------
 
     def face_of_cell(self, cell: tuple[int, int]) -> int:
-        return self._cell_face[cell]
+        c, r = cell
+        return self._cell_face[c * self._nrow + r]
+
+    def face_cells(self, f: int) -> set[tuple[int, int]]:
+        """The (column, row) cells of face f."""
+        nrow = self._nrow
+        return {divmod(i, nrow) for i, face in enumerate(self._cell_face) if face == f}
 
     def face_of_point(self, p: Pt) -> int:
         """Face containing a point that lies on no segment (lines are fine)."""
@@ -215,7 +220,7 @@ class Arrangement:
         rows = [bisect_right(self.ys, y)] if self.ys else [0]
         if self.ys and y in self._line_set_y():
             rows = [rows[0] - 1, rows[0]]
-        found = {self._cell_face[(c, r)] for c in cols for r in rows}
+        found = {self.face_of_cell((c, r)) for c in cols for r in rows}
         assert len(found) == 1, f"point {p} is not interior to a single face"
         return found.pop()
 

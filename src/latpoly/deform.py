@@ -513,7 +513,7 @@ def _clean_polyline(pts) -> tuple[Pt, ...]:
 
 def _canonical_core(an, F, q1, n1, q2, n2) -> tuple[Pt, ...]:
     arr = an.arr
-    cells = set(arr.faces[F].cells)
+    cells = arr.face_cells(F)
     c1 = _cell_beside(arr, q1, n1)
     c2 = _cell_beside(arr, q2, n2)
     path = _cell_path(arr, cells, c1, c2)
@@ -914,7 +914,7 @@ def _core_matching(gs, ans, Fs, core_up, q1_0, q1, n1, q2_0, q2, n2):
     """
     arr = ans.arr
     holes = _hole_samples(ans, Fs)
-    cells = set(arr.faces[Fs].cells)
+    cells = arr.face_cells(Fs)
     base = _route_through_cells(
         arr, _cell_path(arr, cells, _cell_beside(arr, q1, n1),
                         _cell_beside(arr, q2, n2)), q1, n1, q2, n2)
@@ -1105,7 +1105,7 @@ def check_condition_A(g: DottedGraph, p1: Pt, p2: Pt, cap: int = 4000) -> bool:
     n2 = _normal_into(ans, b2, d2, Fs)
     holes = _hole_samples(ans, Fs)
     arr = ans.arr
-    cells = set(arr.faces[Fs].cells)
+    cells = arr.face_cells(Fs)
     classes = _enumerate_core_classes(arr, cells, q1, n1, q2, n2, holes, cap=cap)
     forms = set()
     for core in classes.values():

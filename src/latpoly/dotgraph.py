@@ -5,13 +5,15 @@ equivalence and realization.
 A graph is stored geometrically (corner polylines on the integer grid,
 dots as exact points); crossings, arcs, faces and labels are derived.
 Graphs are compared up to ambient isotopy and dot multiplicity through a
-canonical encoding of the labeled combinatorial map.
+canonical encoding of the labeled plane map: a traversal code per connected
+component, joined along the tree of faces and components rooted at the
+unbounded face, in time polynomial in the size of the graph.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import errors
 from . import geometry as G
@@ -175,7 +177,7 @@ class Arc:
     closed: bool
     dots: tuple[Pt, ...]
 
-    @property
+    @cached_property
     def key(self):
         return (self.curve, self.path, self.closed)
 
@@ -486,84 +488,112 @@ def equivalent_mod_E_I(g1: DottedGraph, g2: DottedGraph) -> bool:
 
 @lru_cache(maxsize=FORM_CACHE_SIZE)
 def canonical_form(g: DottedGraph) -> str:
+    """A string that two graphs share exactly when their labeled plane maps
+    are isomorphic, with dot counts collapsed to flags.
+
+    The components (a closed arc alone, or the open arcs joined through
+    their crossings) and the faces form a tree rooted at the unbounded face:
+    a component hangs below the face around it, and its other faces hang
+    below it.  Codes are built bottom-up.  A face is ``F<label><u|b>[...]``
+    with its components' codes sorted inside the brackets.  A closed arc is
+    ``O<dotted><left><right>``.  Any other component is the least, over its
+    root darts, of a breadth-first walk of its darts (Weinberg's plane-map
+    code): each dart writes its role, its arc's dot flag, the walk numbers of
+    ``opp`` and ``rot``, and its arc's left and right faces.  A face is
+    written ``p`` when it is the parent, its code at its first occurrence,
+    and ``#<k>`` after that, so each code is written once per component.
+    Sorting the children is the rooted-tree isomorphism code of Aho,
+    Hopcroft and Ullman; the whole form takes polynomial time.
+    """
     an = analyze(g)
-    nodes: list = []
-    color: dict = {}
+    parent = {c: c for c in an.crossings}
 
-    def add(key, col):
-        nodes.append(key)
-        color[key] = col
+    def find(c: Pt) -> Pt:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
 
-    for f in an.arr.faces:
-        add(("F", f.index), ("F", f.omega, f.unbounded))
     for a in an.arcs:
-        add(("A", a.key), ("A", bool(a.dots), a.closed))
-    for c in sorted(an.crossings):
-        add(("C", c), ("C",))
-        for d in CCW_DIRS:
-            add(("D", c, d), ("D",))
-
-    edges: list[tuple[str, tuple, tuple]] = []
-    for c in sorted(an.crossings):
-        for i, d in enumerate(CCW_DIRS):
-            nd = CCW_DIRS[(i + 1) % 4]
-            edges.append(("r", ("D", c, d), ("D", c, nd)))
-            edges.append(("c", ("D", c, d), ("C", c)))
-            arc_key, role = an.arms[(c, d)]
-            edges.append(("t" if role == "out" else "h",
-                          ("A", arc_key), ("D", c, d)))
+        if not a.closed:
+            parent[find(a.start)] = find(a.end)
+    comps: dict = {}                    # component id -> its arcs
     for a in an.arcs:
-        edges.append(("l", ("A", a.key), ("F", an.left_face[a.key])))
-        edges.append(("g", ("A", a.key), ("F", an.right_face[a.key])))
+        comps.setdefault(a.key if a.closed else find(a.start), []).append(a)
+    faces_of = {k: {f for a in arcs for f in (an.left_face[a.key], an.right_face[a.key])}
+                for k, arcs in comps.items()}
+    comps_at: dict[int, list] = {}
+    for k, fs in faces_of.items():
+        for f in fs:
+            comps_at.setdefault(f, []).append(k)
 
-    idx = {k: i for i, k in enumerate(nodes)}
-    n = len(nodes)
-    adj: list[list[tuple[str, str, int]]] = [[] for _ in range(n)]
-    for et, a, b in edges:
-        adj[idx[a]].append((et, "o", idx[b]))
-        adj[idx[b]].append((et, "i", idx[a]))
-    init = [color[k] for k in nodes]
+    # faces are ints and components tuples; in a tree, every neighbour but
+    # the parent is a child
+    order = [(an.arr.unbounded_face, None)]
+    for x, up in order:
+        order.extend((y, x) for y in (faces_of[x] if x in comps else comps_at.get(x, ()))
+                     if y != up)
+    code: dict = {}
+    kids: dict = {}
+    for x, up in reversed(order):
+        if x in comps:
+            code[x] = _component_code(an, comps[x], up, code)
+        else:
+            f = an.arr.faces[x]
+            inside = ",".join(sorted(kids.get(x, ())))
+            code[x] = f"F{f.omega}{'u' if f.unbounded else 'b'}[{inside}]"
+        kids.setdefault(up, []).append(code[x])
+    return code[an.arr.unbounded_face]
 
-    def refine(cols: list[int]) -> list[int]:
-        while True:
-            keys = [(cols[v], tuple(sorted((et, d, cols[u]) for et, d, u in adj[v])))
-                    for v in range(n)]
-            ranking = {k: r for r, k in enumerate(sorted(set(keys)))}
-            new = [ranking[k] for k in keys]
-            if new == cols:
-                return cols
-            cols = new
 
-    def compress(vals: list) -> list[int]:
-        ranking = {k: r for r, k in enumerate(sorted(set(vals)))}
-        return [ranking[v] for v in vals]
-
-    def encode(cols: list[int]) -> str:
-        order = sorted(range(n), key=lambda v: cols[v])
-        pos = {v: i for i, v in enumerate(order)}
-        parts = [repr(init[v]) for v in order]
-        es = sorted((et, pos[idx[a]], pos[idx[b]]) for et, a, b in edges)
-        return "|".join(parts) + "#" + ";".join(f"{t}{x},{y}" for t, x, y in es)
-
-    def canon(cols: list[int]) -> str:
-        cols = refine(cols)
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(cols[v], []).append(v)
-        multi = [c for c, vs in groups.items() if len(vs) > 1]
-        if not multi:
-            return encode(cols)
-        target = min(multi)
-        best = None
-        for v in groups[target]:
-            trial = list(cols)
-            trial[v] = n + 1
-            enc = canon(compress(trial))
-            if best is None or enc < best:
-                best = enc
-        return best
-
-    return canon(compress([repr(c) for c in init]))
+def _component_code(an: GraphAnalysis, arcs: list[Arc], outer: int, code: dict) -> str:
+    """Code of the component made of ``arcs``, whose parent face is
+    ``outer``; ``code`` already holds the codes of its other faces."""
+    if arcs[0].closed:
+        a = arcs[0]
+        sides = (an.left_face[a.key], an.right_face[a.key])
+        return f"O{int(bool(a.dots))}" + "".join("p" if f == outer else code[f] for f in sides)
+    base = {c: 4 * k for k, c in enumerate({a.start for a in arcs})}
+    n = 4 * len(base)
+    opp = [0] * n                       # dart 4k + i: arm CCW_DIRS[i] of crossing k
+    head = [""] * n
+    sides = [()] * n
+    for a in arcs:
+        ed = a.end_dir
+        t = base[a.start] + CCW_DIRS.index(a.start_dir)
+        h = base[a.end] + CCW_DIRS.index((-ed[0], -ed[1]))
+        opp[t], opp[h] = h, t
+        head[t], head[h] = f"o{int(bool(a.dots))}", f"i{int(bool(a.dots))}"
+        sides[t] = sides[h] = (an.left_face[a.key], an.right_face[a.key])
+    rot = [x - x % 4 + (x + 1) % 4 for x in range(n)]
+    best: list[str] = []
+    for start in range(n):
+        num = [-1] * n
+        num[start] = 0
+        queue = [start]
+        ref = {outer: "p"}
+        parts = []
+        tie = bool(best)                # every part so far equals best's
+        for i, x in enumerate(queue):
+            for y in (opp[x], rot[x]):
+                if num[y] < 0:
+                    num[y] = len(queue)
+                    queue.append(y)
+            part = f"{head[x]}{num[opp[x]]},{num[rot[x]]}"
+            for f in sides[x]:
+                r = ref.get(f)
+                if r is None:
+                    ref[f] = f"#{len(ref) - 1}"
+                    r = code[f]
+                part += r
+            if tie and part != best[i]:
+                if part > best[i]:
+                    break
+                tie = False
+            parts.append(part)
+        else:
+            if not tie:
+                best = parts
+    return "X[" + ";".join(best) + "]"
 
 
 # ----------------------------------------------------- coordinate maps --

@@ -93,6 +93,10 @@ class BudgetExceeded(LatPolyError):
     """A reduction exceeded its step budget; signals a bug or a pathology."""
 
 
+class InvalidTrace(LatPolyError):
+    """Reduction trace steps do not compose or break the good order."""
+
+
 class NonEmptyTerminal(LatPolyError):
     """The reduction trace does not end at the empty graph."""
 

@@ -53,10 +53,10 @@ def obj_to_graph(obj) -> DottedGraph:
         curves = [[G.grid_point(p) for p in curve] for curve in obj["curves"]]
         dots = []
         for rec in obj.get("dots", []):
-            curve = curves[rec["curve"]]
+            curve = curves[_dot_index(rec, "curve", len(curves))]
             n = len(curve)
-            a = curve[rec["segment"]]
-            b = curve[(rec["segment"] + 1) % n]
+            si = _dot_index(rec, "segment", n)
+            a, b = curve[si], curve[(si + 1) % n]
             dx = (b[0] > a[0]) - (b[0] < a[0])
             dy = (b[1] > a[1]) - (b[1] < a[1])
             off = rec["offset"]
@@ -66,6 +66,13 @@ def obj_to_graph(obj) -> DottedGraph:
         return DottedGraph.build(curves, dots)
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise errors.ParseError(f"bad dotted-graph document: {e}") from e
+
+
+def _dot_index(rec, name: str, n: int) -> int:
+    i = rec[name]
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"dot {name} must be an integer in 0..{n - 1}: {i!r}")
+    return i
 
 
 def plan_to_obj(plan: PL.TransformPlan) -> list:

@@ -286,7 +286,7 @@ def cross_check_thm37(corpus) -> list[CrossCheckRow]:
 def _plan_steps_minimal(p: LatticePolytope, plan: PL.TransformPlan) -> bool:
     cur = p
     for step in plan.steps:
-        if not PL.classify_step(cur, step.rect, step.mode).minimal:
+        if not PL.classify_step(cur, step.rect, step.mode, with_tag=False).minimal:
             return False
         cur = PL.apply_step(cur, step)
     return True

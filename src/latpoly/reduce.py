@@ -34,19 +34,20 @@ class ReductionTrace:
     def __post_init__(self):
         prev = self.start
         for i, s in enumerate(self.steps):
-            assert s.before == prev, "trace steps do not compose"
+            if s.before != prev:
+                raise errors.InvalidTrace("trace steps do not compose")
             prev = s.after
+            nxt = self.steps[i + 1] if i + 1 < len(self.steps) else None
             if s.kind == "IVa1":
-                nxt = self.steps[i + 1] if i + 1 < len(self.steps) else None
-                assert nxt is not None and nxt.kind == "III", \
-                    "good order: IVa1 must be followed by its deformation III"
-                apex = s.meta_dict().get("apex")
-                assert nxt.site[1][0] == apex, \
-                    "good order: the deleted loop is not the created one"
-            if s.kind == "IVa2":
-                nxt = self.steps[i + 1] if i + 1 < len(self.steps) else None
-                assert nxt is not None and nxt.kind == "II", \
-                    "good order: IVa2 must be followed by its deformation II"
+                if nxt is None or nxt.kind != "III":
+                    raise errors.InvalidTrace(
+                        "good order: IVa1 must be followed by its deformation III")
+                if nxt.site[1][0] != s.meta_dict().get("apex"):
+                    raise errors.InvalidTrace(
+                        "good order: the deleted loop is not the created one")
+            if s.kind == "IVa2" and (nxt is None or nxt.kind != "II"):
+                raise errors.InvalidTrace(
+                    "good order: IVa2 must be followed by its deformation II")
 
     @property
     def terminal(self) -> DottedGraph:

@@ -1,0 +1,172 @@
+"""The plane-map canonical form against the colour-refinement form it
+replaced: both must split graphs into the same classes."""
+import random
+import time
+
+from hypothesis import given, settings, strategies as st
+
+from latpoly import deform as DF, dotgraph as D, errors, geometry as G, oracle as O, reduce as R
+
+
+def reference_form(g: D.DottedGraph) -> str:
+    """The former ``canonical_form``: colour refinement plus
+    individualization on the labeled incidence graph of faces, arcs,
+    crossings and darts.  Exact, but factorial on symmetric graphs."""
+    an = D.analyze(g)
+    nodes: list = []
+    color: dict = {}
+
+    def add(key, col):
+        nodes.append(key)
+        color[key] = col
+
+    for f in an.arr.faces:
+        add(("F", f.index), ("F", f.omega, f.unbounded))
+    for a in an.arcs:
+        add(("A", a.key), ("A", bool(a.dots), a.closed))
+    for c in sorted(an.crossings):
+        add(("C", c), ("C",))
+        for d in D.CCW_DIRS:
+            add(("D", c, d), ("D",))
+
+    edges: list[tuple[str, tuple, tuple]] = []
+    for c in sorted(an.crossings):
+        for i, d in enumerate(D.CCW_DIRS):
+            nd = D.CCW_DIRS[(i + 1) % 4]
+            edges.append(("r", ("D", c, d), ("D", c, nd)))
+            edges.append(("c", ("D", c, d), ("C", c)))
+            arc_key, role = an.arms[(c, d)]
+            edges.append(("t" if role == "out" else "h", ("A", arc_key), ("D", c, d)))
+    for a in an.arcs:
+        edges.append(("l", ("A", a.key), ("F", an.left_face[a.key])))
+        edges.append(("g", ("A", a.key), ("F", an.right_face[a.key])))
+
+    idx = {k: i for i, k in enumerate(nodes)}
+    n = len(nodes)
+    adj: list[list[tuple[str, str, int]]] = [[] for _ in range(n)]
+    for et, a, b in edges:
+        adj[idx[a]].append((et, "o", idx[b]))
+        adj[idx[b]].append((et, "i", idx[a]))
+    init = [color[k] for k in nodes]
+
+    def refine(cols):
+        while True:
+            keys = [(cols[v], tuple(sorted((et, d, cols[u]) for et, d, u in adj[v])))
+                    for v in range(n)]
+            ranking = {k: r for r, k in enumerate(sorted(set(keys)))}
+            new = [ranking[k] for k in keys]
+            if new == cols:
+                return cols
+            cols = new
+
+    def compress(vals):
+        ranking = {k: r for r, k in enumerate(sorted(set(vals)))}
+        return [ranking[v] for v in vals]
+
+    def encode(cols):
+        order = sorted(range(n), key=lambda v: cols[v])
+        pos = {v: i for i, v in enumerate(order)}
+        parts = [repr(init[v]) for v in order]
+        es = sorted((et, pos[idx[a]], pos[idx[b]]) for et, a, b in edges)
+        return "|".join(parts) + "#" + ";".join(f"{t}{x},{y}" for t, x, y in es)
+
+    def canon(cols):
+        cols = refine(cols)
+        groups: dict[int, list[int]] = {}
+        for v in range(n):
+            groups.setdefault(cols[v], []).append(v)
+        multi = [c for c, vs in groups.items() if len(vs) > 1]
+        if not multi:
+            return encode(cols)
+        best = None
+        for v in groups[min(multi)]:
+            trial = list(cols)
+            trial[v] = n + 1
+            enc = canon(compress(trial))
+            if best is None or enc < best:
+                best = enc
+        return best
+
+    return canon(compress([repr(c) for c in init]))
+
+
+def _random_polytope(rng, n):
+    xs = rng.sample(range(2 * n), n)
+    ys = rng.sample(range(2 * n), n)
+    ys1 = ys[:]
+    rng.shuffle(ys1)
+    return G.validate_polytope(list(zip(xs, ys)), list(zip(xs, ys1)))
+
+
+def _population() -> list[D.DottedGraph]:
+    """Random dotted graphs, associated polytopes and their good-reduction
+    states, the one-move successors of some of them, and moved copies."""
+    rng = random.Random(2024)
+    graphs = [O.random_dotted_graph(random.Random(f"confluence/{i}")) for i in range(56)]
+    graphs += [O.random_dotted_graph(rng, require_all_dotted=bool(i % 2)) for i in range(200)]
+    for n in range(3, 12):
+        for _ in range(6):
+            graphs.extend(R.good_reduce(D.associate(_random_polytope(rng, n))).graphs())
+    graphs = list(dict.fromkeys(graphs))
+    for g in graphs[::2]:
+        for m in DF.enumerate_moves(g):
+            try:
+                graphs.append(DF.apply_move(g, m).after)
+            except errors.LatPolyError:
+                continue
+    graphs = list(dict.fromkeys(graphs))
+    return graphs + [D.scaled(D.normalized(g), 3) for g in graphs[::6]]
+
+
+def test_partition_matches_reference():
+    graphs = _population()
+    assert len(graphs) >= 1500
+    new_of_ref: dict[str, str] = {}
+    ref_of_new: dict[str, str] = {}
+    for g in graphs:
+        new, ref = D.canonical_form(g), reference_form(g)
+        assert new_of_ref.setdefault(ref, new) == new
+        assert ref_of_new.setdefault(new, ref) == ref
+    assert len(new_of_ref) >= 300
+
+
+def _squares(k, side=2, gap=1, x0=0, y0=0):
+    return [[(x0 + j * (side + gap), y0), (x0 + j * (side + gap) + side, y0),
+             (x0 + j * (side + gap) + side, y0 + side), (x0 + j * (side + gap), y0 + side)]
+            for j in range(k)]
+
+
+def test_symmetric_graphs_are_fast():
+    curves = _squares(10)
+    g = D.DottedGraph.build(curves, [c[0] for c in curves])
+    t = time.perf_counter()
+    form = D.canonical_form(g)
+    assert time.perf_counter() - t < 1.0
+    assert form.count("O1") == 10
+
+    # four identical squares, each holding three identical squares; moving
+    # the inner squares of one is an isotopy, moving one into another is not
+    def nested(shift_first, move_one):
+        outer = _squares(4, side=12, gap=2)
+        inner = [_squares(3, x0=14 * j + 2, y0=6 if shift_first and j == 0 else 2)
+                 for j in range(4)]
+        if move_one:
+            inner[3].append(inner[0].pop()[:])
+            inner[3][-1] = [(x + 42, y + 4) for x, y in inner[3][-1]]
+        curves = outer + [sq for group in inner for sq in group]
+        return D.DottedGraph.build(curves, [c[0] for c in curves])
+
+    t = time.perf_counter()
+    form = D.canonical_form(nested(False, False))
+    assert time.perf_counter() - t < 1.0
+    assert D.canonical_form(nested(True, False)) == form
+    assert D.canonical_form(nested(False, True)) != form
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 4))
+def test_form_is_invariant_under_renormalize_and_scaled(seed, k):
+    g = O.random_dotted_graph(random.Random(seed), require_all_dotted=False)
+    form = D.canonical_form(g)
+    assert D.canonical_form(D.renormalize(g)[0]) == form
+    assert D.canonical_form(D.scaled(g, k)) == form

@@ -157,6 +157,17 @@ def test_non_integer_coordinates_exit_2(tmp_path):
         assert cli.main(["validate", str(path)]) == 2, doc
 
 
+def test_bad_dot_indices_exit_2(tmp_path, capsys):
+    square = [[0, 0], [4, 0], [4, 4], [0, 4]]
+    for i, (ci, si) in enumerate([(False, 0), (0, True), (0, -1), (0, 4),
+                                  (1, 0), (-1, 0), (0.0, 0), (0, "1")]):
+        path = tmp_path / f"dots{i}.json"
+        path.write_text(json.dumps({"curves": [square],
+                                    "dots": [{"curve": ci, "segment": si, "offset": 1}]}))
+        assert cli.main(["validate", str(path)]) == 2, (ci, si)
+    assert "dotted graph ok" not in capsys.readouterr().out
+
+
 def test_bad_plan_documents_exit_2(tmp_path, capsys):
     path = write_square(tmp_path)
     for i, steps in enumerate([[{"v": [0, 0], "w": [1.0, 1]}],

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from latpoly import errors, geometry as G, dotgraph as D, reduce as R
@@ -140,17 +144,38 @@ def test_reduce_all_dotted_blocked_circles_resolve():
     assert trace.terminal.is_empty()
 
 
-def test_good_order_violations_are_unrepresentable():
-    # a trace whose surgery is not followed by its loop deletion is rejected
+def surgery_pair():
+    """The IVa1 surgery of figure_eight(2, 1) and its loop deletion."""
     g = figure_eight(2, 1)
     from latpoly import deform as DF
     move = [m for m in DF.enumerate_moves(g, allowed={"IV"})
             if set(m.site) == {(2, 2), (2, 0)}][0]
     kind, (dIV, dIII) = DF.try_good_IV(g, move)
     assert kind == "IVa1"
-    with pytest.raises(AssertionError):
+    return g, dIV, dIII
+
+
+def test_good_order_violations_are_unrepresentable():
+    # a trace whose surgery is not followed by its loop deletion is rejected
+    g, dIV, dIII = surgery_pair()
+    with pytest.raises(errors.InvalidTrace):
         R.ReductionTrace(g, (dIV,))          # pair left dangling
+    with pytest.raises(errors.InvalidTrace):
+        R.ReductionTrace(g, (dIII,))         # steps do not compose
     R.ReductionTrace(g, (dIV, dIII))         # good order is accepted
+
+
+def test_good_order_holds_under_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import test_reduce as T\n"
+            "g, dIV, dIII = T.surgery_pair()\n"
+            "T.R.ReductionTrace(g, (dIV,))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=here, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert ("latpoly.errors.InvalidTrace: good order: IVa1 must be followed by "
+            "its deformation III") in proc.stderr
 
 
 def test_bad_curve_input_rejected():
