@@ -211,32 +211,15 @@ class Arrangement:
         nrow = self._nrow
         return {divmod(i, nrow) for i, face in enumerate(self._cell_face) if face == f}
 
-    def face_of_point(self, p: Pt) -> int:
-        """Face containing a point that lies on no segment (lines are fine)."""
-        x, y = p
-        cols = [bisect_right(self.xs, x)] if self.xs else [0]
-        if self.xs and x in self._line_set_x():
-            cols = [cols[0] - 1, cols[0]]
-        rows = [bisect_right(self.ys, y)] if self.ys else [0]
-        if self.ys and y in self._line_set_y():
-            rows = [rows[0] - 1, rows[0]]
-        found = {self.face_of_cell((c, r)) for c in cols for r in rows}
-        assert len(found) == 1, f"point {p} is not interior to a single face"
-        return found.pop()
+    def face_of_2x(self, p2: Pt) -> int:
+        """Face of the cell holding a doubled-grid point (x2, y2).
 
-    def _line_set_x(self) -> set[int]:
-        cached = getattr(self, "_lsx", None)
-        if cached is None:
-            cached = set(self.xs)
-            self._lsx = cached
-        return cached
-
-    def _line_set_y(self) -> set[int]:
-        cached = getattr(self, "_lsy", None)
-        if cached is None:
-            cached = set(self.ys)
-            self._lsy = cached
-        return cached
+        The column is the number of grid lines x with 2 * x < x2, that is
+        x < (x2 + 1) // 2; rows alike.  A point on a grid line counts to the
+        cell left of or below it; odd coordinates, as in face samples and
+        crossing quadrants, are interior to their cell."""
+        return self.face_of_cell((bisect_left(self.xs, (p2[0] + 1) // 2),
+                                  bisect_left(self.ys, (p2[1] + 1) // 2)))
 
     def on_any_segment(self, p: Pt) -> bool:
         x, y = p

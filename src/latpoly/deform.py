@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import errors
 from .arrangement import Pt, winding_2x
 from . import dotgraph as DG
-from .dotgraph import DottedGraph, ComponentCert, analyze, canonical_form
+from .dotgraph import DottedGraph, ComponentCert, GraphAnalysis, analyze, canonical_form
 
 SCALE = 16
 
@@ -36,19 +37,6 @@ class Move:
 
     def sort_key(self):
         return (_KIND_RANK.get(self.kind, 9), repr(self.site))
-
-
-@dataclass(frozen=True)
-class Core:
-    """The embedded band core of a surgery: a rectilinear path between the
-    two dots whose interior avoids the graph."""
-    path: tuple[Pt, ...]
-
-    def __post_init__(self):
-        for i in range(len(self.path) - 1):
-            DG._direction(self.path[i], self.path[i + 1])
-        if len(set(self.path)) != len(self.path):
-            raise errors.InvalidGraph("core path self-intersects")
 
 
 @dataclass(frozen=True)
@@ -189,60 +177,75 @@ def apply_IV(g: DottedGraph, p1: Pt, p2: Pt, core=None) -> DottedGraph:
 
 
 def _surgery(g: DottedGraph, p1: Pt, p2: Pt, core=None, hug_crossing=None) -> Deformation:
-    if isinstance(core, Core):
-        core = core.path
     an = analyze(g)
     if p1 not in g.dots or p2 not in g.dots:
         raise errors.MissingDot("deformation IV needs two dots")
     if p1 == p2:
         raise errors.MissingDot("the two dots must be distinct")
-    a1, a2 = _arc_of_dot(an, p1), _arc_of_dot(an, p2)
-    F = _middle_region(an, a1, a2, core)
-    eps = 1 if an.label(F) > 0 else -1
-    mag = abs(an.label(F))
-
-    extra = []
     if core is not None:
         core = tuple(tuple(p) for p in core)
-        for q in core:
-            extra.append(q)
-    fx, fy = _joint_maps(g, extra)
-    gxs, gys = DG.coordinate_values(g)
-    gs = DG.transform_coords(g, {x: fx[x] for x in gxs}, {y: fy[y] for y in gys})
-
-    def up(p: Pt) -> Pt:
-        return (fx[p[0]], fy[p[1]])
-
-    q1_0, q2_0 = up(p1), up(p2)
-    hug_c = up(hug_crossing) if hug_crossing is not None else None
-    ans0 = analyze(gs)
-    Fs_pre = _middle_region(ans0, _arc_of_dot(ans0, q1_0),
-                            _arc_of_dot(ans0, q2_0), None)
-    gs, q1, q2 = _slide_pair(gs, q1_0, q2_0, hug_c, F=Fs_pre,
-                             stay_near=core is not None)
-    ans = analyze(gs)
-    b1, b2 = _arc_of_dot(ans, q1), _arc_of_dot(ans, q2)
-    Fs = _middle_region(ans, b1, b2, None)
-    d1 = _dir_at(b1, q1)
-    d2 = _dir_at(b2, q2)
-    n1 = _normal_into(ans, b1, d1, Fs)
-    n2 = _normal_into(ans, b2, d2, Fs)
-    if hug_c is not None:
-        core_s = _hug_core(q1, n1, q2, n2, hug_c)
+    F = _middle_region(an, _arc_of_dot(an, p1), _arc_of_dot(an, p2), core)
+    eps = 1 if an.label(F) > 0 else -1
+    w = _working_pair(g, p1, p2, extra=core or (), hug_crossing=hug_crossing,
+                      stay_near=core is not None)
+    if hug_crossing is not None:
+        core_s = _hug_core(w.q1, w.n1, w.q2, w.up(hug_crossing))
     elif core is not None:
-        core_up = tuple(up(p) for p in core)
-        core_s = _core_matching(gs, ans, Fs, core_up, q1_0, q1, n1, q2_0, q2, n2)
+        core_s = _core_matching(w, p1, core, p2)
     else:
-        core_s = _canonical_core(ans, Fs, q1, n1, q2, n2)
-    raw, nd1, nd2 = _cut_and_join(gs, q1, d1, q2, d2, core_s)
+        core_s = _canonical_core(w)
+    raw, nd1, nd2 = _cut_and_join(w.gs, w.q1, w.d1, w.q2, w.d2, core_s)
     out, gx, gy = DG.renormalize(raw)
 
     def down(p: Pt):
         return (gx[p[0]], gy[p[1]])
 
     meta = (("new_dots", (down(nd1), down(nd2))),
-            ("apex", down(hug_c) if hug_c is not None else None))
-    return Deformation("IV", (p1, p2, core), eps, mag, g, out, meta)
+            ("apex", down(w.up(hug_crossing)) if hug_crossing is not None else None))
+    return Deformation("IV", (p1, p2, core), eps, abs(an.label(F)), g, out, meta)
+
+
+class _Pair(NamedTuple):
+    """Two surgery dots at working scale: the scaled graph ``gs`` (with its
+    analysis ``ans``) after the dots slid to q1 and q2, their middle region
+    Fs, the arc directions d1, d2 at the dots and the normals n1, n2 from
+    the dots into Fs.  ``fx``/``fy`` map original coordinates up."""
+    gs: DottedGraph
+    ans: GraphAnalysis
+    Fs: int
+    q1: Pt
+    d1: Pt
+    n1: Pt
+    q2: Pt
+    d2: Pt
+    n2: Pt
+    fx: dict
+    fy: dict
+
+    def up(self, p: Pt) -> Pt:
+        return (self.fx[p[0]], self.fy[p[1]])
+
+
+def _working_pair(g: DottedGraph, p1: Pt, p2: Pt, extra=(), hug_crossing=None,
+                  stay_near=False) -> _Pair:
+    """The set-up shared by every surgery: scale g to the working grid (with
+    the ``extra`` off-grid points placed inside their gaps), slide the dots
+    at p1 and p2 to canonical positions (beside ``hug_crossing`` when given,
+    as little as possible with ``stay_near``) and find the middle region and
+    the directions there."""
+    fx, fy = _joint_maps(g, extra)
+    gs = DG.transform_coords(g, fx, fy)
+    q1, q2 = (fx[p1[0]], fy[p1[1]]), (fx[p2[0]], fy[p2[1]])
+    hug_c = None if hug_crossing is None else (fx[hug_crossing[0]], fy[hug_crossing[1]])
+    an0 = analyze(gs)
+    F0 = _middle_region(an0, _arc_of_dot(an0, q1), _arc_of_dot(an0, q2), None)
+    gs, q1, q2 = _slide_pair(gs, q1, q2, hug_c, F0, stay_near)
+    ans = analyze(gs)
+    b1, b2 = _arc_of_dot(ans, q1), _arc_of_dot(ans, q2)
+    Fs = _middle_region(ans, b1, b2, None)
+    d1, d2 = _dir_at(b1, q1), _dir_at(b2, q2)
+    return _Pair(gs, ans, Fs, q1, d1, _normal_into(ans, b1, d1, Fs),
+                 q2, d2, _normal_into(ans, b2, d2, Fs), fx, fy)
 
 
 def _joint_maps(g: DottedGraph, extra_points):
@@ -281,7 +284,7 @@ def _middle_region(an, a1, a2, core):
                 key=lambda i: abs(core[i][0] - core[i + 1][0]) +
                 abs(core[i][1] - core[i + 1][1]))
         probe2 = (core[k][0] + core[k + 1][0], core[k][1] + core[k + 1][1])
-        F = _face_of_2x(an.arr, probe2)
+        F = an.arr.face_of_2x(probe2)
         sides1 = (an.left_face[a1.key], an.right_face[a1.key])
         sides2 = (an.left_face[a2.key], an.right_face[a2.key])
         if F not in sides1 or F not in sides2:
@@ -302,11 +305,7 @@ def _middle_region(an, a1, a2, core):
 
 def _dir_at(arc, q: Pt) -> Pt:
     """Travel direction of an arc at an interior point of one of its pieces."""
-    pts = arc.path
-    n = len(pts)
-    rng = range(n) if arc.closed else range(n - 1)
-    for i in rng:
-        a, b = pts[i], pts[(i + 1) % n]
+    for a, b in arc.pieces:
         if DG._on_segment(q, (a, b)) and q != a and q != b:
             return DG._direction(a, b)
     raise errors.RoutingFailure(f"dot {q} is not interior to an arc piece")
@@ -322,32 +321,32 @@ def _normal_into(an, arc, d: Pt, F) -> Pt:
 
 # dot sliding ---------------------------------------------------------------
 
-def _slide_pair(gs, q1, q2, hug_c, F=None, stay_near=False):
-    """Slide both surgery dots to canonical arc positions.  When the middle
-    region is known, the second dot lands beside a different quarter-cell
-    than the first so that band routes around it stay enumerable.  With
+def _slide_pair(gs, q1, q2, hug_c, F, stay_near):
+    """Slide both surgery dots to canonical arc positions.  Unless the dots
+    hug a crossing, the second dot lands beside a different quarter-cell of
+    the middle region F than the first, so that band routes around it stay
+    enumerable.  With
     ``stay_near`` the dots move as little as possible (the drag of an
     explicit core's endpoints must not wind around obstacles)."""
     gs, q1n = _slide_one(gs, q1, taken={q2}, near=hug_c, stay_near=stay_near)
     distinct = None
-    if F is not None and hug_c is None:
+    if hug_c is None:
         an = analyze(gs)
-        arc1 = _arc_of_dot(an, q1n)
-        d1 = _dir_at(arc1, q1n)
-        distinct = _quarter_beside(an.arr, q1n, _normal_into(an, arc1, d1, F))
+        distinct = _quarter_of(an, _arc_of_dot(an, q1n), q1n, F)
     gs, q2n = _slide_one(gs, q2, taken={q1n}, near=hug_c,
                          distinct_quarter=distinct, F=F, stay_near=stay_near)
     return gs, q1n, q2n
 
 
+def _quarter_of(an, arc, q: Pt, F):
+    """The quarter-cell of face F beside the point q of the arc."""
+    return _quarter_beside(an.arr, q, _normal_into(an, arc, _dir_at(arc, q), F))
+
+
 def _slide_candidates(arc) -> list[Pt]:
     out = []
-    pts = arc.path
-    n = len(pts)
-    pieces = sorted(
-        ((pts[i], pts[(i + 1) % n])
-         for i in (range(n) if arc.closed else range(n - 1))),
-        key=lambda s: -(abs(s[1][0] - s[0][0]) + abs(s[1][1] - s[0][1])))
+    pieces = sorted(arc.pieces,
+                    key=lambda s: -(abs(s[1][0] - s[0][0]) + abs(s[1][1] - s[0][1])))
     for p, r in pieces:
         length = abs(r[0] - p[0]) + abs(r[1] - p[1])
         d = DG._direction(p, r)
@@ -377,11 +376,8 @@ def _slide_one(gs, q, taken, near=None, distinct_quarter=None, F=None,
     else:
         candidates = _slide_candidates(arc)
         if distinct_quarter is not None:
-            def quarter(cand):
-                d = _dir_at(arc, cand)
-                return _quarter_beside(an.arr, cand,
-                                       _normal_into(an, arc, d, F))
-            preferred = [c for c in candidates if quarter(c) != distinct_quarter]
+            preferred = [c for c in candidates
+                         if _quarter_of(an, arc, c, F) != distinct_quarter]
             candidates = preferred + [c for c in candidates if c not in preferred]
     blocked = set(gs.dots) | set(taken) | set(an.crossings) | corners
     blocked.discard(q)
@@ -412,12 +408,10 @@ def _near_crossing_positions(arc, c: Pt) -> list[Pt]:
 def _cell_beside(arr, q: Pt, n: Pt):
     qx, qy = q
     if n[0] == 0:   # q on a horizontal piece, step vertically
-        col = (arr.xs.index(qx) + 1 if qx in arr._line_set_x()
-               else bisect_right(arr.xs, qx))
+        col = bisect_right(arr.xs, qx)
         row = arr.ys.index(qy) + (1 if n[1] > 0 else 0)
     else:
-        row = (arr.ys.index(qy) + 1 if qy in arr._line_set_y()
-               else bisect_right(arr.ys, qy))
+        row = bisect_right(arr.ys, qy)
         col = arr.xs.index(qx) + (1 if n[0] > 0 else 0)
     return (col, row)
 
@@ -511,16 +505,16 @@ def _clean_polyline(pts) -> tuple[Pt, ...]:
     return tuple(out)
 
 
-def _canonical_core(an, F, q1, n1, q2, n2) -> tuple[Pt, ...]:
-    arr = an.arr
-    cells = arr.face_cells(F)
-    c1 = _cell_beside(arr, q1, n1)
-    c2 = _cell_beside(arr, q2, n2)
-    path = _cell_path(arr, cells, c1, c2)
-    return _route_through_cells(arr, path, q1, n1, q2, n2)
+def _canonical_core(w: _Pair) -> tuple[Pt, ...]:
+    """The core along the shortest cell route through the middle region,
+    ties broken lexicographically."""
+    arr = w.ans.arr
+    path = _cell_path(arr, arr.face_cells(w.Fs), _cell_beside(arr, w.q1, w.n1),
+                      _cell_beside(arr, w.q2, w.n2))
+    return _route_through_cells(arr, path, w.q1, w.n1, w.q2, w.n2)
 
 
-def _hug_core(q1, n1, q2, n2, c: Pt) -> tuple[Pt, ...]:
+def _hug_core(q1, n1, q2, c: Pt) -> tuple[Pt, ...]:
     """Core hugging the two crossing arms at distance two."""
     hug = (q1, c, q2)
     off = _offset_polyline(hug, (2 * n1[0], 2 * n1[1]), 2)
@@ -664,13 +658,6 @@ def _graph_components(an):
     return sorted(groups.values())
 
 
-def _face_of_2x(arr, p2: Pt) -> int:
-    from bisect import bisect_left
-    col = bisect_left([2 * x for x in arr.xs], p2[0]) if arr.xs else 0
-    row = bisect_left([2 * y for y in arr.ys], p2[1]) if arr.ys else 0
-    return arr.face_of_cell((col, row))
-
-
 def _hole_samples(an, F) -> list[Pt]:
     """One doubled-grid sample inside each graph component enclosed by F.
 
@@ -688,7 +675,7 @@ def _hole_samples(an, F) -> list[Pt]:
             sx2 += 1            # stays interior: even sums need length >= 2
         ty = top[0][1]
         above = (sx2, 2 * ty + 1)
-        if _face_of_2x(an.arr, above) == F:
+        if an.arr.face_of_2x(above) == F:
             samples.append((sx2, 2 * ty - 1))
     return samples
 
@@ -785,19 +772,18 @@ def _ray_deltas(a: Pt, b: Pt, rays) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _enumerate_core_classes(arr, F_cells, q1, n1, q2, n2, holes,
-                            cap=20000, wind_bound=1):
-    """One realized core per winding signature around the face's holes.
+def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
+    """One realized core per winding signature around the face's holes,
+    with ``base`` (the canonical core) for the zero signature.
 
     Reachable crossing vectors are found on the product of the quarter-cell
     graph with the bounded winding lattice; each is then realized by a
     simple route found under reachability pruning.  Windings beyond the
     bound are outside the enumeration; an exhausted budget raises."""
-    base = _route_through_cells(
-        arr, _cell_path(arr, F_cells, _cell_beside(arr, q1, n1),
-                        _cell_beside(arr, q2, n2)), q1, n1, q2, n2)
     if not holes:
         return {(): base}
+    arr, q1, n1, q2, n2 = w.ans.arr, w.q1, w.n1, w.q2, w.n2
+    F_cells = arr.face_cells(w.Fs)
     rays = list(holes)          # odd coordinates: no ties with route points
     nd1 = _quarter_beside(arr, q1, n1)
     nd2 = _quarter_beside(arr, q2, n2)
@@ -814,7 +800,6 @@ def _enumerate_core_classes(arr, F_cells, q1, n1, q2, n2, holes,
 
     centers[nd1] = _quarter_center(arr, nd1)
     # forward closure of the product graph
-    from collections import deque
     start = (nd1, zero)
     forward = {start: []}
     dq = deque([start])
@@ -904,28 +889,26 @@ def _enumerate_core_classes(arr, F_cells, q1, n1, q2, n2, holes,
     return found
 
 
-def _core_matching(gs, ans, Fs, core_up, q1_0, q1, n1, q2_0, q2, n2):
-    """Route a core in the homotopy class of an explicitly given core.
+def _core_matching(w: _Pair, p1: Pt, core, p2: Pt):
+    """Route a core in the homotopy class of an explicitly given core from
+    p1 to p2 (original coordinates).
 
     The given core's endpoints are transported along their arcs to the
     canonical slid positions (a free move, with the forward walk along the
     curve as the canonical drag); the class is measured against the
     canonical core by winding numbers around the middle region's obstacles.
     """
-    arr = ans.arr
-    holes = _hole_samples(ans, Fs)
-    cells = arr.face_cells(Fs)
-    base = _route_through_cells(
-        arr, _cell_path(arr, cells, _cell_beside(arr, q1, n1),
-                        _cell_beside(arr, q2, n2)), q1, n1, q2, n2)
+    holes = _hole_samples(w.ans, w.Fs)
+    base = _canonical_core(w)
     if not holes:
         return base
-    conn1 = _shorter_path_between(gs.curves[_curve_of_point(gs, q1)], q1, q1_0)
-    conn2 = _shorter_path_between(gs.curves[_curve_of_point(gs, q2)], q2_0, q2)
-    loop = _rect_closed(list(conn1) + list(core_up)[1:] + list(conn2)[1:] +
+    gs, q1, q2 = w.gs, w.q1, w.q2
+    conn1 = _shorter_path_between(gs.curves[_curve_of_point(gs, q1)], q1, w.up(p1))
+    conn2 = _shorter_path_between(gs.curves[_curve_of_point(gs, q2)], w.up(p2), q2)
+    loop = _rect_closed(list(conn1) + [w.up(p) for p in core[1:]] + list(conn2)[1:] +
                         list(reversed(base))[1:-1])
     want = tuple(_polyline_winding_2x(h, loop) for h in holes)
-    classes = _enumerate_core_classes(arr, cells, q1, n1, q2, n2, holes)
+    classes = _enumerate_core_classes(w, base, holes)
     if want not in classes:
         raise errors.RoutingFailure("no embedded core in the requested class")
     return classes[want]
@@ -938,11 +921,7 @@ def slide_dot(g: DottedGraph, dot: Pt, target: Pt) -> DottedGraph:
     an = analyze(g)
     arc = _arc_of_dot(an, dot)
     target = tuple(target)
-    pts = arc.path
-    n = len(pts)
-    rng = range(n) if arc.closed else range(n - 1)
-    on_arc = any(DG._on_segment(target, (pts[i], pts[(i + 1) % n])) for i in rng)
-    if not on_arc:
+    if not any(DG._on_segment(target, s) for s in arc.pieces):
         raise errors.LabelMismatch("dot slide must stay on its arc")
     if target in an.crossings or (target in g.dots and target != dot):
         raise errors.LabelMismatch("slide target is occupied")
@@ -1070,7 +1049,7 @@ def applicable_star(g: DottedGraph, kind: str, site) -> bool:
             a1, a2 = _arc_of_dot(an, p1), _arc_of_dot(an, p2)
             _middle_region(an, a1, a2, None)
             return True
-        except errors.LatPolyError:
+        except errors.NotApplicable:
             return False
     raise ValueError(f"unknown starred kind {kind}")
 
@@ -1086,30 +1065,12 @@ def check_condition_A(g: DottedGraph, p1: Pt, p2: Pt, cap: int = 4000) -> bool:
     F = _middle_region(an, a1, a2, None)
     if not _hole_samples(an, F):
         return True
-    rn, fx, fy = DG.renormalize(g)
-    gs = DG.scaled(rn, SCALE)
-
-    def up(p):
-        return (SCALE * fx[p[0]], SCALE * fy[p[1]])
-
-    u1, u2 = up(p1), up(p2)
-    ans0 = analyze(gs)
-    Fs_pre = _middle_region(ans0, _arc_of_dot(ans0, u1),
-                            _arc_of_dot(ans0, u2), None)
-    gs, q1, q2 = _slide_pair(gs, u1, u2, None, F=Fs_pre)
-    ans = analyze(gs)
-    b1, b2 = _arc_of_dot(ans, q1), _arc_of_dot(ans, q2)
-    Fs = _middle_region(ans, b1, b2, None)
-    d1, d2 = _dir_at(b1, q1), _dir_at(b2, q2)
-    n1 = _normal_into(ans, b1, d1, Fs)
-    n2 = _normal_into(ans, b2, d2, Fs)
-    holes = _hole_samples(ans, Fs)
-    arr = ans.arr
-    cells = arr.face_cells(Fs)
-    classes = _enumerate_core_classes(arr, cells, q1, n1, q2, n2, holes, cap=cap)
+    w = _working_pair(g, p1, p2)
+    classes = _enumerate_core_classes(w, _canonical_core(w),
+                                      _hole_samples(w.ans, w.Fs), cap=cap)
     forms = set()
     for core in classes.values():
-        raw, _, _ = _cut_and_join(gs, q1, d1, q2, d2, core)
+        raw, _, _ = _cut_and_join(w.gs, w.q1, w.d1, w.q2, w.d2, core)
         forms.add(canonical_form(DG.normalized(raw)))
         if len(forms) > 1:
             return False
@@ -1137,15 +1098,9 @@ def enumerate_moves(g: DottedGraph, allowed=frozenset(KINDS)) -> list[Move]:
             if len(a.dots) >= 2:
                 moves.append(Move("I", a.key, None, 0))
     if "II" in allowed:
-        for cert in an.circles:
-            if _component_sign_ok(an, cert):
-                moves.append(Move("II", cert, cert.orientation,
-                                  abs(cert.disk_label)))
+        moves += [deletion(c) for c in an.circles if _component_sign_ok(an, c)]
     if "III" in allowed:
-        for cert in an.loops:
-            if _component_sign_ok(an, cert):
-                moves.append(Move("III", cert, cert.orientation,
-                                  abs(cert.disk_label)))
+        moves += [deletion(c) for c in an.loops if _component_sign_ok(an, c)]
     if "IV" in allowed:
         dots = sorted(g.dots)
         for i in range(len(dots)):
@@ -1154,7 +1109,7 @@ def enumerate_moves(g: DottedGraph, allowed=frozenset(KINDS)) -> list[Move]:
                 try:
                     a1, a2 = _arc_of_dot(an, p1), _arc_of_dot(an, p2)
                     F = _middle_region(an, a1, a2, None)
-                except errors.LatPolyError:
+                except errors.NotApplicable:
                     continue
                 eps = 1 if an.label(F) > 0 else -1
                 moves.append(Move("IV", (p1, p2), eps, abs(an.label(F))))
@@ -1162,15 +1117,20 @@ def enumerate_moves(g: DottedGraph, allowed=frozenset(KINDS)) -> list[Move]:
     return moves
 
 
+def deletion(cert: ComponentCert) -> Move:
+    """The move deleting a circle (II) or loop (III) component; it applies
+    when every region of the component's disk carries the component's
+    sign."""
+    return Move("II" if cert.kind == "circle" else "III", cert,
+                cert.orientation, abs(cert.disk_label))
+
+
 def apply_move(g: DottedGraph, move: Move) -> Deformation:
     if move.kind == "I":
         after = apply_I(g, move.site)
         site = move.site
-    elif move.kind == "II":
-        after = apply_II(g, move.site)
-        site = (move.site.kind, move.site.boundary)
-    elif move.kind == "III":
-        after = apply_III(g, move.site)
+    elif move.kind in ("II", "III"):
+        after = (apply_II if move.kind == "II" else apply_III)(g, move.site)
         site = (move.site.kind, move.site.boundary)
     elif move.kind == "IV":
         return _surgery(g, move.site[0], move.site[1])
@@ -1200,43 +1160,20 @@ def try_good_IV(g: DottedGraph, move: Move):
     a1, a2 = _arc_of_dot(an, p1), _arc_of_dot(an, p2)
     F = _middle_region(an, a1, a2, None)
     # (a1): arcs adjacent at a crossing whose near quadrant is the region
-    for c in sorted(an.crossings):
-        for d_in in DG.CCW_DIRS:
-            arm_in = an.arms.get((c, d_in))
-            if arm_in is None or arm_in[1] != "in" or \
-                    arm_in[0] not in (a1.key, a2.key):
-                continue
-            for d_out in DG.CCW_DIRS:
-                if d_in[0] != 0 and d_out[0] != 0:
-                    continue
-                if d_in[1] != 0 and d_out[1] != 0:
-                    continue
-                arm_out = an.arms.get((c, d_out))
-                if arm_out is None or arm_out[1] != "out":
-                    continue
-                if {arm_in[0], arm_out[0]} != {a1.key, a2.key}:
-                    continue
-                quad2 = (2 * c[0] + d_in[0] + d_out[0],
-                         2 * c[1] + d_in[1] + d_out[1])
-                if _face_of_2x(an.arr, quad2) != F:
-                    continue
-                try:
-                    dIV = _surgery(g, p1, p2, hug_crossing=c)
-                except errors.LatPolyError:
-                    continue
-                apex = dIV.meta_dict()["apex"]
-                an2 = analyze(dIV.after)
-                for cert in an2.loops:
-                    if cert.apex == apex and _component_sign_ok(an2, cert):
-                        after2 = apply_III(dIV.after, cert)
-                        dIII = Deformation("III", (cert.kind, cert.boundary),
-                                           cert.orientation,
-                                           abs(cert.disk_label),
-                                           dIV.after, after2)
-                        dIV1 = Deformation("IVa1", dIV.site, dIV.epsilon,
-                                           dIV.magnitude, dIV.before,
-                                           dIV.after, dIV.meta)
-                        return ("IVa1", (dIV1, dIII))
+    for c, (sx, sy), k_in, k_out in hug_sites(an):
+        if {k_in, k_out} != {a1.key, a2.key} or \
+                an.arr.face_of_2x((2 * c[0] + sx, 2 * c[1] + sy)) != F:
+            continue
+        try:
+            dIV = _surgery(g, p1, p2, hug_crossing=c)
+        except errors.NotApplicable:
+            continue
+        apex = dIV.meta_dict()["apex"]
+        an2 = analyze(dIV.after)
+        for cert in an2.loops:
+            if cert.apex == apex and _component_sign_ok(an2, cert):
+                return ("IVa1", (replace(dIV, kind="IVa1"),
+                                 apply_move(dIV.after, deletion(cert))))
     # (a2): concentric circle components merging into a deletable circle
     cert1 = _circle_cert_of_arc(an, a1.key)
     cert2 = _circle_cert_of_arc(an, a2.key)
@@ -1248,22 +1185,33 @@ def try_good_IV(g: DottedGraph, move: Move):
         if nested:
             try:
                 dIV = _surgery(g, p1, p2)
-            except errors.LatPolyError:
+            except errors.NotApplicable:
                 return None
-            nd1 = dIV.meta_dict()["new_dots"][0]
-            ci = _curve_of_point(dIV.after, nd1)
+            ci = _curve_of_point(dIV.after, dIV.meta_dict()["new_dots"][0])
             an2 = analyze(dIV.after)
             for cert in an2.circles:
                 if cert.curve == ci and _component_sign_ok(an2, cert):
-                    after2 = apply_II(dIV.after, cert)
-                    dII = Deformation("II", (cert.kind, cert.boundary),
-                                      cert.orientation, abs(cert.disk_label),
-                                      dIV.after, after2)
-                    dIV2 = Deformation("IVa2", dIV.site, dIV.epsilon,
-                                       dIV.magnitude, dIV.before, dIV.after,
-                                       dIV.meta)
-                    return ("IVa2", (dIV2, dII))
+                    return ("IVa2", (replace(dIV, kind="IVa2"),
+                                     apply_move(dIV.after, deletion(cert))))
     return None
+
+
+def hug_sites(an: GraphAnalysis):
+    """Yield the sites of surgeries that hug a crossing (subcase IVa1).
+
+    For each crossing in sorted order, each incoming arm (in ``CCW_DIRS``
+    order) is paired with the perpendicular outgoing arm, and the site is
+    ``(crossing, (sx, sy), in-arc key, out-arc key)``: the band runs in the
+    quadrant between the two arms, whose diagonal is ``(sx, sy)``."""
+    for c in sorted(an.crossings):
+        for d_in in DG.CCW_DIRS:
+            k_in, role = an.arms[(c, d_in)]
+            if role != "in":
+                continue
+            for d_out in DG.CCW_DIRS:
+                k_out, role = an.arms[(c, d_out)]
+                if role == "out" and d_in[0] * d_out[0] + d_in[1] * d_out[1] == 0:
+                    yield c, (d_in[0] + d_out[0], d_in[1] + d_out[1]), k_in, k_out
 
 
 def _circle_cert_of_arc(an, arc_key):

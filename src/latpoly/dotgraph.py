@@ -197,6 +197,13 @@ class Arc:
     def end_dir(self) -> Pt:
         return _direction(self.path[-2], self.path[-1])
 
+    @cached_property
+    def pieces(self) -> tuple[Seg, ...]:
+        """The straight pieces (a, b) in travel order; a closed arc's last
+        piece returns to its first corner."""
+        pts = self.path
+        return tuple(zip(pts, pts[1:] + pts[:1] if self.closed else pts[1:]))
+
 
 @dataclass(frozen=True)
 class ComponentCert:
@@ -229,9 +236,6 @@ class GraphAnalysis:
 
     def label(self, fid: int) -> int:
         return self.arr.faces[fid].omega
-
-    def face_of_point(self, p: Pt) -> int:
-        return self.arr.face_of_point(p)
 
     # arcs -----------------------------------------------------------
 
@@ -724,17 +728,7 @@ def _count_vh_on_arc(a: Arc) -> int:
 
 
 def _longest_arc_piece(a: Arc) -> Seg:
-    best = None
-    best_len = -1
-    pts = a.path
-    n = len(pts)
-    rng = range(n) if a.closed else range(n - 1)
-    for i in rng:
-        p, q = pts[i], pts[(i + 1) % n]
-        ln = abs(p[0] - q[0]) + abs(p[1] - q[1])
-        if ln > best_len:
-            best, best_len = (p, q), ln
-    return best
+    return max(a.pieces, key=lambda s: abs(s[0][0] - s[1][0]) + abs(s[0][1] - s[1][1]))
 
 
 def _jog_points(p: Pt, q: Pt, need: int) -> list[Pt]:

@@ -55,11 +55,16 @@ class RoutingFailure(LatPolyError):
 
 # deformation engine -----------------------------------------------------
 
+class NotApplicable(LatPolyError):
+    """A deformation does not apply at the given site; callers that scan
+    for applicable sites catch this and nothing broader."""
+
+
 class TooFewDots(LatPolyError):
     """Deformation I needs at least two dots on the arc."""
 
 
-class LabelMismatch(LatPolyError):
+class LabelMismatch(NotApplicable):
     """Region labels do not satisfy the deformation's precondition."""
 
 
@@ -67,15 +72,15 @@ class NotALoop(LatPolyError):
     """The certificate does not describe a loop component."""
 
 
-class NoCommonFace(LatPolyError):
+class NoCommonFace(NotApplicable):
     """The two dots do not bound a common middle region."""
 
 
-class ZeroLabel(LatPolyError):
+class ZeroLabel(NotApplicable):
     """The middle region label is zero."""
 
 
-class OrientationClash(LatPolyError):
+class OrientationClash(NotApplicable):
     """The arcs do not admit the induced orientations of a band surgery."""
 
 
@@ -115,7 +120,7 @@ class NotATransformation(LatPolyError):
     """A plan does not carry the initial vertices to the terminal vertices."""
 
 
-class NotIVa1Site(LatPolyError):
+class NotIVa1Site(NotApplicable):
     """The site does not describe adjacent arcs of a crossing."""
 
 
@@ -126,4 +131,4 @@ class TooLarge(LatPolyError):
 
 
 class ParseError(LatPolyError):
-    """An input file could not be parsed."""
+    """An input file or argument could not be parsed."""

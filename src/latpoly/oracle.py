@@ -87,6 +87,12 @@ def exhaustive_min_cost(ver0, ver1, depth: int) -> int | None:
 # -------------------------------------------------------------- generators --
 
 def random_polytope(rng: random.Random, max_points=4, max_coord=6) -> LatticePolytope:
+    """A polytope of 1..max_points points with coordinates in 0..max_coord;
+    ``ParseError`` unless 1 <= max_points <= max_coord + 1."""
+    if not 1 <= max_points <= max_coord + 1:
+        raise errors.ParseError(
+            f"need 1 <= max_points <= max_coord + 1, "
+            f"got max_points={max_points}, max_coord={max_coord}")
     n = rng.randint(1, max_points)
     xs = rng.sample(range(max_coord + 1), n)
     ys = rng.sample(range(max_coord + 1), n)
@@ -159,12 +165,8 @@ def dotted_template(rng: random.Random, curves) -> DG.DottedGraph:
     an = DG.analyze(g0)
     dots = []
     for a in an.arcs:
-        pts = a.path
-        n = len(pts)
-        pieces = range(n) if a.closed else range(n - 1)
-        best = max(pieces, key=lambda i: abs(pts[(i + 1) % n][0] - pts[i][0]) +
-                   abs(pts[(i + 1) % n][1] - pts[i][1]))
-        a0, b0 = pts[best], pts[(best + 1) % n]
+        a0, b0 = max(a.pieces, key=lambda s: abs(s[1][0] - s[0][0]) +
+                     abs(s[1][1] - s[0][1]))
         length = abs(b0[0] - a0[0]) + abs(b0[1] - a0[1])
         dx = (b0[0] > a0[0]) - (b0[0] < a0[0])
         dy = (b0[1] > a0[1]) - (b0[1] < a0[1])

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from . import errors
 from . import geometry as G
 from .geometry import GridPoint, LatticePolytope, Rect
+from . import deform as DF
 from . import dotgraph as DG
 from .dotgraph import analyze, associate
 from .reduce import ReductionTrace
@@ -147,7 +148,12 @@ def realize_IVa1(p: LatticePolytope, site) -> tuple[Rect, str]:
     crossing: site = (crossing point, quadrant diagonal), the quadrant
     being the middle region.  The rectangle spans the two edge endpoints on
     the quadrant side; the move is normal or reversed according to whether
-    those are initial or terminal vertices."""
+    those are initial or terminal vertices.
+
+    The sites are those of ``deform.hug_sites``, which the all-dotted
+    reducer scans too.  ``compile_plan`` does not call this: its descent
+    through classifier-passing moves reaches every minimal plan without
+    it."""
     (cx, cy), (sx, sy) = site
     if sx not in (-1, 1) or sy not in (-1, 1):
         raise errors.NotIVa1Site("quadrant must be a diagonal direction")
@@ -156,17 +162,16 @@ def realize_IVa1(p: LatticePolytope, site) -> tuple[Rect, str]:
     c = GridPoint(cx, cy)
     if c not in an.crossings:
         raise errors.NotIVa1Site(f"{c} is not a crossing of the boundary")
-    arm_h = an.arms[(c, (sx, 0))]
-    arm_v = an.arms[(c, (0, sy))]
-    if {arm_h[1], arm_v[1]} != {"in", "out"}:
+    keys = next(((k_in, k_out) for cc, diag, k_in, k_out in DF.hug_sites(an)
+                 if cc == c and diag == (sx, sy)), None)
+    if keys is None:
         raise errors.NotIVa1Site("the quadrant arms are not an adjacent pair")
-    a_h = an.arcs_by_key[arm_h[0]]
-    a_v = an.arcs_by_key[arm_v[0]]
-    if not a_h.dots or not a_v.dots or (a_h.key == a_v.key and len(a_h.dots) < 2):
+    a_in, a_out = (an.arcs_by_key[k] for k in keys)
+    if not a_in.dots or not a_out.dots or (a_in.key == a_out.key and len(a_in.dots) < 2):
         raise errors.NotIVa1Site("both arcs need dots")
-    quad = _face_of_quadrant(an, c, sx, sy)
-    for arc in {a_h.key, a_v.key}:
-        F, _ = _viable(an, arc)
+    quad = an.arr.face_of_2x((2 * c.x + sx, 2 * c.y + sy))
+    for arc in set(keys):
+        F, _ = DF._viable_side(an, arc)
         if F != quad:
             raise errors.NotIVa1Site("the quadrant is not the middle region")
     v = _edge_endpoint(p, c, horizontal=True, sign=sx)
@@ -196,16 +201,6 @@ def _check_clean_rectangle(p: LatticePolytope, v, w, c) -> None:
             raise errors.NotIVa1Site("other boundary parts cross the rectangle")
         if a.x == b.x and xlo < a.x < xhi and max(sylo, ylo) < min(syhi, yhi):
             raise errors.NotIVa1Site("other boundary parts cross the rectangle")
-
-
-def _face_of_quadrant(an, c, sx, sy):
-    from .deform import _face_of_2x
-    return _face_of_2x(an.arr, (2 * c.x + sx, 2 * c.y + sy))
-
-
-def _viable(an, arc_key):
-    from .deform import _viable_side
-    return _viable_side(an, arc_key)
 
 
 def _edge_endpoint(p: LatticePolytope, c, horizontal: bool, sign: int) -> GridPoint:

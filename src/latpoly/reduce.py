@@ -1,5 +1,5 @@
 """Reduction of dotted graphs: the good-order scheduler, the pipeline for
-graphs with a dot on every arc, and breadth-first enumeration of all
+graphs with a dot on every arc, and depth-first enumeration of all
 reduction outcomes for confluence checks.
 """
 from __future__ import annotations
@@ -124,10 +124,7 @@ def reduce_all_dotted(g: DottedGraph) -> ReductionTrace:
     while not current.is_empty():
         if len(steps) > budget:
             raise errors.BudgetExceeded("all-dotted reduction exceeded its budget")
-        if analyze(current).crossings:
-            group = _stage1_group(current)
-        else:
-            group = _stage2_group(current)
+        group = _all_dotted_group(current)
         steps.extend(group)
         current = group[-1].after
     return ReductionTrace(g, tuple(steps))
@@ -141,47 +138,32 @@ def stage1_terminal(trace: ReductionTrace) -> DottedGraph:
     raise errors.NonEmptyTerminal("trace never becomes crossing-free")
 
 
-def _stage1_group(g: DottedGraph):
+def _all_dotted_group(g: DottedGraph):
+    """The next group of the all-dotted pipeline.  Without crossings there
+    are no hug sites and no loops, so only the circle steps remain."""
     an = analyze(g)
     # surgeries hugging a crossing, followed by the loop deletion
-    for c in sorted(an.crossings):
-        for d_in in DG.CCW_DIRS:
-            arm_in = an.arms[(c, d_in)]
-            if arm_in[1] != "in":
+    for _, _, k_in, k_out in DF.hug_sites(an):
+        a_in, a_out = an.arcs_by_key[k_in], an.arcs_by_key[k_out]
+        if k_in == k_out:
+            if len(a_in.dots) < 2:
                 continue
-            for d_out in DG.CCW_DIRS:
-                if (d_in[0] != 0 and d_out[0] != 0) or \
-                        (d_in[1] != 0 and d_out[1] != 0):
-                    continue
-                arm_out = an.arms[(c, d_out)]
-                if arm_out[1] != "out":
-                    continue
-                a_in = an.arcs_by_key[arm_in[0]]
-                a_out = an.arcs_by_key[arm_out[0]]
-                if a_in.key == a_out.key:
-                    if len(a_in.dots) < 2:
-                        continue
-                    p, q = a_in.dots[0], a_in.dots[1]
-                else:
-                    if not a_in.dots or not a_out.dots:
-                        continue
-                    p, q = a_in.dots[0], a_out.dots[0]
-                move = DF.Move("IV", tuple(sorted((p, q))), None, 0)
-                try:
-                    out = DF.try_good_IV(g, move)
-                except errors.LatPolyError:
-                    continue
-                if out is not None and out[0] == "IVa1":
-                    return list(out[1])
-    for cert in an.loops:
+            p, q = a_in.dots[0], a_in.dots[1]
+        else:
+            if not a_in.dots or not a_out.dots:
+                continue
+            p, q = a_in.dots[0], a_out.dots[0]
+        move = DF.Move("IV", tuple(sorted((p, q))), None, 0)
+        try:
+            out = DF.try_good_IV(g, move)
+        except errors.NotApplicable:
+            continue
+        if out is not None and out[0] == "IVa1":
+            return list(out[1])
+    # then a loop deletion, or a circle deletion to unblock the rest
+    for cert in [*an.loops, *an.circles]:
         if DF._component_sign_ok(an, cert):
-            return [DF.apply_move(g, DF.Move("III", cert, cert.orientation,
-                                             abs(cert.disk_label)))]
-    # unblock by clearing circles whose labels allow it
-    for cert in an.circles:
-        if DF._component_sign_ok(an, cert):
-            return [DF.apply_move(g, DF.Move("II", cert, cert.orientation,
-                                             abs(cert.disk_label)))]
+            return [DF.apply_move(g, DF.deletion(cert))]
     return _merge_at_max_face(g, an)
 
 
@@ -200,15 +182,6 @@ def _merge_at_max_face(g: DottedGraph, an):
         q = _first_dot(an, adjacent[1])
         return [DF._surgery(g, p, q)]
     raise errors.BudgetExceeded("no circle-eliminating step applies")
-
-
-def _stage2_group(g: DottedGraph):
-    an = analyze(g)
-    for cert in an.circles:
-        if DF._component_sign_ok(an, cert):
-            return [DF.apply_move(g, DF.Move("II", cert, cert.orientation,
-                                             abs(cert.disk_label)))]
-    return _merge_at_max_face(g, an)
 
 
 def _first_dot(an, cert):
@@ -234,9 +207,10 @@ _COND_A_CACHE: dict[str, bool] = {}       # oldest entry evicted at the bound
 
 def explore_reductions(g: DottedGraph, budget: int = 2000,
                        check_A: bool = True) -> ExplorationReport:
-    """Breadth-first closure of all deformation sequences I-IV (canonical
+    """Depth-first closure of all deformation sequences I-IV (canonical
     cores), skipping the surgeries excluded by the uniqueness theorem's
-    hypothesis; reports the distinct terminal forms."""
+    hypothesis; reports the distinct terminal forms.  The frontier is a
+    stack, and ``visited`` counts the states popped in that order."""
     report = ExplorationReport()
     start = DG.normalized(g)
     seen = {canonical_form(start)}

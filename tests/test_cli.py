@@ -178,3 +178,10 @@ def test_bad_plan_documents_exit_2(tmp_path, capsys):
         plan_path.write_text(json.dumps(steps))
         assert cli.main(["verify", path, "--plan", str(plan_path)]) == 2, steps
     assert "cost signed" not in capsys.readouterr().out
+
+
+def test_bad_corpus_arguments_exit_2(capsys):
+    for args in (["--max-points", "9", "--max-coord", "3"], ["--max-points", "0"]):
+        assert cli.main(["oracle", "--corpus", "--count", "3", *args]) == 2, args
+    err = capsys.readouterr().err
+    assert err.count("error: need 1 <= max_points <= max_coord + 1") == 2

@@ -193,6 +193,20 @@ def polytopes(draw, max_points=12):
     return G.validate_polytope(list(zip(xs, ys)), list(zip(xs, ys1)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(polytopes())
+def test_face_of_2x_matches_cell_lookup(p):
+    an = D.analyze(D.associate(p))
+    arr = an.arr
+    for f in arr.faces:
+        assert arr.face_of_2x(f.sample2) == f.index
+    for cx, cy in an.crossings:
+        for sx in (-1, 1):
+            for sy in (-1, 1):
+                cell = (arr.xs.index(cx) + (sx > 0), arr.ys.index(cy) + (sy > 0))
+                assert arr.face_of_2x((2 * cx + sx, 2 * cy + sy)) == arr.face_of_cell(cell)
+
+
 @settings(max_examples=150, deadline=None)
 @given(polytopes())
 def test_associate_crossings_and_segments_match_edges(p):

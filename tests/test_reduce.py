@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from latpoly import errors, geometry as G, dotgraph as D, reduce as R
+from latpoly import errors, geometry as G, dotgraph as D, deform as DF, reduce as R
 
 
 def square_graph():
@@ -81,6 +81,19 @@ def test_good_reduce_concentric_pair_is_IVa2():
     trace = R.good_reduce(nested((True, False)))
     assert trace.kinds() == ["IVa2", "II"]
     assert trace.terminal.is_empty()
+
+
+@pytest.mark.parametrize("reducer, graph", [(R.good_reduce, nested((True, False))),
+                                            (R.reduce_all_dotted, figure_eight(2, 2))])
+def test_surgery_bugs_are_not_swallowed(monkeypatch, reducer, graph):
+    """Only NotApplicable means "no good surgery here"; a RoutingFailure,
+    which marks a bug, reaches the caller."""
+    def broken(*args, **kwargs):
+        raise errors.RoutingFailure("broken router")
+
+    monkeypatch.setattr(DF, "_surgery", broken)
+    with pytest.raises(errors.RoutingFailure, match="broken router"):
+        reducer(graph)
 
 
 def test_good_reduce_trace_measures_decrease():
