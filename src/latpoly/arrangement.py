@@ -8,12 +8,14 @@ The plane is cut into open cells by the coordinate lines through all
 segment endpoints.  Faces of the arrangement are unions of cells glued
 across cell borders not covered by a segment.  Each face carries the
 winding number of the oriented segment system around any of its points;
-cells of one face always agree (asserted).
+cells of one face always agree (``InvalidGraph`` otherwise).
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+
+from . import errors
 
 Pt = tuple[int, int]
 Seg = tuple[Pt, Pt]
@@ -180,8 +182,8 @@ class Arrangement:
             sample2 = None
             for i in cells:
                 c, r = divmod(i, nrow)
-                assert not self.face_winding or omegas[c][r] == om, \
-                    "winding not constant on a face"
+                if self.face_winding and omegas[c][r] != om:
+                    raise errors.InvalidGraph("winding not constant on a face")
                 infinite = c == 0 or c == ncol - 1 or r == 0 or r == nrow - 1
                 if infinite:
                     unbounded = True
@@ -195,9 +197,10 @@ class Arrangement:
             faces.append(Face(idx, om, area, unbounded, sample2))
         self.faces = faces
         unb = [f for f in faces if f.unbounded]
-        assert len(unb) == 1, "unbounded face must be unique"
-        assert not self.face_winding or unb[0].omega == 0, \
-            "unbounded face must have winding 0"
+        if len(unb) != 1:
+            raise errors.InvalidGraph("unbounded face must be unique")
+        if self.face_winding and unb[0].omega != 0:
+            raise errors.InvalidGraph("unbounded face must have winding 0")
         self.unbounded_face = unb[0].index
 
     # -- queries ---------------------------------------------------------

@@ -123,7 +123,9 @@ def _dispatch(args) -> int:
             import hashlib
             rep = R.explore_reductions(g)
             print(f"terminals: {len(rep.terminals)}")
-            print(f"condition (A) throughout: {rep.condition_A_ok}")
+            held = ("undecided (budget hit)" if rep.condition_A_undecided
+                    else rep.condition_A_ok)
+            print(f"condition (A) throughout: {held}")
             for form in sorted(rep.terminals):
                 digest = hashlib.sha256(form.encode()).hexdigest()[:16]
                 print(f"  {digest}")

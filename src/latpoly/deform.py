@@ -69,7 +69,9 @@ def _viable_side(an, arc_key):
     label magnitude dominates.  Returns (face, epsilon)."""
     lf, rf = an.left_face[arc_key], an.right_face[arc_key]
     L, R = an.label(lf), an.label(rf)
-    assert L == R + 1, "left label must exceed right label by one"
+    if L != R + 1:
+        raise errors.InvalidGraph(
+            f"left label {L} of arc {arc_key} does not exceed its right label {R} by one")
     return (lf, 1) if L >= 1 else (rf, -1)
 
 
@@ -263,12 +265,14 @@ def _extend_monotone(f: dict, base: list[int], extras: list[int]) -> None:
     groups: dict[int, list[int]] = {}
     for v in extras:
         i = bisect_right(base, v)
-        assert 0 < i < len(base), "core coordinate outside the graph range"
+        if not 0 < i < len(base):
+            raise errors.RoutingFailure(f"core coordinate {v} outside the graph range")
         groups.setdefault(i - 1, []).append(v)
     for lo, vals in groups.items():
         vals.sort()
         k = len(vals)
-        assert k < SCALE, "too many off-grid core coordinates in one gap"
+        if k >= SCALE:
+            raise errors.RoutingFailure("too many off-grid core coordinates in one gap")
         for j, v in enumerate(vals, start=1):
             f[v] = f[base[lo]] + (SCALE * j) // (k + 1)
 
@@ -880,11 +884,7 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
             continue
         sig = signature(result[0])
         if sig not in found:
-            try:
-                found[sig] = _route_through_quarters(arr, result[0],
-                                                     q1, n1, q2, n2)
-            except errors.RoutingFailure:
-                pass
+            found[sig] = _route_through_quarters(arr, result[0], q1, n1, q2, n2)
     found[zero] = base
     return found
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import errors
@@ -263,14 +264,86 @@ def region_decomposition(p: LatticePolytope) -> RegionDecomposition:
     return RegionDecomposition(regions)
 
 
+class LabelGrid(NamedTuple):
+    """A polytope's region labels on its compressed coordinate grid.
+
+    Cell (i, j) is the open box between the grid lines ``xs[i]``,
+    ``xs[i + 1]`` and ``ys[j]``, ``ys[j + 1]``; ``labels[i][j]`` is the
+    boundary's winding number around it.  ``pos`` and ``neg`` are
+    summed-area tables (Crow, 1984): ``pos[i][j]`` counts the cells with a
+    positive label in columns below i and rows below j, ``neg`` the
+    negative ones.  ``col`` and ``row`` map a coordinate to its line."""
+    xs: list[int]
+    ys: list[int]
+    col: dict[int, int]
+    row: dict[int, int]
+    labels: list[list[int]]
+    pos: list[list[int]]
+    neg: list[list[int]]
+
+    def uniform(self, v: GridPoint, w: GridPoint, e: int) -> bool:
+        """True when every cell of the box with corners v and w has a label
+        of sign e; four table reads, whatever the box's size."""
+        i0, i1 = self.col[v.x], self.col[w.x]
+        j0, j1 = self.row[v.y], self.row[w.y]
+        if i0 > i1:
+            i0, i1 = i1, i0
+        if j0 > j1:
+            j0, j1 = j1, j0
+        t = self.pos if e > 0 else self.neg
+        return t[i1][j1] - t[i0][j1] - t[i1][j0] + t[i0][j0] == (i1 - i0) * (j1 - j0)
+
+
+def label_grid(p: LatticePolytope) -> LabelGrid:
+    """The label grid of p: its cell labels and their summed-area tables."""
+    xs, ys, row, labels = _cell_labels(p)
+    zero = [0] * max(len(ys), 1)
+    pos, neg = [zero], [zero]
+    for column in labels:
+        pos.append([a + b for a, b in zip(pos[-1], accumulate(
+            (lab > 0 for lab in column), initial=0))])
+        neg.append([a + b for a, b in zip(neg[-1], accumulate(
+            (lab < 0 for lab in column), initial=0))])
+    return LabelGrid(xs, ys, {x: i for i, x in enumerate(xs)}, row, labels, pos, neg)
+
+
+def _cell_labels(p: LatticePolytope):
+    """(xs, ys, row, labels) of the label grid, from one right-to-left sweep
+    over the vertical edges: a cell's label counts the edges to its right
+    that span its row, upward ones +1 and downward ones -1 (the ray cast of
+    ``winding_2x``)."""
+    ver0, ver1 = sorted(p.ver0.points), sorted(p.ver1.points)   # by x
+    xs = [v.x for v in ver0]
+    ys = sorted(v.y for v in ver0)
+    row = {y: j for j, y in enumerate(ys)}
+    run = [0] * max(len(ys) - 1, 0)
+    labels = [run] * max(len(xs) - 1, 0)
+    for i in range(len(xs) - 2, -1, -1):
+        v, w = ver0[i + 1], ver1[i + 1]       # the edge on line xs[i + 1] runs w -> v
+        if v != w:
+            run = run[:]
+            d = 1 if v.y > w.y else -1
+            for j in range(min(row[v.y], row[w.y]), max(row[v.y], row[w.y])):
+                run[j] += d
+        labels[i] = run
+    return xs, ys, row, labels
+
+
 def area_signed(p: LatticePolytope) -> int:
-    """Sum of winding * area over the regions of the boundary arrangement."""
-    return sum(f.omega * f.area for f in _arrangement(p).faces if not f.unbounded)
+    """Sum of label * area over the cells of the label grid."""
+    return _weighted_area(p, int)
 
 
 def area_abs(p: LatticePolytope) -> int:
-    """Sum of |winding * area| over the regions."""
-    return sum(abs(f.omega) * f.area for f in _arrangement(p).faces if not f.unbounded)
+    """Sum of |label| * area over the cells of the label grid."""
+    return _weighted_area(p, abs)
+
+
+def _weighted_area(p: LatticePolytope, f) -> int:
+    xs, ys, _, labels = _cell_labels(p)
+    heights = [b - a for a, b in zip(ys, ys[1:])]
+    return sum((xs[i + 1] - xs[i]) * sum(f(lab) * h for lab, h in zip(column, heights))
+               for i, column in enumerate(labels))
 
 
 def shoelace_total(p: LatticePolytope) -> int:

@@ -270,18 +270,19 @@ def cross_check_thm37(corpus) -> list[CrossCheckRow]:
         g = DG.associate(p)
         empties = reduction_empties(g)
         cost, plan = min_cost(p.ver0, p.ver1)
+        area = G.area_abs(p)
         compile_cost = None
         if empties:
             trace = R.good_reduce(g)
             compile_cost = PL.compile_plan(trace, p).cost_abs
-            if not compile_cost == cost == G.area_abs(p):
+            if not compile_cost == cost == area:
                 raise errors.CompileGap(
                     f"compiled cost {compile_cost}, oracle cost {cost} and "
-                    f"area_abs {G.area_abs(p)} differ")
-        steps_ok = _plan_steps_minimal(p, plan) if cost == G.area_abs(p) else True
+                    f"area_abs {area} differ")
+        steps_ok = _plan_steps_minimal(p, plan) if cost == area else True
         rows.append(CrossCheckRow(
-            tuple(p.ver0), tuple(p.ver1), empties, compile_cost, cost, G.area_abs(p),
-            cost == G.area_abs(p) and not empties, steps_ok))
+            tuple(p.ver0), tuple(p.ver1), empties, compile_cost, cost, area,
+            cost == area and not empties, steps_ok))
     return rows
 
 

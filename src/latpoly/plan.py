@@ -3,10 +3,18 @@ reduction to the empty graph into a minimal-area rectangle plan, realize
 the crossing surgeries as single rectangle moves, normalize mixed plans to
 normal-only ones, and classify the steps of any given plan.
 
-Compilation is a depth-first descent through moves that pass the label
-classifier.  Such a move lowers |label| by one on every cell under its
-rectangle and changes no label outside it, so it lowers ``area_abs`` by
-exactly its own area: any path of passing moves that reaches the trivial
+A rectangle move adds plus or minus its rectangle's boundary to the
+boundary chain, so every label under the rectangle changes by the same -e
+and no label outside it changes; e is the sign of the stored rectangle
+(the consumed diagonal of a normal move, the added one of a reversed
+move).  A move passes the label classifier when every cell under its
+rectangle has a label of sign e, and then lowers ``area_abs`` by exactly
+its own area.  ``geometry.label_grid`` labels the cells of the compressed
+coordinate grid in one sweep, and its two summed-area tables decide the
+test for any rectangle in O(1).
+
+Compilation is a depth-first descent through passing moves, with one label
+grid per state: any path of passing moves that reaches the trivial
 polytope is a minimal plan.
 
 Sign bookkeeping: a reversed step records its rectangle by the diagonal
@@ -94,30 +102,35 @@ class StepVerdict:
 def classify_step(p: LatticePolytope, r: Rect, mode: str = "normal",
                   with_tag: bool = True) -> StepVerdict:
     """Check the label profile of one rectangle move: minimal steps cover
-    only regions with nonzero labels of one sign, each dropping by one."""
+    only regions with nonzero labels of one sign, each dropping by one.
+    The grid test decides; a failing step is then scanned over the lines of
+    non-isolated points for its first witness cell."""
     q = apply_step(p, PlanStep(r, mode))
-    before = G.boundary_segments(p)
-    after = G.boundary_segments(q)
-    xlo, xhi, ylo, yhi = r.bounds()
-    xs = sorted({x for seg in before + after for x in (seg[0][0], seg[1][0])
-                 if xlo <= x <= xhi} | {xlo, xhi})
-    ys = sorted({y for seg in before + after for y in (seg[0][1], seg[1][1])
-                 if ylo <= y <= yhi} | {ylo, yhi})
-    from .arrangement import winding_2x
-    eps = None
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            s2 = (xs[i] + xs[i + 1], ys[j] + ys[j + 1])
-            lb = winding_2x(s2, before)
-            la = winding_2x(s2, after)
-            if lb == 0:
-                return StepVerdict(False, None, "", (s2, lb, la))
-            e = 1 if lb > 0 else -1
-            if eps is None:
-                eps = e
-            if e != eps or la != lb - eps:
-                return StepVerdict(False, eps, "", (s2, lb, la))
-    return StepVerdict(True, eps, _step_tag(p, q) if with_tag else "", None)
+    e = 1 if G.rect_area_signed(r) > 0 else -1
+    consumed = r.v in (p.ver0 if mode == "normal" else p.ver1)
+    if consumed != (mode == "normal"):
+        e = -e                           # r is not the stored rectangle
+    grid = G.label_grid(p)
+    if not grid.uniform(r.v, r.w, e):
+        xlo, xhi, ylo, yhi = r.bounds()
+        iso = G.isolated_vertices(p)
+        isox, isoy = {v.x for v in iso}, {v.y for v in iso}
+        xs = [x for x in grid.xs[grid.col[xlo]:grid.col[xhi] + 1]
+              if x not in isox or x in (xlo, xhi)]
+        ys = [y for y in grid.ys[grid.row[ylo]:grid.row[yhi] + 1]
+              if y not in isoy or y in (ylo, yhi)]
+        eps = None
+        for x0, x1 in zip(xs, xs[1:]):
+            for y0, y1 in zip(ys, ys[1:]):
+                lb = grid.labels[grid.col[x0]][grid.row[y0]]
+                witness = ((x0 + x1, y0 + y1), lb, lb - e)
+                if lb == 0:
+                    return StepVerdict(False, None, "", witness)
+                sign = 1 if lb > 0 else -1
+                eps = sign if eps is None else eps
+                if sign != eps or eps != e:
+                    return StepVerdict(False, eps, "", witness)
+    return StepVerdict(True, e, _step_tag(p, q) if with_tag else "", None)
 
 
 def _step_tag(p: LatticePolytope, q: LatticePolytope) -> str:
@@ -268,15 +281,16 @@ def _descend(p: LatticePolytope) -> list[PlanStep] | None:
 
 def _passing_steps(p: LatticePolytope):
     """Yield the classifier-passing moves of p: normal moves on pairs of
-    initial vertices, then reversed moves on pairs of terminal vertices."""
-    for mode, points, make in (("normal", p.ver0.points, normal_step),
-                               ("reversed", p.ver1.points, reversed_step)):
+    initial vertices, then reversed moves on pairs of terminal vertices,
+    each tested on one label grid with e the sign of its stored rectangle."""
+    grid = G.label_grid(p)
+    for points, make, flip in ((p.ver0.points, normal_step, 1),
+                               (p.ver1.points, reversed_step, -1)):
         pts = sorted(points)
         for i, v in enumerate(pts):
-            for w in pts[i + 1:]:
-                step = make(v, w)
-                if classify_step(p, step.rect, mode, with_tag=False).minimal:
-                    yield step
+            for w in pts[i + 1:]:            # w.x > v.x
+                if grid.uniform(v, w, flip if w.y > v.y else -flip):
+                    yield make(v, w)
 
 
 # ---------------------------------------------------------------- normalize --

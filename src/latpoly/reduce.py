@@ -196,13 +196,17 @@ def _first_dot(an, cert):
 
 @dataclass
 class ExplorationReport:
+    """``condition_A_ok`` is True only when condition (A) was shown at every
+    visited state; ``condition_A_undecided`` marks a run where a check ran
+    out of budget instead, which also leaves ``condition_A_ok`` False."""
     terminals: set[str] = field(default_factory=set)
     condition_A_ok: bool = True
+    condition_A_undecided: bool = False
     visited: int = 0
     skipped_exclusion: int = 0
 
 
-_COND_A_CACHE: dict[str, bool] = {}       # oldest entry evicted at the bound
+_COND_A_CACHE: dict[str, bool | None] = {}   # oldest entry evicted at the bound
 
 
 def explore_reductions(g: DottedGraph, budget: int = 2000,
@@ -222,17 +226,18 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
             raise errors.BudgetExceeded("reduction exploration budget hit")
         if check_A and report.condition_A_ok:
             form = canonical_form(cur)
-            ok = _COND_A_CACHE.get(form)
-            if ok is None:
+            if form not in _COND_A_CACHE:
                 try:
                     ok = DF.check_condition_A_everywhere(cur)
                 except errors.BudgetExceeded:
-                    ok = False
+                    ok = None                    # undecided
                 if len(_COND_A_CACHE) >= DG.FORM_CACHE_SIZE:
                     del _COND_A_CACHE[next(iter(_COND_A_CACHE))]
                 _COND_A_CACHE[form] = ok
+            ok = _COND_A_CACHE[form]
             if not ok:
                 report.condition_A_ok = False
+                report.condition_A_undecided = ok is None
         moves = DF.enumerate_moves(cur)
         usable = []
         for m in moves:

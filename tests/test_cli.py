@@ -1,6 +1,7 @@
 import json
 
-from latpoly import cli, formats as F, geometry as G, dotgraph as D, plan as PL
+from latpoly import (cli, errors, formats as F, geometry as G, deform as DF,
+                     dotgraph as D, plan as PL, reduce as R)
 from latpoly.render import render_svg
 
 
@@ -47,6 +48,17 @@ def test_reduce_square(tmp_path, capsys):
     assert [t["kind"] for t in trace] == ["I", "II"]
     assert sorted(f.name for f in rdir.iterdir()) == \
         ["step000.svg", "step001.svg", "step002.svg"]
+
+
+def test_confluence_budget_hit_prints_undecided(tmp_path, capsys, monkeypatch):
+    def out_of_budget(g, cap=4000):
+        raise errors.BudgetExceeded("core class enumeration budget hit")
+    path = write_square(tmp_path)
+    monkeypatch.setattr(R, "_COND_A_CACHE", {})
+    monkeypatch.setattr(DF, "check_condition_A_everywhere", out_of_budget)
+    assert cli.main(["reduce", path, "--confluence"]) == 0
+    out = capsys.readouterr().out
+    assert "terminals: 1\ncondition (A) throughout: undecided (budget hit)\n" in out
 
 
 def test_plan_square(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from latpoly import errors, deform as DF, dotgraph as D
@@ -306,6 +308,34 @@ def test_condition_A_fails_on_incoherent_content():
     marker = [(14, 6), (18, 6), (18, 10), (14, 10)]
     g = D.DottedGraph.build([big, junk, marker], [(0, 0), (24, 0)])
     assert not DF.check_condition_A(g, (0, 0), (24, 0))
+
+
+def test_core_routing_bugs_reach_the_caller(monkeypatch):
+    # the overlay's inner circle is a hole, so core classes are enumerated
+    # and each found class is routed through the quarter cells
+    def broken(*args):
+        raise errors.RoutingFailure("route failed")
+    big = [(0, 0), (16, 0), (16, 16), (0, 16)]
+    inner = [(6, 6), (10, 6), (10, 10), (6, 10)]
+    g = D.DottedGraph.build([big, inner], [(0, 0), (16, 0)])
+    monkeypatch.setattr(DF, "_route_through_quarters", broken)
+    with pytest.raises(errors.RoutingFailure, match="route failed"):
+        DF.check_condition_A_everywhere(g)
+
+
+def test_viable_side_rejects_unit_step_violation():
+    an = SimpleNamespace(left_face={"a": 0}, right_face={"a": 1},
+                         label={0: 2, 1: 0}.__getitem__)
+    with pytest.raises(errors.InvalidGraph):
+        DF._viable_side(an, "a")
+
+
+def test_extend_monotone_bounds_raise_routing_failure():
+    with pytest.raises(errors.RoutingFailure):
+        DF._extend_monotone({0: 0, 10: DF.SCALE}, [0, 10], [20])
+    crowded = list(range(1, DF.SCALE + 1))
+    with pytest.raises(errors.RoutingFailure):
+        DF._extend_monotone({0: 0, 10 * DF.SCALE: DF.SCALE}, [0, 10 * DF.SCALE], crowded)
 
 
 # ----------------------------------------------------------- properties --

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from latpoly import errors, geometry as G
+from latpoly.arrangement import winding_2x
 from latpoly.geometry import P, Rect
 
 
@@ -291,6 +295,71 @@ def test_adjacent_region_labels_differ_by_one():
                 south = arr.faces[arr.face_of_cell((c, row))].omega
                 left, right = (north, south) if b.x > a.x else (south, north)
                 assert left == right + 1
+
+
+def walked_polytopes(seed, count, max_points=10, max_coord=20):
+    """Random polytopes, some with isolated vertices, each followed by a
+    short random walk of normal and reversed moves."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = random_polytope(rng, max_points, max_coord)
+        for _ in range(rng.randint(0, 3)):
+            config = rng.choice((p.ver0, p.ver1))
+            if len(config) < 2:
+                break
+            v, w = rng.sample(sorted(config.points), 2)
+            r = Rect(v, w)
+            p = G.apply_normal(p, r) if config is p.ver0 else G.apply_reversed(p, r)
+        yield p
+
+
+def test_label_grid_matches_winding():
+    for p in walked_polytopes(31, 150):
+        g = G.label_grid(p)
+        segs = G.boundary_segments(p)
+        assert len(g.labels) == max(len(g.xs) - 1, 0)
+        for i, column in enumerate(g.labels):
+            assert len(column) == len(g.ys) - 1
+            for j, lab in enumerate(column):
+                s2 = (g.xs[i] + g.xs[i + 1], g.ys[j] + g.ys[j + 1])
+                assert lab == winding_2x(s2, segs)
+
+
+def test_label_grid_uniform_matches_cell_scan():
+    rng = random.Random(32)
+    for p in walked_polytopes(33, 150):
+        g = G.label_grid(p)
+        if len(g.xs) < 2:
+            continue
+        for _ in range(20):
+            x0, x1 = sorted(rng.sample(g.xs, 2))
+            y0, y1 = sorted(rng.sample(g.ys, 2))
+            v, w = rng.choice(((P(x0, y0), P(x1, y1)), (P(x1, y0), P(x0, y1))))
+            cells = [g.labels[i][j] for i in range(g.col[x0], g.col[x1])
+                     for j in range(g.row[y0], g.row[y1])]
+            assert g.uniform(v, w, 1) == all(lab > 0 for lab in cells)
+            assert g.uniform(v, w, -1) == all(lab < 0 for lab in cells)
+
+
+def test_areas_match_regions_and_shoelace():
+    for p in walked_polytopes(34, 200):
+        bounded = [r for r in G.region_decomposition(p).regions if not r.unbounded]
+        assert G.area_signed(p) == sum(r.omega * r.area for r in bounded) == \
+            G.shoelace_total(p)
+        assert G.area_abs(p) == sum(abs(r.omega) * r.area for r in bounded)
+
+
+def test_arrangement_checks_hold_under_O():
+    # one open vertical segment: the cells beside it wind once but share
+    # the unbounded face
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("from latpoly.arrangement import Arrangement\n"
+            "Arrangement([((0, 0), (0, 2))])\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=here, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "latpoly.errors.InvalidGraph: winding not constant on a face" in proc.stderr
 
 
 # ------------------------------------------------------------------ costs

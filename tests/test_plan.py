@@ -4,8 +4,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latpoly import errors, geometry as G, dotgraph as D, reduce as R, plan as PL
+from latpoly import (errors, geometry as G, deform as DF, dotgraph as D, oracle as O,
+                     plan as PL, reduce as R)
+from latpoly.arrangement import winding_2x
 from latpoly.geometry import P, Rect
 
 
@@ -54,6 +57,84 @@ def random_mixed_plan(rng, p):
 
 
 # ----------------------------------------------------------- classify_step --
+
+def reference_classify(p, r, mode="normal", with_tag=True):
+    """The former ``classify_step``: apply the move, then compare the
+    winding numbers before and after at every cell of the rectangle cut by
+    the boundary's lines."""
+    q = PL.apply_step(p, PL.PlanStep(r, mode))
+    before = G.boundary_segments(p)
+    after = G.boundary_segments(q)
+    xlo, xhi, ylo, yhi = r.bounds()
+    xs = sorted({x for seg in before + after for x in (seg[0][0], seg[1][0])
+                 if xlo <= x <= xhi} | {xlo, xhi})
+    ys = sorted({y for seg in before + after for y in (seg[0][1], seg[1][1])
+                 if ylo <= y <= yhi} | {ylo, yhi})
+    eps = None
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            s2 = (xs[i] + xs[i + 1], ys[j] + ys[j + 1])
+            lb = winding_2x(s2, before)
+            la = winding_2x(s2, after)
+            if lb == 0:
+                return PL.StepVerdict(False, None, "", (s2, lb, la))
+            e = 1 if lb > 0 else -1
+            if eps is None:
+                eps = e
+            if e != eps or la != lb - eps:
+                return PL.StepVerdict(False, eps, "", (s2, lb, la))
+    return PL.StepVerdict(True, eps, PL._step_tag(p, q) if with_tag else "", None)
+
+
+def reference_passing_steps(p):
+    """The former ``_passing_steps``: every candidate through the reference
+    classifier, normal moves first."""
+    out = []
+    for mode, points, make in (("normal", p.ver0.points, PL.normal_step),
+                               ("reversed", p.ver1.points, PL.reversed_step)):
+        pts = sorted(points)
+        for i, v in enumerate(pts):
+            for w in pts[i + 1:]:
+                step = make(v, w)
+                if reference_classify(p, step.rect, mode, with_tag=False).minimal:
+                    out.append(step)
+    return out
+
+
+@st.composite
+def walked_polytopes(draw, max_points=10, max_coord=30):
+    """A random polytope with some isolated vertices, then a short random
+    walk of normal and reversed moves from it."""
+    n = draw(st.integers(1, max_points))
+    coords = st.lists(st.integers(0, max_coord), min_size=n, max_size=n, unique=True)
+    xs, ys = draw(coords), draw(coords)
+    fixed = draw(st.sets(st.integers(0, n - 1)))
+    free = [i for i in range(n) if i not in fixed]
+    ys1 = ys[:]
+    for i, k in zip(free, draw(st.permutations(free))):
+        ys1[i] = ys[k]
+    p = G.validate_polytope(list(zip(xs, ys)), list(zip(xs, ys1)))
+    for normal, i, j in draw(st.lists(st.tuples(st.booleans(), st.integers(0, n - 1),
+                                                st.integers(0, n - 1)), max_size=4)):
+        pts = sorted(p.ver0.points if normal else p.ver1.points)
+        if i != j:
+            r = Rect(pts[i], pts[j])
+            p = G.apply_normal(p, r) if normal else G.apply_reversed(p, r)
+    return p
+
+
+@settings(max_examples=120, deadline=None)
+@given(walked_polytopes())
+def test_classifier_matches_reference(p):
+    # every candidate of both modes, naming either diagonal
+    for mode, config in (("normal", p.ver0), ("reversed", p.ver1)):
+        pts = sorted(config.points)
+        for i, v in enumerate(pts):
+            for w in pts[i + 1:]:
+                for r in (Rect(v, w), Rect(*Rect(v, w).other_diagonal())):
+                    assert PL.classify_step(p, r, mode) == reference_classify(p, r, mode)
+    assert list(PL._passing_steps(p)) == reference_passing_steps(p)
+
 
 def test_classify_square_move():
     verdict = PL.classify_step(square(), Rect(P(0, 0), P(1, 1)))
@@ -250,6 +331,27 @@ def test_compile_past_desk_scale():
                 cur = PL.apply_step(cur, step)
             compiled += 1
     assert compiled == 29
+
+
+def test_seven_point_witness_has_a_plan_but_no_move():
+    # the dotted graph admits no deformation, yet descent finds a minimal
+    # plan: a minimal plan does not imply an emptying reduction
+    p = G.validate_polytope(
+        [(8, 5), (10, 0), (14, 4), (15, 18), (16, 7), (17, 1), (20, 9)],
+        [(8, 5), (10, 7), (14, 9), (15, 1), (16, 0), (17, 18), (20, 4)])
+    g = D.associate(p)
+    assert DF.enumerate_moves(g) == []
+    trace = R.good_reduce(g)
+    assert trace.steps == () and not trace.terminal.is_empty()
+    steps = PL._descend(p)
+    assert len(steps) == 7
+    cur = p
+    for step in steps:
+        assert PL.classify_step(cur, step.rect, step.mode).minimal
+        cur = PL.apply_step(cur, step)
+    plan = PL.normalize(PL.TransformPlan(tuple(steps)), p)
+    assert PL.verify_minimal(plan, p) and plan.cost_abs == 80 == G.area_abs(p)
+    assert O.min_cost(p.ver0, p.ver1, limit=7)[0] == 80
 
 
 # ---------------------------------------------------------------- normalize --

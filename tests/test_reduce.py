@@ -226,6 +226,20 @@ def test_explore_confluence_on_fixtures():
             assert len(rep.terminals) == 1
 
 
+def test_condition_A_budget_hit_is_undecided(monkeypatch):
+    def out_of_budget(g, cap=4000):
+        raise errors.BudgetExceeded("core class enumeration budget hit")
+    monkeypatch.setattr(R, "_COND_A_CACHE", {})
+    monkeypatch.setattr(DF, "check_condition_A_everywhere", out_of_budget)
+    rep = R.explore_reductions(square_graph())
+    assert rep.condition_A_undecided and not rep.condition_A_ok
+    assert rep.terminals == {D.canonical_form(D.empty_graph())}
+    monkeypatch.setattr(R, "_COND_A_CACHE", {})
+    monkeypatch.setattr(DF, "check_condition_A_everywhere", lambda g, cap=4000: False)
+    rep = R.explore_reductions(square_graph())
+    assert not rep.condition_A_undecided and not rep.condition_A_ok
+
+
 def test_condition_A_cache_stays_bounded(monkeypatch):
     bound = D.FORM_CACHE_SIZE
     monkeypatch.setattr(R, "_COND_A_CACHE", {f"old{i}": True for i in range(bound)})
