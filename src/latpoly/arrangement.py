@@ -5,14 +5,24 @@ Everything is integer arithmetic.  Sample points live on the doubled grid
 are exact integers that never collide with input coordinates.
 
 The plane is cut into open cells by the coordinate lines through all
-segment endpoints.  Faces of the arrangement are unions of cells glued
-across cell borders not covered by a segment.  Each face carries the
-winding number of the oriented segment system around any of its points;
-cells of one face always agree (``InvalidGraph`` otherwise).
+segment endpoints.  One sweep right to left over the vertical segments
+gives each column of cells its winding numbers, as the running sum of the
+segments crossed so far (the ray cast of ``winding_2x``), and marks the
+vertical cell borders they cover; one pass over the horizontal segments
+marks the horizontal borders.  Faces are the unions of cells glued across
+unmarked borders, numbered in the order of their least cell.
+
+The segments must form closed curves with no collinear overlaps, as
+validated dotted graphs and polytope boundaries do.  The winding number
+then changes by one across every covered border, so two side-by-side
+cells lie in one face exactly when no segment covers the border between
+them: face membership answers adjacency, and no border test is kept.
+Cells of one face must agree on their winding, and the unbounded face
+must be unique with winding 0 (``InvalidGraph`` otherwise).
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import errors
@@ -49,6 +59,17 @@ def winding_2x(point2: Pt, segs: list[Seg]) -> int:
     return w
 
 
+def _sample2(lines: list[int], k: int) -> int:
+    """Doubled coordinate inside the k-th gap of sorted grid lines."""
+    if not lines:
+        return 0
+    if k == 0:
+        return 2 * lines[0] - 2
+    if k == len(lines):
+        return 2 * lines[-1] + 2
+    return lines[k - 1] + lines[k]
+
+
 @dataclass(frozen=True)
 class Face:
     index: int
@@ -59,14 +80,9 @@ class Face:
 
 
 class Arrangement:
-    """Cell/face decomposition of the plane induced by a segment system.
+    """Cell/face decomposition of the plane induced by a segment system."""
 
-    With ``face_winding=False`` the input need not be a union of closed
-    curves; face omegas are then meaningless and left unchecked.
-    """
-
-    def __init__(self, segs: list[Seg], face_winding: bool = True):
-        self.face_winding = face_winding
+    def __init__(self, segs: list[Seg]):
         xs: set[int] = set()
         ys: set[int] = set()
         self._v_by_x: dict[int, list[tuple[int, int, int]]] = {}  # x -> (lo,hi,dir)
@@ -87,48 +103,33 @@ class Arrangement:
 
     # -- construction --------------------------------------------------
 
-    def _col_sample2(self, c: int) -> int:
-        xs = self.xs
-        if not xs:
-            return 0
-        if c == 0:
-            return 2 * xs[0] - 2
-        if c == len(xs):
-            return 2 * xs[-1] + 2
-        return xs[c - 1] + xs[c]
-
-    def _row_sample2(self, r: int) -> int:
-        ys = self.ys
-        if not ys:
-            return 0
-        if r == 0:
-            return 2 * ys[0] - 2
-        if r == len(ys):
-            return 2 * ys[-1] + 2
-        return ys[r - 1] + ys[r]
-
     def _build(self) -> None:
+        # cell i = c * nrow + r is column c, row r; line xs[c] is the right
+        # border of column c and line ys[r] the top border of row r
         ncol = len(self.xs) + 1
         nrow = len(self.ys) + 1
-        # winding per cell, one pass per row using suffix sums
-        verticals = []  # (x, lo, hi, d)
-        for x, items in self._v_by_x.items():
-            for lo, hi, d in items:
-                verticals.append((x, lo, hi, d))
-        omegas = [[0] * nrow for _ in range(ncol)]
-        for r in range(nrow):
-            sy2 = self._row_sample2(r)
-            hits = sorted((2 * x, d) for x, lo, hi, d in verticals
-                          if 2 * lo < sy2 < 2 * hi)
-            suffix = [0] * (len(hits) + 1)
-            for i in range(len(hits) - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + hits[i][1]
-            hx = [h[0] for h in hits]
-            for c in range(ncol):
-                sx2 = self._col_sample2(c)
-                omegas[c][r] = suffix[bisect_right(hx, sx2)]
+        row = {y: r for r, y in enumerate(self.ys)}
+        covered_right = bytearray(ncol * nrow)
+        covered_above = bytearray(ncol * nrow)
+        run = [0] * nrow
+        omegas = [run] * ncol
+        for c in range(ncol - 2, -1, -1):
+            verticals = self._v_by_x.get(self.xs[c])
+            if verticals:
+                run = run[:]
+                for lo, hi, d in verticals:
+                    r0, r1 = row[lo] + 1, row[hi] + 1
+                    for r in range(r0, r1):
+                        run[r] += d
+                    covered_right[c * nrow + r0:c * nrow + r1] = b"\x01" * (r1 - r0)
+            omegas[c] = run
+        col = {x: c for c, x in enumerate(self.xs)}
+        for y, horizontals in self._h_by_y.items():
+            for lo, hi, _ in horizontals:
+                c0, c1 = col[lo] + 1, col[hi] + 1
+                covered_above[c0 * nrow + row[y]:c1 * nrow:nrow] = b"\x01" * (c1 - c0)
 
-        # union-find over cells
+        # union-find over cells, glued across uncovered borders
         parent = list(range(ncol * nrow))
 
         def find(a: int) -> int:
@@ -137,32 +138,12 @@ class Arrangement:
                 a = parent[a]
             return a
 
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        def cid(c: int, r: int) -> int:
-            return c * nrow + r
-
-        for c in range(ncol - 1):
-            x = self.xs[c]
-            covers = sorted(self._v_by_x.get(x, ()))
-            for r in range(nrow):
-                if 1 <= r <= nrow - 2:
-                    lo, hi = self.ys[r - 1], self.ys[r]
-                    if any(slo <= lo and hi <= shi for slo, shi, _ in covers):
-                        continue
-                union(cid(c, r), cid(c + 1, r))
-        for r in range(nrow - 1):
-            y = self.ys[r]
-            covers = sorted(self._h_by_y.get(y, ()))
-            for c in range(ncol):
-                if 1 <= c <= ncol - 2:
-                    lo, hi = self.xs[c - 1], self.xs[c]
-                    if any(slo <= lo and hi <= shi for slo, shi, _ in covers):
-                        continue
-                union(cid(c, r), cid(c, r + 1))
+        for i in range((ncol - 1) * nrow):
+            if not covered_right[i]:
+                parent[find(i + nrow)] = find(i)
+        for i in range(ncol * nrow):
+            if not covered_above[i] and i % nrow != nrow - 1:
+                parent[find(i + 1)] = find(i)
 
         # cell i is (c, r) = divmod(i, nrow); scanning i in order meets each
         # face first at its smallest cell, which fixes the face order
@@ -182,7 +163,7 @@ class Arrangement:
             sample2 = None
             for i in cells:
                 c, r = divmod(i, nrow)
-                if self.face_winding and omegas[c][r] != om:
+                if omegas[c][r] != om:
                     raise errors.InvalidGraph("winding not constant on a face")
                 infinite = c == 0 or c == ncol - 1 or r == 0 or r == nrow - 1
                 if infinite:
@@ -190,16 +171,16 @@ class Arrangement:
                 else:
                     area += (self.xs[c] - self.xs[c - 1]) * (self.ys[r] - self.ys[r - 1])
                     if sample2 is None:
-                        sample2 = (self._col_sample2(c), self._row_sample2(r))
+                        sample2 = (_sample2(self.xs, c), _sample2(self.ys, r))
                 self._cell_face[i] = idx
             if sample2 is None:
-                sample2 = (self._col_sample2(c0), self._row_sample2(r0))
+                sample2 = (_sample2(self.xs, c0), _sample2(self.ys, r0))
             faces.append(Face(idx, om, area, unbounded, sample2))
         self.faces = faces
         unb = [f for f in faces if f.unbounded]
         if len(unb) != 1:
             raise errors.InvalidGraph("unbounded face must be unique")
-        if self.face_winding and unb[0].omega != 0:
+        if unb[0].omega != 0:
             raise errors.InvalidGraph("unbounded face must have winding 0")
         self.unbounded_face = unb[0].index
 
@@ -242,22 +223,3 @@ class Arrangement:
         ylo = self.ys[r - 1] if r > 0 else None
         yhi = self.ys[r] if r < len(self.ys) else None
         return xlo, xhi, ylo, yhi
-
-    def cells_adjacent(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
-        """True if the shared border of two side-by-side cells is uncovered."""
-        (c1, r1), (c2, r2) = a, b
-        if abs(c1 - c2) + abs(r1 - r2) != 1:
-            return False
-        if r1 == r2:
-            c = min(c1, c2)
-            if r1 == 0 or r1 == len(self.ys):
-                return True
-            x = self.xs[c]
-            lo, hi = self.ys[r1 - 1], self.ys[r1]
-            return not any(slo <= lo and hi <= shi for slo, shi, _ in self._v_by_x.get(x, ()))
-        r = min(r1, r2)
-        if c1 == 0 or c1 == len(self.xs):
-            return True
-        y = self.ys[r]
-        lo, hi = self.xs[c1 - 1], self.xs[c1]
-        return not any(slo <= lo and hi <= shi for slo, shi, _ in self._h_by_y.get(y, ()))

@@ -75,8 +75,7 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (errors.ParseError, errors.DuplicateComponent,
-            errors.MismatchedComponents, errors.NonTransverse,
-            errors.InvalidGraph) as e:
+            errors.MismatchedComponents, errors.InvalidGraph) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except errors.LatPolyError as e:

@@ -426,22 +426,18 @@ def _cell_center(arr, cell) -> Pt:
     return ((xlo + xhi) // 2, (ylo + yhi) // 2)
 
 
-def _cell_neighbors(arr, cell, cells):
+def _cell_neighbors(cell, cells):
     c, r = cell
-    out = []
-    for nb in ((c - 1, r), (c + 1, r), (c, r - 1), (c, r + 1)):
-        if nb in cells and arr.cells_adjacent(cell, nb):
-            out.append(nb)
-    return out
+    return [nb for nb in ((c - 1, r), (c + 1, r), (c, r - 1), (c, r + 1)) if nb in cells]
 
 
-def _cell_path(arr, F_cells, c1, c2):
+def _cell_path(F_cells, c1, c2):
     """Deterministic shortest path in the cell graph of a face."""
     dist = {c2: 0}
     dq = deque([c2])
     while dq:
         cur = dq.popleft()
-        for nb in _cell_neighbors(arr, cur, F_cells):
+        for nb in _cell_neighbors(cur, F_cells):
             if nb not in dist:
                 dist[nb] = dist[cur] + 1
                 dq.append(nb)
@@ -449,7 +445,7 @@ def _cell_path(arr, F_cells, c1, c2):
         raise errors.RoutingFailure("face cells are disconnected")
     path = [c1]
     while path[-1] != c2:
-        best = min(nb for nb in _cell_neighbors(arr, path[-1], F_cells)
+        best = min(nb for nb in _cell_neighbors(path[-1], F_cells)
                    if dist.get(nb, -1) == dist[path[-1]] - 1)
         path.append(best)
     return path
@@ -513,7 +509,7 @@ def _canonical_core(w: _Pair) -> tuple[Pt, ...]:
     """The core along the shortest cell route through the middle region,
     ties broken lexicographically."""
     arr = w.ans.arr
-    path = _cell_path(arr, arr.face_cells(w.Fs), _cell_beside(arr, w.q1, w.n1),
+    path = _cell_path(arr.face_cells(w.Fs), _cell_beside(arr, w.q1, w.n1),
                       _cell_beside(arr, w.q2, w.n2))
     return _route_through_cells(arr, path, w.q1, w.n1, w.q2, w.n2)
 
@@ -717,24 +713,24 @@ def _quarter_center(arr, node) -> Pt:
     return (xlo + w // 4 + qx * (w // 2), ylo + h // 4 + qy * (h // 2))
 
 
-def _quarter_neighbors(arr, F_cells, node):
+def _quarter_neighbors(F_cells, node):
     c, r, qx, qy = node
     out = []
     if qx == 0:
         out.append((c, r, 1, qy))
-        if (c - 1, r) in F_cells and arr.cells_adjacent((c, r), (c - 1, r)):
+        if (c - 1, r) in F_cells:
             out.append((c - 1, r, 1, qy))
     else:
         out.append((c, r, 0, qy))
-        if (c + 1, r) in F_cells and arr.cells_adjacent((c, r), (c + 1, r)):
+        if (c + 1, r) in F_cells:
             out.append((c + 1, r, 0, qy))
     if qy == 0:
         out.append((c, r, qx, 1))
-        if (c, r - 1) in F_cells and arr.cells_adjacent((c, r), (c, r - 1)):
+        if (c, r - 1) in F_cells:
             out.append((c, r - 1, qx, 1))
     else:
         out.append((c, r, qx, 0))
-        if (c, r + 1) in F_cells and arr.cells_adjacent((c, r), (c, r + 1)):
+        if (c, r + 1) in F_cells:
             out.append((c, r + 1, qx, 0))
     return out
 
@@ -798,7 +794,7 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
 
     def neighbors(node):
         if node not in adjacency:
-            adjacency[node] = _quarter_neighbors(arr, F_cells, node)
+            adjacency[node] = _quarter_neighbors(F_cells, node)
             centers[node] = _quarter_center(arr, node)
         return adjacency[node]
 
@@ -987,15 +983,17 @@ def _check_sweep_labels(g, old_piece, new_path):
             break
     if not touched:
         return
-    from .arrangement import Arrangement
-    combined = list(g_segs)
-    for i in range(len(new_path) - 1):
-        combined.append((new_path[i], new_path[i + 1]))
-    arr = Arrangement([s for s in combined if s[0] != s[1]], face_winding=False)
-    labels = []
-    for f in arr.faces:
-        if winding_2x(f.sample2, cyc_segs) != 0:
-            labels.append(winding_2x(f.sample2, g_segs))
+    # every face of g plus the new path is a union of cells of the grid
+    # through their corners, and both windings are constant on such a face;
+    # unbounded cells lie outside the cycle
+    points = [p for seg in g_segs for p in seg] + new_path
+    xs = sorted({x for x, _ in points})
+    ys = sorted({y for _, y in points})
+    labels = set()
+    for x2 in map(sum, zip(xs, xs[1:])):
+        for y2 in map(sum, zip(ys, ys[1:])):
+            if winding_2x((x2, y2), cyc_segs) != 0:
+                labels.add(winding_2x((x2, y2), g_segs))
     if labels and (0 in labels or (min(labels) < 0 < max(labels))):
         raise errors.LabelMismatch(
             "swept regions must carry nonzero labels of one sign")

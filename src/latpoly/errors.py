@@ -19,10 +19,6 @@ class MismatchedComponents(LatPolyError):
     """Initial and terminal vertex sets have different coordinate multisets."""
 
 
-class NonTransverse(LatPolyError):
-    """An edge endpoint lies in the interior of a perpendicular edge."""
-
-
 class NotInConfig(LatPolyError):
     """A rectangle corner is not a point of the configuration."""
 

@@ -131,9 +131,7 @@ def validate_polytope(ver0, ver1) -> LatticePolytope:
         raise errors.MismatchedComponents("x-components of Ver0 and Ver1 differ")
     if {p.y for p in c0.points} != {p.y for p in c1.points}:
         raise errors.MismatchedComponents("y-components of Ver0 and Ver1 differ")
-    p = LatticePolytope(c0, c1)
-    _check_transverse(p)
-    return p
+    return LatticePolytope(c0, c1)
 
 
 def isolated_vertices(p: LatticePolytope) -> frozenset[GridPoint]:
@@ -188,28 +186,6 @@ def boundary_cycles(p: LatticePolytope) -> list[list[GridPoint]]:
                 break
         cycles.append(cyc)
     return cycles
-
-
-def _check_transverse(p: LatticePolytope) -> None:
-    """Reject T-junctions: an endpoint interior to a perpendicular edge.
-
-    The pairing rules make such configurations impossible for valid input,
-    but the check is kept as a cheap guard.
-    """
-    hs = x_edges(p)
-    vs = y_edges(p)
-    for a, b in hs:
-        y = a.y
-        lo, hi = sorted((a.x, b.x))
-        for c, d in vs:
-            x = c.x
-            vlo, vhi = sorted((c.y, d.y))
-            for q in (c, d):
-                if q.y == y and lo < q.x < hi:
-                    raise errors.NonTransverse(f"endpoint {q} inside edge {(a, b)}")
-            for q in (a, b):
-                if q.x == x and vlo < q.y < vhi:
-                    raise errors.NonTransverse(f"endpoint {q} inside edge {(c, d)}")
 
 
 def apply_normal(p: LatticePolytope, r: Rect) -> LatticePolytope:

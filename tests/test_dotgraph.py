@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latpoly import errors, geometry as G
+from latpoly import errors, geometry as G, oracle as O
 from latpoly import dotgraph as D
+from latpoly.arrangement import Arrangement, winding_2x
 
 
 # ----------------------------------------------------------- fixtures ---
@@ -215,6 +216,66 @@ def test_associate_crossings_and_segments_match_edges(p):
              if min(a.x, b.x) < c.x < max(a.x, b.x) and min(c.y, d.y) < a.y < max(c.y, d.y)}
     assert set(D.analyze(g).crossings) == brute
     assert {seg for _, _, seg in D.all_segments(g)} == set(G.boundary_segments(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes())
+def test_no_vertex_lies_inside_an_edge(p):
+    vertices = p.ver0.points | p.ver1.points
+    for a, b in G.x_edges(p):
+        assert not any(q.y == a.y and min(a.x, b.x) < q.x < max(a.x, b.x) for q in vertices)
+    for a, b in G.y_edges(p):
+        assert not any(q.x == a.x and min(a.y, b.y) < q.y < max(a.y, b.y) for q in vertices)
+
+
+@st.composite
+def segment_systems(draw):
+    """The segments of a random dotted graph, of the same graph at working
+    scale, or of a polytope boundary."""
+    kind = draw(st.sampled_from(("graph", "scaled", "polytope")))
+    if kind == "polytope":
+        return G.boundary_segments(draw(polytopes()))
+    g = O.random_dotted_graph(draw(st.randoms(use_true_random=False)),
+                              require_all_dotted=False)
+    if kind == "scaled":
+        g = D.scaled(D.normalized(g), 16)
+    return [seg for _, _, seg in D.all_segments(g)]
+
+
+def gap2(lines, k):
+    """A doubled coordinate strictly inside the k-th gap of sorted lines."""
+    ext = [lines[0] - 1] + lines + [lines[-1] + 1] if lines else [-1, 1]
+    return ext[k] + ext[k + 1]
+
+
+def on_a_segment(p2, segs):
+    return any(2 * min(x1, x2) <= p2[0] <= 2 * max(x1, x2) and
+               2 * min(y1, y2) <= p2[1] <= 2 * max(y1, y2)
+               for (x1, y1), (x2, y2) in segs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_systems())
+def test_arrangement_matches_ray_cast_and_segment_cover(segs):
+    # cells are visited in index order: column-major, bottom to top
+    arr = Arrangement(segs)
+    ncol, nrow = len(arr.xs) + 1, len(arr.ys) + 1
+    first_seen = []
+    for c in range(ncol):
+        x2 = gap2(arr.xs, c)
+        for r in range(nrow):
+            y2 = gap2(arr.ys, r)
+            f = arr.face_of_cell((c, r))
+            if f not in first_seen:
+                first_seen.append(f)
+            assert arr.faces[f].omega == winding_2x((x2, y2), segs)
+            if c + 1 < ncol:
+                open_border = not on_a_segment((2 * arr.xs[c], y2), segs)
+                assert (arr.face_of_cell((c + 1, r)) == f) == open_border
+            if r + 1 < nrow:
+                open_border = not on_a_segment((x2, 2 * arr.ys[r]), segs)
+                assert (arr.face_of_cell((c, r + 1)) == f) == open_border
+    assert first_seen == [face.index for face in arr.faces] == list(range(len(arr.faces)))
 
 
 # -------------------------------------------------------- components ----
