@@ -422,7 +422,8 @@ def _cell_beside(arr, q: Pt, n: Pt):
 
 def _cell_center(arr, cell) -> Pt:
     xlo, xhi, ylo, yhi = arr.cell_bounds(cell)
-    assert None not in (xlo, xhi, ylo, yhi), "route entered an unbounded cell"
+    if None in (xlo, xhi, ylo, yhi):
+        raise errors.RoutingFailure("route entered an unbounded cell")
     return ((xlo + xhi) // 2, (ylo + yhi) // 2)
 
 
@@ -779,7 +780,14 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
     Reachable crossing vectors are found on the product of the quarter-cell
     graph with the bounded winding lattice; each is then realized by a
     simple route found under reachability pruning.  Windings beyond the
-    bound are outside the enumeration; an exhausted budget raises."""
+    bound are outside the enumeration; an exhausted budget raises.
+
+    The product graph is built once: an edge table holds each quarter
+    node's centre and its steps ``(neighbour, ray-delta vector)``, and per
+    target each product state keeps its successors ranked by distance to
+    the target.  The route search walks that ranked list, so it visits
+    states in the same order and spends the same budget as a search that
+    re-ranks the neighbours at every step."""
     if not holes:
         return {(): base}
     arr, q1, n1, q2, n2 = w.ans.arr, w.q1, w.n1, w.q2, w.n2
@@ -790,32 +798,39 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
     zero = tuple(0 for _ in rays)
 
     centers = {}
-    adjacency = {}
+    edges = {}
 
-    def neighbors(node):
-        if node not in adjacency:
-            adjacency[node] = _quarter_neighbors(F_cells, node)
+    def center(node):
+        if node not in centers:
             centers[node] = _quarter_center(arr, node)
-        return adjacency[node]
+        return centers[node]
 
-    centers[nd1] = _quarter_center(arr, nd1)
+    def steps(node):
+        if node not in edges:
+            a = center(node)
+            edges[node] = [(nb, _ray_deltas(a, center(nb), rays))
+                           for nb in _quarter_neighbors(F_cells, node)]
+        return edges[node]
+
     # forward closure of the product graph
     start = (nd1, zero)
-    forward = {start: []}
+    forward = {start: []}       # state -> predecessors
+    succ = {}                   # state -> successors, in neighbour order
     dq = deque([start])
     budget = cap
     while dq:
         budget -= 1
         if budget <= 0:
             raise errors.BudgetExceeded("core class enumeration budget hit")
-        node, vec = dq.popleft()
-        for nb in neighbors(node):
-            d = _ray_deltas(centers[node], _quarter_center(arr, nb), rays)
+        node, vec = cur = dq.popleft()
+        succ[cur] = []
+        for nb, d in steps(node):
             nvec = tuple(v + x for v, x in zip(vec, d))
             if any(abs(v) > wind_bound for v in nvec):
                 continue
             state = (nb, nvec)
-            forward.setdefault(state, []).append((node, vec))
+            succ[cur].append(state)
+            forward.setdefault(state, []).append(cur)
             if len(forward[state]) == 1:
                 dq.append(state)
 
@@ -823,15 +838,15 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
     found: dict[tuple, tuple[Pt, ...]] = {}
 
     def signature(nodes):
-        pts = ([base[0]] + [_quarter_center(arr, nd) for nd in nodes] +
-               [base[-1]] + list(reversed(base)))
+        pts = [base[0]] + [center(nd) for nd in nodes] + [base[-1]] + list(reversed(base))
         loop = _rect_closed(pts)
         return tuple(_polyline_winding_2x(h, loop) for h in holes)
 
     for tvec in targets:
         # distance to the target over the product graph, by backward closure
-        dist = {(nd2, tvec): 0}
-        dq = deque([(nd2, tvec)])
+        goal = (nd2, tvec)
+        dist = {goal: 0}
+        dq = deque([goal])
         while dq:
             state = dq.popleft()
             for prev in forward.get(state, ()):
@@ -840,47 +855,46 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
                     dq.append(prev)
         if start not in dist:
             continue
-        result = [None]
+        ranked = {}
 
-        def dfs(path, visited, vec, maxlen, budget_dfs):
-            if result[0] is not None or budget_dfs[0] <= 0:
-                budget_dfs[0] -= 1
-                return
-            budget_dfs[0] -= 1
-            if path[-1] == nd2 and vec == tvec:
-                result[0] = list(path)
-                return
-            ranked = []
-            for nb in neighbors(path[-1]):
-                if nb in visited:
-                    continue
-                d = _ray_deltas(centers[path[-1]], _quarter_center(arr, nb), rays)
-                nvec = tuple(v + x for v, x in zip(vec, d))
-                nd = dist.get((nb, nvec))
-                if nd is None or len(path) + nd > maxlen:
-                    continue
-                ranked.append((nd, nb, nvec))
-            ranked.sort()
-            for _, nb, nvec in ranked:
-                visited.add(nb)
-                path.append(nb)
-                dfs(path, visited, nvec, maxlen, budget_dfs)
-                path.pop()
-                visited.remove(nb)
-                if result[0] is not None:
-                    return
+        def dfs(path, visited, state, room):
+            """A simple route to the goal within ``room`` more steps, or None;
+            each call spends one unit of the round's budget ``left``."""
+            nonlocal left
+            left -= 1
+            if state == goal:
+                return list(path)
+            moves = ranked.get(state)
+            if moves is None:
+                moves = ranked[state] = sorted((dist[s], s[0], s)
+                                               for s in succ[state] if s in dist)
+            for nd, nb, nxt in moves:
+                # nearest first: past the first move out of reach, or with the
+                # budget spent, no later move can be taken
+                if nd > room or left <= 0:
+                    return None
+                if nb not in visited:
+                    visited.add(nb)
+                    path.append(nb)
+                    route = dfs(path, visited, nxt, room - 1)
+                    path.pop()
+                    visited.remove(nb)
+                    if route is not None:
+                        return route
+            return None
 
         # near-geodesic representatives only: bounded iterative deepening;
         # vectors without a short simple route are outside the enumeration
         for extra in (0, 4, 12):
-            dfs([nd1], {nd1}, zero, dist[start] + extra, [min(3000, cap)])
-            if result[0] is not None:
+            left = min(3000, cap)
+            nodes = dfs([nd1], {nd1}, start, dist[start] + extra - 1)
+            if nodes is not None:
                 break
-        if result[0] is None:
+        if nodes is None:
             continue
-        sig = signature(result[0])
+        sig = signature(nodes)
         if sig not in found:
-            found[sig] = _route_through_quarters(arr, result[0], q1, n1, q2, n2)
+            found[sig] = _route_through_quarters(arr, nodes, q1, n1, q2, n2)
     found[zero] = base
     return found
 

@@ -206,7 +206,9 @@ class ExplorationReport:
     skipped_exclusion: int = 0
 
 
-_COND_A_CACHE: dict[str, bool | None] = {}   # oldest entry evicted at the bound
+# condition (A) verdict per normalized graph, not per canonical form: graphs
+# of one form can differ in it; oldest entry evicted at the bound
+_COND_A_CACHE: dict[DottedGraph, bool | None] = {}
 
 
 def explore_reductions(g: DottedGraph, budget: int = 2000,
@@ -225,16 +227,15 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
         if report.visited > budget:
             raise errors.BudgetExceeded("reduction exploration budget hit")
         if check_A and report.condition_A_ok:
-            form = canonical_form(cur)
-            if form not in _COND_A_CACHE:
+            if cur not in _COND_A_CACHE:
                 try:
                     ok = DF.check_condition_A_everywhere(cur)
                 except errors.BudgetExceeded:
                     ok = None                    # undecided
                 if len(_COND_A_CACHE) >= DG.FORM_CACHE_SIZE:
                     del _COND_A_CACHE[next(iter(_COND_A_CACHE))]
-                _COND_A_CACHE[form] = ok
-            ok = _COND_A_CACHE[form]
+                _COND_A_CACHE[cur] = ok
+            ok = _COND_A_CACHE[cur]
             if not ok:
                 report.condition_A_ok = False
                 report.condition_A_undecided = ok is None

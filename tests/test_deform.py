@@ -1,8 +1,14 @@
+import os
+import random
+import subprocess
+import sys
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latpoly import errors, deform as DF, dotgraph as D
+from latpoly import errors, deform as DF, dotgraph as D, oracle as O
 
 
 def circle_graph(x0=0, y0=0, w=4, h=4, ccw=True, dots=2):
@@ -336,6 +342,197 @@ def test_extend_monotone_bounds_raise_routing_failure():
     crowded = list(range(1, DF.SCALE + 1))
     with pytest.raises(errors.RoutingFailure):
         DF._extend_monotone({0: 0, 10 * DF.SCALE: DF.SCALE}, [0, 10 * DF.SCALE], crowded)
+
+
+def test_cell_center_rejects_unbounded_cell():
+    # cell (0, 0) lies left of and below every line of the square
+    arr = D.analyze(circle_graph()).arr
+    assert DF._cell_center(arr, (1, 1)) == (2, 2)
+    with pytest.raises(errors.RoutingFailure, match="unbounded cell"):
+        DF._cell_center(arr, (0, 0))
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import test_deform as T\n"
+            "T.DF._cell_center(T.D.analyze(T.circle_graph()).arr, (0, 0))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=here, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "latpoly.errors.RoutingFailure: route entered an unbounded cell" in proc.stderr
+
+
+
+# ------------------------------------------------------ core classes --
+
+def reference_core_classes(w, base, holes, cap=20000, wind_bound=1):
+    """The former ``_enumerate_core_classes``: every step of the closure and
+    of the route search recomputes quarter centres and ray deltas, and the
+    search re-ranks the neighbours at each step."""
+    if not holes:
+        return {(): base}
+    arr, q1, n1, q2, n2 = w.ans.arr, w.q1, w.n1, w.q2, w.n2
+    F_cells = arr.face_cells(w.Fs)
+    rays = list(holes)
+    nd1 = DF._quarter_beside(arr, q1, n1)
+    nd2 = DF._quarter_beside(arr, q2, n2)
+    zero = tuple(0 for _ in rays)
+
+    centers = {}
+    adjacency = {}
+
+    def neighbors(node):
+        if node not in adjacency:
+            adjacency[node] = DF._quarter_neighbors(F_cells, node)
+            centers[node] = DF._quarter_center(arr, node)
+        return adjacency[node]
+
+    centers[nd1] = DF._quarter_center(arr, nd1)
+    start = (nd1, zero)
+    forward = {start: []}
+    dq = deque([start])
+    budget = cap
+    while dq:
+        budget -= 1
+        if budget <= 0:
+            raise errors.BudgetExceeded("core class enumeration budget hit")
+        node, vec = dq.popleft()
+        for nb in neighbors(node):
+            d = DF._ray_deltas(centers[node], DF._quarter_center(arr, nb), rays)
+            nvec = tuple(v + x for v, x in zip(vec, d))
+            if any(abs(v) > wind_bound for v in nvec):
+                continue
+            state = (nb, nvec)
+            forward.setdefault(state, []).append((node, vec))
+            if len(forward[state]) == 1:
+                dq.append(state)
+
+    targets = sorted(vec for node, vec in forward if node == nd2)
+    found = {}
+
+    def signature(nodes):
+        pts = ([base[0]] + [DF._quarter_center(arr, nd) for nd in nodes] +
+               [base[-1]] + list(reversed(base)))
+        loop = DF._rect_closed(pts)
+        return tuple(DF._polyline_winding_2x(h, loop) for h in holes)
+
+    for tvec in targets:
+        dist = {(nd2, tvec): 0}
+        dq = deque([(nd2, tvec)])
+        while dq:
+            state = dq.popleft()
+            for prev in forward.get(state, ()):
+                if prev not in dist:
+                    dist[prev] = dist[state] + 1
+                    dq.append(prev)
+        if start not in dist:
+            continue
+        result = [None]
+
+        def dfs(path, visited, vec, maxlen, budget_dfs):
+            if result[0] is not None or budget_dfs[0] <= 0:
+                budget_dfs[0] -= 1
+                return
+            budget_dfs[0] -= 1
+            if path[-1] == nd2 and vec == tvec:
+                result[0] = list(path)
+                return
+            ranked = []
+            for nb in neighbors(path[-1]):
+                if nb in visited:
+                    continue
+                d = DF._ray_deltas(centers[path[-1]], DF._quarter_center(arr, nb), rays)
+                nvec = tuple(v + x for v, x in zip(vec, d))
+                nd = dist.get((nb, nvec))
+                if nd is None or len(path) + nd > maxlen:
+                    continue
+                ranked.append((nd, nb, nvec))
+            ranked.sort()
+            for _, nb, nvec in ranked:
+                visited.add(nb)
+                path.append(nb)
+                dfs(path, visited, nvec, maxlen, budget_dfs)
+                path.pop()
+                visited.remove(nb)
+                if result[0] is not None:
+                    return
+
+        for extra in (0, 4, 12):
+            dfs([nd1], {nd1}, zero, dist[start] + extra, [min(3000, cap)])
+            if result[0] is not None:
+                break
+        if result[0] is None:
+            continue
+        sig = signature(result[0])
+        if sig not in found:
+            found[sig] = DF._route_through_quarters(arr, result[0], q1, n1, q2, n2)
+    found[zero] = base
+    return found
+
+
+def holed_sites(g):
+    """(working pair, canonical core, holes) at every surgery site of g
+    whose middle region has holes."""
+    out = []
+    for m in DF.enumerate_moves(g, allowed={"IV"}):
+        w = DF._working_pair(g, *m.site)
+        holes = DF._hole_samples(w.ans, w.Fs)
+        if holes:
+            out.append((w, DF._canonical_core(w), holes))
+    return out
+
+
+def core_classes_outcome(enumerate_classes, w, base, holes, cap):
+    try:
+        return list(enumerate_classes(w, base, holes, cap=cap).items())
+    except errors.BudgetExceeded as e:
+        return ("BudgetExceeded", str(e))
+
+
+@st.composite
+def holed_graphs(draw):
+    """A random dotted graph after up to three random moves: the first of up
+    to 20 such draws that has a surgery site with holes."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    all_dotted, walk = draw(st.booleans()), draw(st.integers(0, 3))
+    for _ in range(20):
+        g = O.random_dotted_graph(rng, require_all_dotted=all_dotted)
+        for _ in range(walk):
+            moves = DF.enumerate_moves(g)
+            if not moves:
+                break
+            g = DF.apply_move(g, rng.choice(moves)).after
+        if holed_sites(g):
+            break
+    return g
+
+
+def assert_core_classes_match(g, small_cap):
+    for w, base, holes in holed_sites(g):
+        for cap in (4000, small_cap):     # 4000: check_condition_A's cap
+            assert core_classes_outcome(DF._enumerate_core_classes, w, base, holes, cap) == \
+                core_classes_outcome(reference_core_classes, w, base, holes, cap)
+        # the closure has more than one state, so both spend a cap of 2
+        for enumerate_classes in (DF._enumerate_core_classes, reference_core_classes):
+            with pytest.raises(errors.BudgetExceeded):
+                enumerate_classes(w, base, holes, cap=2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(holed_graphs(), st.integers(2, 2000))
+def test_core_classes_match_reference(g, small_cap):
+    # the same classes in the same insertion order, or the same error; caps
+    # below the closure size raise, and caps below 3000 also cut the route
+    # search short
+    assert_core_classes_match(g, small_cap)
+
+
+def test_core_classes_match_reference_around_two_holes():
+    big = [(0, 0), (24, 0), (24, 16), (0, 16)]
+    junk = [(6, 6), (6, 10), (10, 10), (10, 6)]
+    marker = [(14, 6), (18, 6), (18, 10), (14, 10)]
+    g = D.DottedGraph.build([big, junk, marker], [(0, 0), (24, 0)])
+    assert [len(holes) for _, _, holes in holed_sites(g)] == [2]
+    for small_cap in (200, 700, 1500):
+        assert_core_classes_match(g, small_cap)
 
 
 # ----------------------------------------------------------- properties --

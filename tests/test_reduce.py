@@ -246,4 +246,26 @@ def test_condition_A_cache_stays_bounded(monkeypatch):
     R.explore_reductions(square_graph())
     assert len(R._COND_A_CACHE) <= bound
     assert "old0" not in R._COND_A_CACHE
-    assert D.canonical_form(D.normalized(square_graph())) in R._COND_A_CACHE
+    assert D.normalized(square_graph()) in R._COND_A_CACHE
+
+
+def test_condition_A_verdict_belongs_to_the_graph_not_its_form(monkeypatch):
+    # two graphs of the benchmark's confluence population with one canonical
+    # form: random_dotted_graph(Random("confluence/36")) normalized, where
+    # condition (A) holds throughout, and a state that exploring
+    # "confluence/50" reaches, where it fails; the form collapses dot counts
+    # to flags (6 dots against 7)
+    holds = D.DottedGraph.build(
+        [[(0, 0), (6, 0), (6, 7), (0, 7)], [(1, 3), (3, 3), (3, 4), (1, 4)],
+         [(4, 1), (8, 1), (8, 6), (4, 6)]],
+        [(2, 3), (5, 6), (5, 7), (6, 2), (6, 5), (7, 1)])
+    fails = D.DottedGraph.build(
+        [[(0, 0), (8, 0), (8, 6), (0, 6)],
+         [(2, 1), (11, 1), (11, 5), (7, 5), (7, 2), (3, 2), (3, 5), (2, 5)],
+         [(4, 4), (6, 4), (6, 5), (4, 5)]],
+        [(1, 6), (4, 5), (5, 6), (7, 5), (8, 3), (9, 1), (10, 1)])
+    assert D.canonical_form(holds) == D.canonical_form(fails)
+    for order in ((holds, fails), (fails, holds)):
+        monkeypatch.setattr(R, "_COND_A_CACHE", {})
+        oks = {g: R.explore_reductions(g).condition_A_ok for g in order}
+        assert oks == {holds: True, fails: False}
