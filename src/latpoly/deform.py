@@ -111,9 +111,8 @@ def apply_II(g: DottedGraph, cert: ComponentCert) -> DottedGraph:
         raise errors.LabelMismatch(
             "every region of the disk must carry the sign of the circle")
     curves = tuple(c for i, c in enumerate(g.curves) if i != cert.curve)
-    dots = frozenset(d for d in g.dots
-                     if an._dot_position(cert.curve, d) is None)
-    return DottedGraph.build(curves, dots)
+    circle_dots = {d for k in cert.arcs for d in an.arcs_by_key[k].dots}
+    return DottedGraph.build(curves, frozenset(d for d in g.dots if d not in circle_dots))
 
 
 # ----------------------------------------------------------- apply III --

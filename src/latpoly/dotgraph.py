@@ -3,7 +3,12 @@ regions, their association with lattice polytopes, component recognition,
 equivalence and realization.
 
 A graph is stored geometrically (corner polylines on the integer grid,
-dots as exact points); crossings, arcs, faces and labels are derived.
+dots as exact points); crossings, arcs, faces and labels are derived, in
+two layers.  What the curves alone determine (crossings, arrangement,
+arcs, side faces, arms, circle and loop certificates) is a
+``CurveGeometry``, computed once and shared by every analysed graph with
+the same curves; a ``GraphAnalysis`` adds only its graph's dots, each put
+on its arc by its offset along its curve.
 Graphs are compared up to ambient isotopy and dot multiplicity through a
 canonical encoding of the labeled plane map: a traversal code per connected
 component, joined along the tree of faces and components rooted at the
@@ -11,6 +16,7 @@ unbounded face, in time polynomial in the size of the graph.
 """
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -114,13 +120,16 @@ def _validate(g: DottedGraph) -> None:
             corners.add(p)
             if (dirs[i - 1][0] == 0) == (dirs[i][0] == 0):
                 raise errors.InvalidGraph(f"collinear corner survived at {p}")
-    _segment_pass(g)
+    found, v_by_x, h_by_y = _segment_pass(g.curves)
+    for d in g.dots:
+        _dot_segment(d, found, v_by_x, h_by_y)
 
 
-def _segment_pass(g: DottedGraph) -> dict[Pt, tuple]:
-    """Check how the segments of g meet each other and the dots, and return
-    the crossings: point -> ((curve, seg) of the horizontal strand,
-    (curve, seg) of the vertical one).
+def _segment_pass(curves) -> tuple[dict[Pt, tuple], dict, dict]:
+    """Check how the segments of the curves meet each other, and return the
+    crossings, point -> ((curve, seg) of the horizontal strand, (curve, seg)
+    of the vertical one), and the segments by line, each line's sorted list
+    of ``(lo, hi, curve, seg)``: x -> vertical ones, y -> horizontal ones.
 
     Segments are bucketed by coordinate line, as in ``Arrangement``; each
     horizontal segment bisects for the vertical lines strictly inside its
@@ -133,7 +142,7 @@ def _segment_pass(g: DottedGraph) -> dict[Pt, tuple]:
     """
     v_by_x: dict[int, list] = {}        # x -> [(ylo, yhi, curve, seg)]
     h_by_y: dict[int, list] = {}        # y -> [(xlo, xhi, curve, seg)]
-    for ci, curve in enumerate(g.curves):
+    for ci, curve in enumerate(curves):
         n = len(curve)
         for si, (x1, y1) in enumerate(curve):
             x2, y2 = curve[(si + 1) % n]
@@ -158,14 +167,22 @@ def _segment_pass(g: DottedGraph) -> dict[Pt, tuple]:
                 k = bisect_left(vsegs, (y,)) - 1
                 if k >= 0 and vsegs[k][1] > y:
                     found[(x, y)] = ((hc, hi), vsegs[k][2:])
-    for d in g.dots:
-        if d in found:
-            raise errors.DotOnCrossing(f"dot at crossing {d}")
-        x, y = d
-        if not any(lo <= y <= hi for lo, hi, _, _ in v_by_x.get(x, ())) and \
-                not any(lo <= x <= hi for lo, hi, _, _ in h_by_y.get(y, ())):
-            raise errors.InvalidGraph(f"dot {d} not on any curve")
-    return found
+    return found, v_by_x, h_by_y
+
+
+def _dot_segment(d: Pt, crossings: dict, v_by_x: dict, h_by_y: dict) -> tuple[int, int]:
+    """(curve, segment) of a segment through dot d, looked up in the
+    segments by line of ``_segment_pass``; raises for a dot on a crossing
+    or on no curve."""
+    if d in crossings:
+        raise errors.DotOnCrossing(f"dot at crossing {d}")
+    x, y = d
+    for t, segs in ((y, v_by_x.get(x)), (x, h_by_y.get(y))):
+        if segs:                        # disjoint: only the last starting at or before t
+            k = bisect_left(segs, (t + 1,)) - 1
+            if k >= 0 and segs[k][1] >= t:
+                return segs[k][2:]
+    raise errors.InvalidGraph(f"dot {d} not on any curve")
 
 
 # ----------------------------------------------------------------- arcs --
@@ -218,62 +235,54 @@ class ComponentCert:
     outside_label: int
 
 
-class GraphAnalysis:
-    """Everything derived from a dotted graph, computed once."""
+class CurveGeometry:
+    """Everything a dotted graph's curves determine without its dots: the
+    crossings, the arrangement, the undotted arcs with their side faces and
+    arms, the circle and loop certificates, and where each segment and
+    each arc starts along its curve, by arc length from the curve's first
+    corner."""
 
-    def __init__(self, g: DottedGraph):
-        self.g = g
-        self.crossings = _segment_pass(g)
-        segs = [seg for _, _, seg in all_segments(g)]
-        self.arr = Arrangement(segs)
-        self.arcs = self._build_arcs()
+    def __init__(self, curves: tuple[tuple[Pt, ...], ...]):
+        self.curves = curves
+        self.crossings, self._v_by_x, self._h_by_y = _segment_pass(curves)
+        self.arr = Arrangement([seg for c in curves for seg in curve_segments(c)])
+        self._build_arcs()
         self.arcs_by_key = {a.key: a for a in self.arcs}
         self._sides()
         self._arm_map()
         self.circles, self.loops = self._components()
 
-    # labels ---------------------------------------------------------
-
-    def label(self, fid: int) -> int:
-        return self.arr.faces[fid].omega
-
     # arcs -----------------------------------------------------------
 
-    def _build_arcs(self) -> list[Arc]:
-        g = self.g
-        arcs: list[Arc] = []
+    def _build_arcs(self) -> None:
+        self.arcs: list[Arc] = []
+        # per curve: each segment's offset, the perimeter, the arcs' sorted
+        # offsets and the index of the curve's first arc
+        self._offsets: list[tuple[list[int], int, list[int], int]] = []
         cross_on: dict[tuple[int, int], list[Pt]] = {}
         for p, ((hc, hi), (vc, vi)) in self.crossings.items():
             cross_on.setdefault((hc, hi), []).append(p)
             cross_on.setdefault((vc, vi), []).append(p)
-        for ci, curve in enumerate(g.curves):
+        for ci, curve in enumerate(self.curves):
             n = len(curve)
-            seg_start = [0] * n          # scalar start offset of each segment
+            seg_start = [0] * n
             run = 0
             for si in range(n):
                 seg_start[si] = run
                 a, b = curve[si], curve[(si + 1) % n]
                 run += abs(b[0] - a[0]) + abs(b[1] - a[1])
             perimeter = run
-
-            def scalar(si: int, p: Pt) -> int:
-                a = curve[si]
-                return seg_start[si] + abs(p[0] - a[0]) + abs(p[1] - a[1])
-
             cuts: list[tuple[int, Pt]] = []
             for si in range(n):
+                a = curve[si]
                 for p in cross_on.get((ci, si), ()):
-                    cuts.append((scalar(si, p), p))
-            dots_here: list[tuple[int, Pt]] = []
-            for d in g.dots:
-                pos = self._dot_position(ci, d)
-                if pos is not None:
-                    dots_here.append((scalar(*pos), d))
-            dots_here.sort()
-            if not cuts:
-                arcs.append(Arc(ci, curve, True, tuple(d for _, d in dots_here)))
-                continue
+                    cuts.append((seg_start[si] + abs(p[0] - a[0]) + abs(p[1] - a[1]), p))
             cuts.sort()
+            self._offsets.append((seg_start, perimeter, [s for s, _ in cuts] or [0],
+                                  len(self.arcs)))
+            if not cuts:
+                self.arcs.append(Arc(ci, curve, True, ()))
+                continue
             corner_at = sorted((seg_start[j], j) for j in range(n))
             m = len(cuts)
             for k in range(m):
@@ -287,20 +296,28 @@ class GraphAnalysis:
                         mids.append((rel, curve[j]))
                 mids.sort()
                 path = [ap] + [pt for _, pt in mids] + [bp]
-                arc_dots = sorted(((sd - sa) % perimeter, d) for sd, d in dots_here
-                                  if ((sd - sa) % perimeter) < span)
-                arcs.append(Arc(ci, tuple(path), False,
-                                tuple(d for _, d in arc_dots)))
-        return arcs
+                self.arcs.append(Arc(ci, tuple(path), False, ()))
 
-    def _dot_position(self, ci: int, d: Pt):
-        curve = self.g.curves[ci]
-        n = len(curve)
-        for si in range(n):
-            seg = (curve[si], curve[(si + 1) % n])
-            if _on_segment(d, seg) and d != seg[1]:
-                return (si, d)
-        return None
+    def dotted_arcs(self, dots) -> list[Arc]:
+        """The arcs with ``dots`` on them, each arc's dots in travel order.
+        A dot's offset along its curve (0 to the perimeter) picks its arc by
+        bisection among the arcs' start offsets; a dot before the first
+        start or after the last lies on the arc that wraps round the curve's
+        first corner."""
+        on: dict[int, list[tuple[int, Pt]]] = {}
+        for d in dots:
+            ci, si = _dot_segment(d, self.crossings, self._v_by_x, self._h_by_y)
+            seg_start, perimeter, starts, first = self._offsets[ci]
+            a = self.curves[ci][si]
+            off = seg_start[si] + abs(d[0] - a[0]) + abs(d[1] - a[1])
+            k = bisect_right(starts, off) - 1
+            on.setdefault(first + k % len(starts), []).append(
+                ((off - starts[k]) % perimeter, d))
+        arcs = list(self.arcs)
+        for i, ds in on.items():
+            a = arcs[i]
+            arcs[i] = Arc(a.curve, a.path, a.closed, tuple(d for _, d in sorted(ds)))
+        return arcs
 
     # side faces -------------------------------------------------------
 
@@ -340,14 +357,15 @@ class GraphAnalysis:
         self.arms = arms
         for c in self.crossings:
             for d in CCW_DIRS:
-                assert (c, d) in arms, f"missing arm {d} at crossing {c}"
+                if (c, d) not in arms:
+                    raise errors.InvalidGraph(f"missing arm {d} at crossing {c}")
 
     # components --------------------------------------------------------
 
     def _components(self):
         self_crossing = {hc for (hc, _), (vc, _) in self.crossings.values() if hc == vc}
         circles = []
-        for ci, curve in enumerate(self.g.curves):
+        for ci, curve in enumerate(self.curves):
             if ci in self_crossing:
                 continue
             arcs = tuple(a.key for a in self.arcs if a.curve == ci)
@@ -375,8 +393,8 @@ class GraphAnalysis:
 
     def _passage_dirs(self, c: Pt) -> list[Pt]:
         (hc, hi), (vc, vi) = self.crossings[c]
-        hseg = curve_segments(self.g.curves[hc])[hi]
-        vseg = curve_segments(self.g.curves[vc])[vi]
+        hseg = curve_segments(self.curves[hc])[hi]
+        vseg = curve_segments(self.curves[vc])[vi]
         return [_direction(*hseg), _direction(*vseg)]
 
     def _excursion(self, c: Pt, out_dir: Pt):
@@ -442,20 +460,49 @@ class GraphAnalysis:
                          if winding_2x(f.sample2, segs) != 0)
         if not disk:
             return None
-        first = self.arcs_by_key[arcs[0]]
-        lf, rf = self.left_face[first.key], self.right_face[first.key]
-        sample = self.arr.faces[next(iter(disk))].sample2
-        orientation = winding_2x(sample, segs)
-        assert orientation in (-1, 1)
+        faces = self.arr.faces
+        lf, rf = self.left_face[arcs[0]], self.right_face[arcs[0]]
+        orientation = winding_2x(faces[next(iter(disk))].sample2, segs)
+        if orientation not in (-1, 1):
+            raise errors.InvalidGraph(f"{kind} boundary winds {orientation} times "
+                                      f"around its disk")
         if lf in disk and rf not in disk:
-            disk_label, outside_label = self.label(lf), self.label(rf)
+            disk_label, outside_label = faces[lf].omega, faces[rf].omega
         elif rf in disk and lf not in disk:
-            disk_label, outside_label = self.label(rf), self.label(lf)
+            disk_label, outside_label = faces[rf].omega, faces[lf].omega
         else:
             # ambiguous adjacency cannot happen for embedded boundaries
             return None
         return ComponentCert(kind, curve, arcs, boundary, disk, apex,
                              orientation, disk_label, outside_label)
+
+
+_GEOMETRIES: "weakref.WeakValueDictionary[tuple, CurveGeometry]" = \
+    weakref.WeakValueDictionary()
+
+
+class GraphAnalysis:
+    """Everything derived from a dotted graph, in two layers.  The curve
+    layer, a ``CurveGeometry``, is computed once per ``curves`` tuple and
+    shared by every analysis of a graph with those curves, for as long as
+    one of them is alive.  The dot layer is this graph's own: its dots are
+    checked (``DotOnCrossing``, or ``InvalidGraph`` for a dot on no curve)
+    and put on their arcs."""
+
+    def __init__(self, g: DottedGraph):
+        geo = _GEOMETRIES.get(g.curves)
+        if geo is None:
+            geo = _GEOMETRIES[g.curves] = CurveGeometry(g.curves)
+        self.g = g
+        self.geometry = geo             # keeps geo in _GEOMETRIES while self lives
+        self.crossings, self.arr, self.arms = geo.crossings, geo.arr, geo.arms
+        self.left_face, self.right_face = geo.left_face, geo.right_face
+        self.circles, self.loops = geo.circles, geo.loops
+        self.arcs = geo.dotted_arcs(g.dots)
+        self.arcs_by_key = dict(zip(geo.arcs_by_key, self.arcs))
+
+    def label(self, fid: int) -> int:
+        return self.arr.faces[fid].omega
 
 
 @lru_cache(maxsize=4096)

@@ -1,4 +1,8 @@
+import gc
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,6 +332,313 @@ def test_certificates_reverify():
                              if winding_2x(f.sample2, segs) != 0)
             assert disk == c.disk_faces
             assert all(an.arcs_by_key[k] for k in c.arcs)
+
+
+# ---------------------------------------------------- analysis layers ----
+
+class reference_analysis:
+    """The one-layer analysis that ``GraphAnalysis`` replaced: everything is
+    rebuilt per graph, and each dot is placed by a scan over its curve's
+    segments."""
+
+    def __init__(self, g):
+        self.g = g
+        found, v_by_x, h_by_y = D._segment_pass(g.curves)
+        for d in g.dots:
+            if d in found:
+                raise errors.DotOnCrossing(f"dot at crossing {d}")
+            x, y = d
+            if not any(lo <= y <= hi for lo, hi, _, _ in v_by_x.get(x, ())) and \
+                    not any(lo <= x <= hi for lo, hi, _, _ in h_by_y.get(y, ())):
+                raise errors.InvalidGraph(f"dot {d} not on any curve")
+        self.crossings = found
+        self.arr = Arrangement([seg for _, _, seg in D.all_segments(g)])
+        self.arcs = self._build_arcs()
+        self.arcs_by_key = {a.key: a for a in self.arcs}
+        self._sides()
+        self._arm_map()
+        self.circles, self.loops = self._components()
+
+    def label(self, fid):
+        return self.arr.faces[fid].omega
+
+    def _build_arcs(self):
+        g = self.g
+        arcs = []
+        cross_on = {}
+        for p, ((hc, hi), (vc, vi)) in self.crossings.items():
+            cross_on.setdefault((hc, hi), []).append(p)
+            cross_on.setdefault((vc, vi), []).append(p)
+        for ci, curve in enumerate(g.curves):
+            n = len(curve)
+            seg_start = [0] * n
+            run = 0
+            for si in range(n):
+                seg_start[si] = run
+                a, b = curve[si], curve[(si + 1) % n]
+                run += abs(b[0] - a[0]) + abs(b[1] - a[1])
+            perimeter = run
+
+            def scalar(si, p):
+                a = curve[si]
+                return seg_start[si] + abs(p[0] - a[0]) + abs(p[1] - a[1])
+
+            cuts = []
+            for si in range(n):
+                for p in cross_on.get((ci, si), ()):
+                    cuts.append((scalar(si, p), p))
+            dots_here = []
+            for d in g.dots:
+                pos = self._dot_position(ci, d)
+                if pos is not None:
+                    dots_here.append((scalar(*pos), d))
+            dots_here.sort()
+            if not cuts:
+                arcs.append(D.Arc(ci, curve, True, tuple(d for _, d in dots_here)))
+                continue
+            cuts.sort()
+            corner_at = sorted((seg_start[j], j) for j in range(n))
+            m = len(cuts)
+            for k in range(m):
+                sa, ap = cuts[k]
+                sb, bp = cuts[(k + 1) % m]
+                span = (sb - sa) % perimeter or perimeter
+                mids = sorted(((off - sa) % perimeter, curve[j]) for off, j in corner_at
+                              if 0 < (off - sa) % perimeter < span)
+                path = [ap] + [pt for _, pt in mids] + [bp]
+                arc_dots = sorted(((sd - sa) % perimeter, d) for sd, d in dots_here
+                                  if ((sd - sa) % perimeter) < span)
+                arcs.append(D.Arc(ci, tuple(path), False, tuple(d for _, d in arc_dots)))
+        return arcs
+
+    def _dot_position(self, ci, d):
+        curve = self.g.curves[ci]
+        n = len(curve)
+        for si in range(n):
+            seg = (curve[si], curve[(si + 1) % n])
+            if D._on_segment(d, seg) and d != seg[1]:
+                return (si, d)
+        return None
+
+    def _sides(self):
+        self.left_face, self.right_face = {}, {}
+        arr = self.arr
+        for a in self.arcs:
+            p0, p1 = a.path[0], a.path[1]
+            d = D._direction(p0, p1)
+            if d[0]:
+                row = arr.ys.index(p0[1])
+                col = arr.xs.index(p0[0]) + (1 if d[0] > 0 else 0)
+                north, south = arr.face_of_cell((col, row + 1)), arr.face_of_cell((col, row))
+                left, right = (north, south) if d[0] > 0 else (south, north)
+            else:
+                col = arr.xs.index(p0[0])
+                row = arr.ys.index(p0[1]) + (1 if d[1] > 0 else 0)
+                west, east = arr.face_of_cell((col, row)), arr.face_of_cell((col + 1, row))
+                left, right = (west, east) if d[1] > 0 else (east, west)
+            self.left_face[a.key] = left
+            self.right_face[a.key] = right
+
+    def _arm_map(self):
+        arms = {}
+        for a in self.arcs:
+            if a.closed:
+                continue
+            arms[(a.start, a.start_dir)] = (a.key, "out")
+            d = a.end_dir
+            arms[(a.end, (-d[0], -d[1]))] = (a.key, "in")
+        self.arms = arms
+
+    def _components(self):
+        self_crossing = {hc for (hc, _), (vc, _) in self.crossings.values() if hc == vc}
+        circles = []
+        for ci, curve in enumerate(self.g.curves):
+            if ci in self_crossing:
+                continue
+            arcs = tuple(a.key for a in self.arcs if a.curve == ci)
+            cert = self._certify("circle", ci, arcs, curve, None)
+            if cert is not None:
+                circles.append(cert)
+        loops = []
+        for c, ((hc, hi), (vc, vi)) in sorted(self.crossings.items()):
+            if hc != vc:
+                continue
+            hseg = D.curve_segments(self.g.curves[hc])[hi]
+            vseg = D.curve_segments(self.g.curves[vc])[vi]
+            for out_dir in (D._direction(*hseg), D._direction(*vseg)):
+                chain = self._excursion(c, out_dir)
+                if chain is None:
+                    continue
+                boundary = tuple(p for a in chain for p in a.path[:-1])
+                cert = self._certify("loop", hc, tuple(a.key for a in chain), boundary, c)
+                if cert is not None:
+                    loops.append(cert)
+        circles.sort(key=lambda c: (c.curve,))
+        loops.sort(key=lambda c: (c.apex, c.boundary))
+        return circles, loops
+
+    def _excursion(self, c, out_dir):
+        first = self.arms.get((c, out_dir))
+        if first is None or first[1] != "out":
+            return None
+        chain = [self.arcs_by_key[first[0]]]
+        seen_cross = set()
+        while chain[-1].end != c:
+            q = chain[-1].end
+            if q in seen_cross:
+                return None
+            seen_cross.add(q)
+            nxt = self.arms.get((q, chain[-1].end_dir))
+            if nxt is None or nxt[1] != "out":
+                return None
+            chain.append(self.arcs_by_key[nxt[0]])
+            if len(chain) > len(self.arcs):
+                return None
+        if chain[-1].end_dir[0] != 0 and out_dir[0] != 0:
+            return None
+        if chain[-1].end_dir[1] != 0 and out_dir[1] != 0:
+            return None
+        return chain
+
+    def _certify(self, kind, curve, arcs, boundary, apex):
+        segs = D.curve_segments(boundary)
+        try:
+            for i in range(len(boundary)):
+                D._direction(boundary[i], boundary[(i + 1) % len(boundary)])
+        except errors.InvalidGraph:
+            return None
+        if len(set(boundary)) != len(boundary):
+            return None
+        if kind == "loop":
+            first, last = self.arcs_by_key[arcs[0]], self.arcs_by_key[arcs[-1]]
+            out_dir = first.start_dir
+            ed = last.end_dir
+            in_dir = (-ed[0], -ed[1])
+            quad = (2 * apex[0] + out_dir[0] + in_dir[0], 2 * apex[1] + out_dir[1] + in_dir[1])
+            if winding_2x(quad, segs) == 0:
+                return None
+            for d in D.CCW_DIRS:
+                if d not in (out_dir, in_dir) and \
+                        winding_2x((2 * apex[0] + d[0], 2 * apex[1] + d[1]), segs) != 0:
+                    return None
+        disk = frozenset(f.index for f in self.arr.faces if winding_2x(f.sample2, segs) != 0)
+        if not disk:
+            return None
+        lf, rf = self.left_face[arcs[0]], self.right_face[arcs[0]]
+        orientation = winding_2x(self.arr.faces[next(iter(disk))].sample2, segs)
+        if lf in disk and rf not in disk:
+            disk_label, outside_label = self.label(lf), self.label(rf)
+        elif rf in disk and lf not in disk:
+            disk_label, outside_label = self.label(rf), self.label(lf)
+        else:
+            return None
+        return D.ComponentCert(kind, curve, arcs, boundary, disk, apex,
+                               orientation, disk_label, outside_label)
+
+
+def analysis_fields(an):
+    """Every public field of an analysis, dict fields with their order."""
+    return (an.g, list(an.crossings.items()), vars(an.arr), an.arcs,
+            list(an.arcs_by_key.items()), list(an.left_face.items()),
+            list(an.right_face.items()), list(an.arms.items()), an.circles, an.loops,
+            [an.label(f.index) for f in an.arr.faces])
+
+
+def analysis_or_error(analysis, g):
+    try:
+        return analysis_fields(analysis(g))
+    except errors.LatPolyError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def analysed_graphs(draw):
+    """A random dotted graph, the same at working scale, or the graph of a
+    polytope with n <= 12."""
+    kind = draw(st.sampled_from(("graph", "scaled", "polytope")))
+    if kind == "polytope":
+        return D.associate(draw(polytopes()))
+    g = O.random_dotted_graph(draw(st.randoms(use_true_random=False)),
+                              require_all_dotted=False)
+    return D.scaled(D.normalized(g), 16) if kind == "scaled" else g
+
+
+@settings(max_examples=200, deadline=None)
+@given(analysed_graphs(), st.randoms(use_true_random=False))
+def test_analysis_matches_reference(g, rng):
+    # re-dottings of g's curves share g's geometry while its analysis lives:
+    # some dots dropped, moved to any point of a segment (a corner, a
+    # crossing) or added, and now and then one put off every curve
+    an = D.analyze(g)
+    assert analysis_fields(an) == analysis_fields(reference_analysis(g))
+    segs = [seg for _, _, seg in D.all_segments(g)]
+    xs, ys = D.coordinate_values(g)
+    for _ in range(4):
+        dots = {d for d in g.dots if rng.random() < 0.6}
+        for _ in range(rng.randint(0, 4) if segs else 0):
+            (x1, y1), (x2, y2) = rng.choice(segs)
+            dots.add((rng.randint(min(x1, x2), max(x1, x2)),
+                      rng.randint(min(y1, y2), max(y1, y2))))
+        if xs and rng.random() < 0.1:
+            dots.add((rng.randint(xs[0] - 1, xs[-1] + 1), rng.randint(ys[0] - 1, ys[-1] + 1)))
+        h = D.DottedGraph(g.curves, frozenset(dots))
+        assert analysis_or_error(D.GraphAnalysis, h) == \
+            analysis_or_error(reference_analysis, h)
+    assert an.geometry is D.GraphAnalysis(D.DottedGraph(g.curves, frozenset())).geometry
+
+
+def test_graphs_with_equal_curves_share_one_geometry():
+    g1, g2 = figure_eight(1), figure_eight(2)
+    a1, a2 = D.analyze(g1), D.analyze(g2)
+    assert a1.arr is a2.arr and a1.circles is a2.circles
+    assert [a.dots for a in a1.arcs] == [a.dots for a in reference_analysis(g1).arcs]
+    assert [a.dots for a in a2.arcs] == [a.dots for a in reference_analysis(g2).arcs]
+    assert [len(a.dots) for a in a1.arcs] == [1, 1]
+    assert [len(a.dots) for a in a2.arcs] == [2, 2]
+    del a1, a2
+    D.analyze.cache_clear()
+    gc.collect()
+    assert len(D._GEOMETRIES) == 0
+
+
+def drop_last_arc(setattr):
+    build = D.CurveGeometry._build_arcs
+
+    def build_all_but_the_last(self):
+        build(self)
+        self.arcs.pop()
+    setattr(D.CurveGeometry, "_build_arcs", build_all_but_the_last)
+
+
+def double_windings(setattr):
+    setattr(D, "winding_2x", lambda p2, segs: 2 * winding_2x(p2, segs))
+
+
+# case -> (patch of the analysis, graph, message of the InvalidGraph raised)
+BROKEN_ANALYSES = {
+    "missing arm": (drop_last_arc, figure_eight, "missing arm (-1, 0) at crossing (1, 0)"),
+    "winding 2": (double_windings, circle_graph,
+                  "circle boundary winds 2 times around its disk"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_ANALYSES))
+def test_broken_analysis_raises_typed_error(case, monkeypatch):
+    patch, graph, message = BROKEN_ANALYSES[case]
+    patch(monkeypatch.setattr)
+    with pytest.raises(errors.InvalidGraph) as info:
+        D.CurveGeometry(graph().curves)
+    assert str(info.value) == message
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import test_dotgraph as T\n"
+            f"patch, graph, _ = T.BROKEN_ANALYSES[{case!r}]\n"
+            "patch(setattr)\n"
+            "T.D.CurveGeometry(graph().curves)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=here, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert f"latpoly.errors.InvalidGraph: {message}" in proc.stderr
 
 
 # ------------------------------------------------------- equivalence ----
