@@ -4,6 +4,11 @@ Everything is integer arithmetic.  Sample points live on the doubled grid
 (coordinates multiplied by two), so midpoints of cells and of segment gaps
 are exact integers that never collide with input coordinates.
 
+A segment system has one index, ``segments_by_line``: each coordinate
+line's segments as sorted ``(lo, hi, dir, curve, seg)`` entries.  A dotted
+graph's geometry keeps it to find its crossings and to locate points on
+its curves; an ``Arrangement`` is built from it and keeps no copy.
+
 The plane is cut into open cells by the coordinate lines through all
 segment endpoints.  One sweep right to left over the vertical segments
 gives each column of cells its winding numbers, as the running sum of the
@@ -31,13 +36,30 @@ Pt = tuple[int, int]
 Seg = tuple[Pt, Pt]
 
 
-def seg_axis(seg: Seg) -> str:
-    (x1, y1), (x2, y2) = seg
-    if y1 == y2 and x1 != x2:
-        return "h"
-    if x1 == x2 and y1 != y2:
-        return "v"
-    raise ValueError(f"segment is not axis-parallel and nondegenerate: {seg}")
+def segments_by_line(curves) -> tuple[dict[int, list], dict[int, list]]:
+    """The segments of a system, indexed by coordinate line.
+
+    ``curves`` is a sequence of segment sequences; entry ``seg`` of item
+    ``curve`` is the directed segment ``((x1, y1), (x2, y2))``, axis-parallel
+    and of nonzero length.  Returns x -> the vertical segments on line x and
+    y -> the horizontal ones on line y, each list sorted, as entries
+    ``(lo, hi, dir, curve, seg)``: the segment's extent along its line and
+    ``dir`` +1 when it runs up or right, -1 when it runs down or left.
+    """
+    v_by_x: dict[int, list] = {}
+    h_by_y: dict[int, list] = {}
+    for ci, segs in enumerate(curves):
+        for si, ((x1, y1), (x2, y2)) in enumerate(segs):
+            if x1 == x2:
+                entry = (y1, y2, 1, ci, si) if y1 < y2 else (y2, y1, -1, ci, si)
+                v_by_x.setdefault(x1, []).append(entry)
+            else:
+                entry = (x1, x2, 1, ci, si) if x1 < x2 else (x2, x1, -1, ci, si)
+                h_by_y.setdefault(y1, []).append(entry)
+    for by_line in (v_by_x, h_by_y):
+        for entries in by_line.values():
+            entries.sort()
+    return v_by_x, h_by_y
 
 
 def winding_2x(point2: Pt, segs: list[Seg]) -> int:
@@ -82,28 +104,21 @@ class Face:
 class Arrangement:
     """Cell/face decomposition of the plane induced by a segment system."""
 
-    def __init__(self, segs: list[Seg]):
-        xs: set[int] = set()
-        ys: set[int] = set()
-        self._v_by_x: dict[int, list[tuple[int, int, int]]] = {}  # x -> (lo,hi,dir)
-        self._h_by_y: dict[int, list[tuple[int, int, int]]] = {}
-        for seg in segs:
-            (x1, y1), (x2, y2) = seg
-            xs.update((x1, x2))
-            ys.update((y1, y2))
-            if seg_axis(seg) == "v":
-                lo, hi = sorted((y1, y2))
-                self._v_by_x.setdefault(x1, []).append((lo, hi, 1 if y2 > y1 else -1))
-            else:
-                lo, hi = sorted((x1, x2))
-                self._h_by_y.setdefault(y1, []).append((lo, hi, 1 if x2 > x1 else -1))
+    def __init__(self, v_by_x: dict[int, list], h_by_y: dict[int, list]):
+        """Build from a system's ``segments_by_line`` index."""
+        xs = set(v_by_x)
+        ys = set(h_by_y)
+        for lines, by_line in ((ys, v_by_x), (xs, h_by_y)):
+            for entries in by_line.values():
+                for lo, hi, _, _, _ in entries:
+                    lines.update((lo, hi))
         self.xs = sorted(xs)
         self.ys = sorted(ys)
-        self._build()
+        self._build(v_by_x, h_by_y)
 
     # -- construction --------------------------------------------------
 
-    def _build(self) -> None:
+    def _build(self, v_by_x: dict[int, list], h_by_y: dict[int, list]) -> None:
         # cell i = c * nrow + r is column c, row r; line xs[c] is the right
         # border of column c and line ys[r] the top border of row r
         ncol = len(self.xs) + 1
@@ -114,18 +129,18 @@ class Arrangement:
         run = [0] * nrow
         omegas = [run] * ncol
         for c in range(ncol - 2, -1, -1):
-            verticals = self._v_by_x.get(self.xs[c])
+            verticals = v_by_x.get(self.xs[c])
             if verticals:
                 run = run[:]
-                for lo, hi, d in verticals:
+                for lo, hi, d, _, _ in verticals:
                     r0, r1 = row[lo] + 1, row[hi] + 1
                     for r in range(r0, r1):
                         run[r] += d
                     covered_right[c * nrow + r0:c * nrow + r1] = b"\x01" * (r1 - r0)
             omegas[c] = run
         col = {x: c for c, x in enumerate(self.xs)}
-        for y, horizontals in self._h_by_y.items():
-            for lo, hi, _ in horizontals:
+        for y, horizontals in h_by_y.items():
+            for lo, hi, _, _, _ in horizontals:
                 c0, c1 = col[lo] + 1, col[hi] + 1
                 covered_above[c0 * nrow + row[y]:c1 * nrow:nrow] = b"\x01" * (c1 - c0)
 
@@ -204,16 +219,6 @@ class Arrangement:
         crossing quadrants, are interior to their cell."""
         return self.face_of_cell((bisect_left(self.xs, (p2[0] + 1) // 2),
                                   bisect_left(self.ys, (p2[1] + 1) // 2)))
-
-    def on_any_segment(self, p: Pt) -> bool:
-        x, y = p
-        for lo, hi, _ in self._v_by_x.get(x, ()):
-            if lo <= y <= hi:
-                return True
-        for lo, hi, _ in self._h_by_y.get(y, ()):
-            if lo <= x <= hi:
-                return True
-        return False
 
     def cell_bounds(self, cell: tuple[int, int]) -> tuple[int | None, int | None, int | None, int | None]:
         """(xlo, xhi, ylo, yhi) of a cell; None marks an unbounded side."""

@@ -137,7 +137,8 @@ def apply_III(g: DottedGraph, cert: ComponentCert) -> DottedGraph:
         arm = an.arms.get((c, d))
         if arm and arm[1] == "out" and d != first_out:
             tail_out = d
-    assert tail_out is not None
+    if tail_out is None:
+        raise errors.InvalidGraph(f"loop apex {c} has no second outgoing arm")
     tail = _chain_from(an, c, tail_out)
     pts = [c]
     for a in tail:
@@ -151,15 +152,17 @@ def apply_III(g: DottedGraph, cert: ComponentCert) -> DottedGraph:
 
 
 def _chain_from(an, c: Pt, out_dir: Pt):
-    """Arc chain leaving c along out_dir until the walk first returns to c."""
-    arm = an.arms.get((c, out_dir))
-    assert arm is not None and arm[1] == "out"
-    chain = [an.arcs_by_key[arm[0]]]
+    """Arc chain leaving c along the outgoing arm out_dir until the walk
+    first returns to c."""
+    chain = [an.arcs_by_key[an.arms[(c, out_dir)][0]]]
     while chain[-1].end != c:
         nxt = an.arms[(chain[-1].end, chain[-1].end_dir)]
-        assert nxt[1] == "out"
+        if nxt[1] != "out":
+            raise errors.InvalidGraph(f"the walk from {c} meets no outgoing arm "
+                                      f"ahead at {chain[-1].end}")
         chain.append(an.arcs_by_key[nxt[0]])
-        assert len(chain) <= len(an.arcs) + 1
+        if len(chain) > len(an.arcs) + 1:
+            raise errors.InvalidGraph(f"the walk from {c} does not return to it")
     return chain
 
 
@@ -195,7 +198,7 @@ def _surgery(g: DottedGraph, p1: Pt, p2: Pt, core=None, hug_crossing=None) -> De
         core_s = _core_matching(w, p1, core, p2)
     else:
         core_s = _canonical_core(w)
-    raw, nd1, nd2 = _cut_and_join(w.gs, w.q1, w.d1, w.q2, w.d2, core_s)
+    raw, nd1, nd2 = _cut_and_join(w, core_s)
     out, gx, gy = DG.renormalize(raw)
 
     def down(p: Pt):
@@ -281,7 +284,7 @@ def _middle_region(an, a1, a2, core):
         if len(core) < 2:
             raise errors.NoCommonFace("core needs at least one segment")
         for p in core[1:-1]:
-            if an.arr.on_any_segment(p):
+            if an.geometry.locate(p) is not None:
                 raise errors.RoutingFailure("core interior touches the graph")
         k = max(range(len(core) - 1),
                 key=lambda i: abs(core[i][0] - core[i + 1][0]) +
@@ -538,42 +541,25 @@ def _offset_polyline(path, u0: Pt, dist: int) -> tuple[Pt, ...]:
 
 # surgery --------------------------------------------------------------------
 
-def _path_between(curve: tuple[Pt, ...], qa: Pt, qb: Pt) -> list[Pt]:
-    """Points from qa to qb along the oriented curve; qa == qb walks the
+def _path_between(geo, ci: int, qa: Pt, qb: Pt) -> list[Pt]:
+    """Points from qa to qb along curve ci of ``geo``; qa == qb walks the
     whole way around."""
-    n = len(curve)
-    seg_start = []
-    run = 0
-    for i in range(n):
-        seg_start.append(run)
-        a, b = curve[i], curve[(i + 1) % n]
-        run += abs(b[0] - a[0]) + abs(b[1] - a[1])
-
-    def scalar(p: Pt) -> int:
-        for i in range(n):
-            a, b = curve[i], curve[(i + 1) % n]
-            if DG._on_segment(p, (a, b)) and p != b:
-                return seg_start[i] + abs(p[0] - a[0]) + abs(p[1] - a[1])
-        raise errors.RoutingFailure(f"{p} not on curve")
-
-    sa, sb = scalar(qa), scalar(qb)
-    span = (sb - sa) % run or run
-    mids = []
-    for i in range(n):
-        rel = (seg_start[i] - sa) % run
-        if 0 < rel < span:
-            mids.append((rel, curve[i]))
-    mids.sort()
-    return [qa] + [p for _, p in mids] + [qb]
+    offsets = []
+    for p in (qa, qb):
+        loc = geo.locate(p)
+        if loc is None or loc[0] != ci:
+            raise errors.RoutingFailure(f"{p} not on curve")
+        offsets.append(loc[1])
+    return [qa] + geo.corners_between(ci, *offsets) + [qb]
 
 
-def _shorter_path_between(curve, qa: Pt, qb: Pt) -> list[Pt]:
-    """The shorter walk along the curve (forward on ties); used as the
+def _shorter_path_between(geo, ci: int, qa: Pt, qb: Pt) -> list[Pt]:
+    """The shorter walk along curve ci (forward on ties); used as the
     canonical drag of a core endpoint to its slid position."""
     if qa == qb:
         return [qa]
-    fwd = _path_between(curve, qa, qb)
-    bwd = _path_between(curve, qb, qa)
+    fwd = _path_between(geo, ci, qa, qb)
+    bwd = _path_between(geo, ci, qb, qa)
 
     def length(path):
         return sum(abs(path[i + 1][0] - path[i][0]) +
@@ -585,9 +571,10 @@ def _shorter_path_between(curve, qa: Pt, qb: Pt) -> list[Pt]:
     return fwd
 
 
-def _cut_and_join(gs, q1, d1, q2, d2, core):
-    ci1 = _curve_of_point(gs, q1)
-    ci2 = _curve_of_point(gs, q2)
+def _cut_and_join(w: _Pair, core):
+    gs, geo, q1, d1, q2, d2 = w.gs, w.ans.geometry, w.q1, w.d1, w.q2, w.d2
+    ci1 = _curve_of_point(geo, q1)
+    ci2 = _curve_of_point(geo, q2)
     off_minus = _offset_polyline(core, (-d1[0], -d1[1]), 1)
     off_plus = _offset_polyline(core, d1, 1)
     t1m = (q1[0] - d1[0], q1[1] - d1[1])
@@ -600,17 +587,15 @@ def _cut_and_join(gs, q1, d1, q2, d2, core):
         raise errors.OrientationClash(
             "arcs do not admit the induced orientations along this core")
     if ci1 == ci2:
-        curve = gs.curves[ci1]
-        piece1 = _path_between(curve, q1, q2)
-        piece2 = _path_between(curve, q2, q1)
+        piece1 = _path_between(geo, ci1, q1, q2)
+        piece2 = _path_between(geo, ci1, q2, q1)
         c1 = _trim(piece2, d2, d1) + list(off_minus[1:-1])
         c2 = _trim(piece1, d1, d2) + list(reversed(off_plus))[1:-1]
         curves = [c for i, c in enumerate(gs.curves) if i != ci1] + \
             [tuple(c1), tuple(c2)]
     else:
-        curve1, curve2 = gs.curves[ci1], gs.curves[ci2]
-        whole1 = _path_between(curve1, q1, q1)
-        whole2 = _path_between(curve2, q2, q2)
+        whole1 = _path_between(geo, ci1, q1, q1)
+        whole2 = _path_between(geo, ci2, q2, q2)
         merged = (_trim(whole1, d1, d1) + list(off_minus[1:]) +
                   _trim(whole2, d2, d2)[1:] + list(reversed(off_plus))[1:-1])
         curves = [c for i, c in enumerate(gs.curves)
@@ -627,13 +612,12 @@ def _trim(piece: list[Pt], d_start: Pt, d_end: Pt) -> list[Pt]:
     return out
 
 
-def _curve_of_point(g: DottedGraph, q: Pt) -> int:
-    for ci, curve in enumerate(g.curves):
-        n = len(curve)
-        for i in range(n):
-            if DG._on_segment(q, (curve[i], curve[(i + 1) % n])):
-                return ci
-    raise errors.RoutingFailure(f"{q} not on any curve")
+def _curve_of_point(geo, q: Pt) -> int:
+    """The least curve of ``geo`` through q."""
+    loc = geo.locate(q)
+    if loc is None:
+        raise errors.RoutingFailure(f"{q} not on any curve")
+    return loc[0]
 
 
 # homotopy classes of cores ----------------------------------------------------
@@ -911,9 +895,9 @@ def _core_matching(w: _Pair, p1: Pt, core, p2: Pt):
     base = _canonical_core(w)
     if not holes:
         return base
-    gs, q1, q2 = w.gs, w.q1, w.q2
-    conn1 = _shorter_path_between(gs.curves[_curve_of_point(gs, q1)], q1, w.up(p1))
-    conn2 = _shorter_path_between(gs.curves[_curve_of_point(gs, q2)], w.up(p2), q2)
+    geo, q1, q2 = w.ans.geometry, w.q1, w.q2
+    conn1 = _shorter_path_between(geo, _curve_of_point(geo, q1), q1, w.up(p1))
+    conn2 = _shorter_path_between(geo, _curve_of_point(geo, q2), w.up(p2), q2)
     loop = _rect_closed(list(conn1) + [w.up(p) for p in core[1:]] + list(conn2)[1:] +
                         list(reversed(base))[1:-1])
     want = tuple(_polyline_winding_2x(h, loop) for h in holes)
@@ -952,15 +936,15 @@ def apply_E(g: DottedGraph, a: Pt, b: Pt, new_path, moved_dots=()) -> DottedGrap
         raise errors.LabelMismatch("a and b must be distinct curve points")
     if new_path[0] != a or new_path[-1] != b:
         raise errors.LabelMismatch("replacement path must run from a to b")
-    ci = _curve_of_point(g, a)
-    if _curve_of_point(g, b) != ci:
-        raise errors.LabelMismatch("a and b must lie on one curve")
     an = analyze(g)
+    geo = an.geometry
+    ci = _curve_of_point(geo, a)
+    if _curve_of_point(geo, b) != ci:
+        raise errors.LabelMismatch("a and b must lie on one curve")
     if a in an.crossings or b in an.crossings:
         raise errors.LabelMismatch("cut points must avoid crossings")
-    curve = g.curves[ci]
-    old_piece = _path_between(curve, a, b)
-    rest = _path_between(curve, b, a)
+    old_piece = _path_between(geo, ci, a, b)
+    rest = _path_between(geo, ci, b, a)
     new_curve = tuple(rest + new_path[1:-1])
     old_dots = [d for d in g.dots if _on_piece(d, old_piece) and d not in (a, b)]
     if len(moved_dots) != len(old_dots):
@@ -1081,7 +1065,7 @@ def check_condition_A(g: DottedGraph, p1: Pt, p2: Pt, cap: int = 4000) -> bool:
                                       _hole_samples(w.ans, w.Fs), cap=cap)
     forms = set()
     for core in classes.values():
-        raw, _, _ = _cut_and_join(w.gs, w.q1, w.d1, w.q2, w.d2, core)
+        raw, _, _ = _cut_and_join(w, core)
         forms.add(canonical_form(DG.normalized(raw)))
         if len(forms) > 1:
             return False
@@ -1165,7 +1149,8 @@ def try_good_IV(g: DottedGraph, move: Move):
 
     Returns ('IVa1'|'IVa2', (surgery deformation, deletion deformation))
     with the deletion that good order demands, or None."""
-    assert move.kind == "IV"
+    if move.kind != "IV":
+        raise ValueError(f"try_good_IV needs a surgery move, not kind {move.kind}")
     p1, p2 = move.site
     an = analyze(g)
     a1, a2 = _arc_of_dot(an, p1), _arc_of_dot(an, p2)
@@ -1198,8 +1183,8 @@ def try_good_IV(g: DottedGraph, move: Move):
                 dIV = _surgery(g, p1, p2)
             except errors.NotApplicable:
                 return None
-            ci = _curve_of_point(dIV.after, dIV.meta_dict()["new_dots"][0])
             an2 = analyze(dIV.after)
+            ci = _curve_of_point(an2.geometry, dIV.meta_dict()["new_dots"][0])
             for cert in an2.circles:
                 if cert.curve == ci and _component_sign_ok(an2, cert):
                     return ("IVa2", (replace(dIV, kind="IVa2"),

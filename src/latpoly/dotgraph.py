@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 from . import errors
 from . import geometry as G
-from .arrangement import Arrangement, Pt, Seg, winding_2x
+from .arrangement import Arrangement, Pt, Seg, segments_by_line, winding_2x
 
 E, N, W, S = (1, 0), (0, 1), (-1, 0), (0, -1)
 CCW_DIRS = (E, N, W, S)
@@ -85,8 +85,7 @@ def empty_graph() -> DottedGraph:
 
 
 def curve_segments(curve: tuple[Pt, ...]) -> list[Seg]:
-    n = len(curve)
-    return [(curve[i], curve[(i + 1) % n]) for i in range(n)]
+    return list(zip(curve, curve[1:] + curve[:1]))
 
 
 def all_segments(g: DottedGraph) -> list[tuple[int, int, Seg]]:
@@ -122,38 +121,30 @@ def _validate(g: DottedGraph) -> None:
                 raise errors.InvalidGraph(f"collinear corner survived at {p}")
     found, v_by_x, h_by_y = _segment_pass(g.curves)
     for d in g.dots:
-        _dot_segment(d, found, v_by_x, h_by_y)
+        _check_dot(d, found, bool(_segments_at(d, v_by_x, h_by_y)))
 
 
 def _segment_pass(curves) -> tuple[dict[Pt, tuple], dict, dict]:
     """Check how the segments of the curves meet each other, and return the
     crossings, point -> ((curve, seg) of the horizontal strand, (curve, seg)
-    of the vertical one), and the segments by line, each line's sorted list
-    of ``(lo, hi, curve, seg)``: x -> vertical ones, y -> horizontal ones.
+    of the vertical one), and the curves' one segment index, the
+    ``segments_by_line`` of ``arrangement``: x -> the vertical segments and
+    y -> the horizontal ones, each line's sorted ``(lo, hi, dir, curve,
+    seg)`` entries.
 
-    Segments are bucketed by coordinate line, as in ``Arrangement``; each
-    horizontal segment bisects for the vertical lines strictly inside its
-    x-range.  This is the orthogonal case of Bentley & Ottmann's crossing
-    search: O(s log s) plus one lookup per (horizontal, vertical line) pair
-    in range, not all s² segment pairs.  With distinct corners, segments
-    overlap on a line exactly when the later one's start corner lies inside
-    the earlier one, a T-junction, so one check per line rejects both; after
-    it no point is interior to two segments of one axis (no triple points).
+    Each horizontal segment bisects for the vertical lines strictly inside
+    its x-range.  This is the orthogonal case of Bentley & Ottmann's
+    crossing search: O(s log s) plus one lookup per (horizontal, vertical
+    line) pair in range, not all s² segment pairs.  With distinct corners,
+    segments overlap on a line exactly when the later one's start corner
+    lies inside the earlier one, a T-junction, so one check per line
+    rejects both; after it no point is interior to two segments of one
+    axis (no triple points).
     """
-    v_by_x: dict[int, list] = {}        # x -> [(ylo, yhi, curve, seg)]
-    h_by_y: dict[int, list] = {}        # y -> [(xlo, xhi, curve, seg)]
-    for ci, curve in enumerate(curves):
-        n = len(curve)
-        for si, (x1, y1) in enumerate(curve):
-            x2, y2 = curve[(si + 1) % n]
-            if x1 == x2:
-                v_by_x.setdefault(x1, []).append((min(y1, y2), max(y1, y2), ci, si))
-            else:
-                h_by_y.setdefault(y1, []).append((min(x1, x2), max(x1, x2), ci, si))
+    v_by_x, h_by_y = segments_by_line(map(curve_segments, curves))
     for axis, by_line in (("x", v_by_x), ("y", h_by_y)):
         for line, segs in by_line.items():
-            segs.sort()
-            for (_, hi, _, _), (lo, _, _, _) in zip(segs, segs[1:]):
+            for (_, hi, _, _, _), (lo, _, _, _, _) in zip(segs, segs[1:]):
                 if lo < hi:
                     corner = (line, lo) if axis == "x" else (lo, line)
                     raise errors.InvalidGraph(f"collinear overlap at {axis}={line}: "
@@ -161,28 +152,35 @@ def _segment_pass(curves) -> tuple[dict[Pt, tuple], dict, dict]:
     xs = sorted(v_by_x)
     found: dict[Pt, tuple] = {}
     for y, hsegs in h_by_y.items():
-        for xlo, xhi, hc, hi in hsegs:
+        for xlo, xhi, _, hc, hi in hsegs:
             for x in xs[bisect_right(xs, xlo):bisect_left(xs, xhi)]:
                 vsegs = v_by_x[x]       # disjoint: only the last starting below y
                 k = bisect_left(vsegs, (y,)) - 1
                 if k >= 0 and vsegs[k][1] > y:
-                    found[(x, y)] = ((hc, hi), vsegs[k][2:])
+                    found[(x, y)] = ((hc, hi), vsegs[k][3:])
     return found, v_by_x, h_by_y
 
 
-def _dot_segment(d: Pt, crossings: dict, v_by_x: dict, h_by_y: dict) -> tuple[int, int]:
-    """(curve, segment) of a segment through dot d, looked up in the
-    segments by line of ``_segment_pass``; raises for a dot on a crossing
-    or on no curve."""
-    if d in crossings:
-        raise errors.DotOnCrossing(f"dot at crossing {d}")
-    x, y = d
+def _segments_at(p: Pt, v_by_x: dict, h_by_y: dict) -> list[tuple]:
+    """The entries of the segments through p in the segment index of
+    ``_segment_pass``: one inside a segment, two at a corner or a crossing,
+    none off the curves."""
+    x, y = p
+    out = []
     for t, segs in ((y, v_by_x.get(x)), (x, h_by_y.get(y))):
         if segs:                        # disjoint: only the last starting at or before t
             k = bisect_left(segs, (t + 1,)) - 1
             if k >= 0 and segs[k][1] >= t:
-                return segs[k][2:]
-    raise errors.InvalidGraph(f"dot {d} not on any curve")
+                out.append(segs[k])
+    return out
+
+
+def _check_dot(d: Pt, crossings: dict, on_curve: bool) -> None:
+    """Raise for a dot on a crossing, or on no curve."""
+    if d in crossings:
+        raise errors.DotOnCrossing(f"dot at crossing {d}")
+    if not on_curve:
+        raise errors.InvalidGraph(f"dot {d} not on any curve")
 
 
 # ----------------------------------------------------------------- arcs --
@@ -240,12 +238,13 @@ class CurveGeometry:
     crossings, the arrangement, the undotted arcs with their side faces and
     arms, the circle and loop certificates, and where each segment and
     each arc starts along its curve, by arc length from the curve's first
-    corner."""
+    corner.  The segment index of ``_segment_pass`` is the only one kept:
+    the arrangement is built from it, and ``locate`` reads it."""
 
     def __init__(self, curves: tuple[tuple[Pt, ...], ...]):
         self.curves = curves
         self.crossings, self._v_by_x, self._h_by_y = _segment_pass(curves)
-        self.arr = Arrangement([seg for c in curves for seg in curve_segments(c)])
+        self.arr = Arrangement(self._v_by_x, self._h_by_y)
         self._build_arcs()
         self.arcs_by_key = {a.key: a for a in self.arcs}
         self._sides()
@@ -283,33 +282,53 @@ class CurveGeometry:
             if not cuts:
                 self.arcs.append(Arc(ci, curve, True, ()))
                 continue
-            corner_at = sorted((seg_start[j], j) for j in range(n))
             m = len(cuts)
             for k in range(m):
                 sa, ap = cuts[k]
                 sb, bp = cuts[(k + 1) % m]
-                span = (sb - sa) % perimeter or perimeter
-                mids = []
-                for off, j in corner_at:
-                    rel = (off - sa) % perimeter
-                    if 0 < rel < span:
-                        mids.append((rel, curve[j]))
-                mids.sort()
-                path = [ap] + [pt for _, pt in mids] + [bp]
+                path = [ap] + self.corners_between(ci, sa, sb) + [bp]
                 self.arcs.append(Arc(ci, tuple(path), False, ()))
+
+    def locate(self, p: Pt) -> tuple[int, int] | None:
+        """(curve, offset) of a point on the curves, or None off them.  The
+        offset is the arc length from the curve's first corner.  A corner or
+        a crossing lies on two segments and gets the lesser of their two
+        pairs, so the first corner reads 0, not the perimeter."""
+        best = None
+        for _, _, _, ci, si in _segments_at(p, self._v_by_x, self._h_by_y):
+            a = self.curves[ci][si]
+            loc = (ci, self._offsets[ci][0][si] + abs(p[0] - a[0]) + abs(p[1] - a[1]))
+            if best is None or loc < best:
+                best = loc
+        return best
+
+    def corners_between(self, ci: int, sa: int, sb: int) -> list[Pt]:
+        """The corners of curve ``ci`` strictly between the offsets ``sa``
+        and ``sb``, in travel order from ``sa``; ``sa == sb`` walks the
+        whole way round."""
+        seg_start, perimeter, _, _ = self._offsets[ci]
+        curve = self.curves[ci]
+        n = len(curve)
+        span = (sb - sa) % perimeter or perimeter
+        out = []
+        j = bisect_right(seg_start, sa)     # the first corner past sa
+        for k in range(j, j + n):
+            if not 0 < (seg_start[k % n] - sa) % perimeter < span:
+                break
+            out.append(curve[k % n])
+        return out
 
     def dotted_arcs(self, dots) -> list[Arc]:
         """The arcs with ``dots`` on them, each arc's dots in travel order.
-        A dot's offset along its curve (0 to the perimeter) picks its arc by
-        bisection among the arcs' start offsets; a dot before the first
-        start or after the last lies on the arc that wraps round the curve's
-        first corner."""
+        A dot's offset along its curve picks its arc by bisection among the
+        arcs' start offsets; a dot before the first start or after the last
+        lies on the arc that wraps round the curve's first corner."""
         on: dict[int, list[tuple[int, Pt]]] = {}
         for d in dots:
-            ci, si = _dot_segment(d, self.crossings, self._v_by_x, self._h_by_y)
-            seg_start, perimeter, starts, first = self._offsets[ci]
-            a = self.curves[ci][si]
-            off = seg_start[si] + abs(d[0] - a[0]) + abs(d[1] - a[1])
+            loc = self.locate(d)
+            _check_dot(d, self.crossings, loc is not None)
+            ci, off = loc
+            _, perimeter, starts, first = self._offsets[ci]
             k = bisect_right(starts, off) - 1
             on.setdefault(first + k % len(starts), []).append(
                 ((off - starts[k]) % perimeter, d))
@@ -738,16 +757,9 @@ def _pad_jogs(g: DottedGraph) -> DottedGraph:
         need = 2 - _count_vh_on_arc(a)
         if need <= 0:
             continue
-        p, q = _longest_arc_piece(a)
-        ci = a.curve
-        curve = g.curves[ci]
-        n = len(curve)
-        si = next(i for i in range(n)
-                  if _on_segment(p, (curve[i], curve[(i + 1) % n]))
-                  and _on_segment(q, (curve[i], curve[(i + 1) % n])))
-        pts = _jog_points(p, q, need)
-        a0 = curve[si]
-        off = abs(pts[0][0] - a0[0]) + abs(pts[0][1] - a0[1])
+        pts = _jog_points(*_longest_arc_piece(a), need)
+        ci, off = an.geometry.locate(pts[0])     # inside the piece: on one segment
+        si = bisect_right(an.geometry._offsets[ci][0], off) - 1
         inserts.setdefault((ci, si), []).append((off, pts))
     curves = []
     for ci, curve in enumerate(g.curves):
@@ -803,23 +815,15 @@ def _jog_points(p: Pt, q: Pt, need: int) -> list[Pt]:
 def _jitter_lines(g: DottedGraph) -> DottedGraph:
     """Move every segment onto its own coordinate line, preserving the
     arrangement combinatorics (offsets are far below the line gaps)."""
-    v_groups: dict[int, list[tuple[int, int, int]]] = {}
-    h_groups: dict[int, list[tuple[int, int, int]]] = {}
-    seg_line: dict[tuple[int, int], tuple[str, int]] = {}
-    for ci, si, ((x1, y1), (x2, y2)) in all_segments(g):
-        if x1 == x2:
-            v_groups.setdefault(x1, []).append((min(y1, y2), ci, si))
-        else:
-            h_groups.setdefault(y1, []).append((min(x1, x2), ci, si))
-    mult = max([len(v) for v in v_groups.values()] +
-               [len(h) for h in h_groups.values()] + [1])
+    v_by_x, h_by_y = segments_by_line(map(curve_segments, g.curves))
+    mult = max([len(v) for v in v_by_x.values()] +
+               [len(h) for h in h_by_y.values()] + [1])
     k = 4 * mult + 8
-    for x, items in v_groups.items():
-        for off, (_, ci, si) in enumerate(sorted(items)):
-            seg_line[(ci, si)] = ("v", k * x + off)
-    for y, items in h_groups.items():
-        for off, (_, ci, si) in enumerate(sorted(items)):
-            seg_line[(ci, si)] = ("h", k * y + off)
+    seg_line: dict[tuple[int, int], tuple[str, int]] = {}
+    for axis, by_line in (("v", v_by_x), ("h", h_by_y)):
+        for line, segs in by_line.items():
+            for off, (_, _, _, ci, si) in enumerate(segs):
+                seg_line[(ci, si)] = (axis, k * line + off)
     curves = []
     for ci, curve in enumerate(g.curves):
         n = len(curve)

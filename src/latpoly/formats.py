@@ -4,6 +4,7 @@ on load, never read."""
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 
 from . import errors
 from . import geometry as G
@@ -30,22 +31,24 @@ def obj_to_polytope(obj) -> LatticePolytope:
 
 def graph_to_obj(g: DottedGraph) -> dict:
     curves = [[list(p) for p in curve] for curve in g.curves]
+    geo = DG.analyze(g).geometry
     dots = []
     for d in sorted(g.dots):
-        ci, si, off = _locate_dot(g, d)
+        ci, si, off = _locate_dot(geo, d)
         dots.append({"curve": ci, "segment": si, "offset": off})
     return {"curves": curves, "dots": dots}
 
 
-def _locate_dot(g: DottedGraph, d):
-    for ci, curve in enumerate(g.curves):
-        n = len(curve)
-        for si in range(n):
-            seg = (curve[si], curve[(si + 1) % n])
-            if DG._on_segment(d, seg) and d != seg[1]:
-                off = abs(d[0] - seg[0][0]) + abs(d[1] - seg[0][1])
-                return ci, si, off
-    raise errors.ParseError(f"dot {d} not on any curve")
+def _locate_dot(geo: DG.CurveGeometry, d):
+    """(curve, segment, offset along the segment) of a dot; a dot on a
+    corner is written on the segment that starts there."""
+    loc = geo.locate(d)
+    if loc is None:
+        raise errors.ParseError(f"dot {d} not on any curve")
+    ci, off = loc
+    seg_start = geo._offsets[ci][0]
+    si = bisect_right(seg_start, off) - 1
+    return ci, si, off - seg_start[si]
 
 
 def obj_to_graph(obj) -> DottedGraph:

@@ -8,12 +8,11 @@ vertex configurations; edges, boundary cycles and regions are derived.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
 from . import errors
-from .arrangement import Arrangement, Seg
+from .arrangement import Arrangement, Seg, segments_by_line
 
 
 class GridPoint(NamedTuple):
@@ -228,9 +227,8 @@ class RegionDecomposition:
     regions: tuple[Region, ...]
 
 
-@lru_cache(maxsize=8192)
 def _arrangement(p: LatticePolytope) -> Arrangement:
-    return Arrangement(boundary_segments(p))
+    return Arrangement(*segments_by_line([boundary_segments(p)]))
 
 
 def region_decomposition(p: LatticePolytope) -> RegionDecomposition:

@@ -81,7 +81,8 @@ def replay(p: LatticePolytope, plan: TransformPlan) -> LatticePolytope:
     for step in plan.steps:
         try:
             cur = apply_step(cur, step)
-        except errors.LatPolyError as e:
+        except (errors.NotInitialVertices, errors.NotTerminalVertices, errors.NotInConfig,
+                errors.DegenerateRectangle, errors.DuplicateComponent, errors.InvalidPlan) as e:
             raise errors.InvalidPlan(f"plan does not replay: {e}") from e
     return cur
 

@@ -1,4 +1,6 @@
 import json
+import os
+import shlex
 
 from latpoly import (cli, errors, formats as F, geometry as G, deform as DF,
                      dotgraph as D, plan as PL, reduce as R)
@@ -197,3 +199,40 @@ def test_bad_corpus_arguments_exit_2(capsys):
         assert cli.main(["oracle", "--corpus", "--count", "3", *args]) == 2, args
     err = capsys.readouterr().err
     assert err.count("error: need 1 <= max_points <= max_coord + 1") == 2
+
+
+def readme_transcript():
+    """The commands of README's "Command line" block, each with the lines
+    printed under it."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```\n", 2)[1]
+    runs = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            runs.append((line[2:], []))
+        else:
+            runs[-1][1].append(line)
+    return runs
+
+
+def test_readme_transcript_replays(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runs = readme_transcript()
+    command, output = runs[0]
+    assert command == "cat stair.poly"
+    (tmp_path / "stair.poly").write_text("\n".join(output).strip() + "\n")
+    assert len(runs) > 1
+    for command, output in runs[1:]:
+        words = shlex.split(command)
+        assert words[0] == "latpoly"
+        assert cli.main(words[1:]) == 0, command
+        # a terminal shows the summaries that associate and plan write to
+        # stderr, after anything written to stdout
+        shown = capsys.readouterr()
+        assert (shown.out + shown.err).splitlines() == output, command
+    text = (tmp_path / "stair.graph").read_text()
+    g = F.obj_to_graph(json.loads(text))
+    assert g == D.associate(F.load("stair.poly"))
+    assert F.dumps(F.graph_to_obj(g)) == text

@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import subprocess
@@ -203,6 +204,19 @@ def test_apply_IV_orientation_clash_with_core():
         DF.apply_IV(g, (8, 0), (8, 4), core=[(8, 0), (8, 4)])
 
 
+@pytest.mark.parametrize("core", [
+    [(4, 0), (4, 2), (8, 2), (8, 6), (20, 6), (20, 0)],     # inside a segment
+    [(4, 0), (4, 6), (6, 6), (20, 6), (20, 0)],             # on a corner
+    [(4, 0), (4, 2), (0, 2), (0, 20), (20, 20), (20, 0)],   # on the dots' own curve
+])
+def test_apply_IV_core_touching_the_graph_raises(core):
+    big = [(0, 0), (24, 0), (24, 16), (0, 16)]
+    junk = [(6, 6), (6, 10), (10, 10), (10, 6)]
+    g = D.DottedGraph.build([big, junk], [(4, 0), (20, 0)])
+    with pytest.raises(errors.RoutingFailure, match="^core interior touches the graph$"):
+        DF.apply_IV(g, (4, 0), (20, 0), core=core)
+
+
 # ------------------------------------------------------------- classify --
 
 def test_classify_IVa2():
@@ -252,6 +266,22 @@ def test_apply_E_push_across_overlap():
     out = DF.apply_E(g, (4, 5), (4, 3),
                      [(4, 5), (9, 5), (9, 3), (4, 3)])
     assert len(D.analyze(out).crossings) == 4
+
+
+@pytest.mark.parametrize("b, error, message", [
+    ((8, 4), errors.LabelMismatch, "cut points must avoid crossings"),
+    ((12, 4), errors.LabelMismatch, "a and b must lie on one curve"),
+    ((20, 20), errors.RoutingFailure, "(20, 20) not on any curve"),
+])
+def test_apply_E_cut_at_a_crossing(b, error, message):
+    # (8, 2) is a crossing of both squares; it counts as a point of the
+    # first curve
+    a_sq = [(0, 0), (8, 0), (8, 8), (0, 8)]
+    b_sq = [(4, 2), (12, 2), (12, 6), (4, 6)]
+    g = D.DottedGraph.build([a_sq, b_sq], [(0, 0), (12, 2)])
+    with pytest.raises(error) as info:
+        DF.apply_E(g, (8, 2), b, [(8, 2), b])
+    assert str(info.value) == message
 
 
 def test_apply_E_rejects_zero_label_sweep():
@@ -359,6 +389,70 @@ def test_cell_center_rejects_unbounded_cell():
     assert proc.returncode == 1
     assert "latpoly.errors.RoutingFailure: route entered an unbounded cell" in proc.stderr
 
+
+
+def apex_without_tail(setattr):
+    # the figure-eight's analysis, less the second outgoing arm at the apex
+    g = figure_eight()
+    cert = max(D.find_components(g), key=lambda c: c.disk_label)
+    an = copy.copy(D.analyze(g))
+    first_out = an.arcs_by_key[cert.arcs[0]].start_dir
+    an.arms = {(c, d): arm for (c, d), arm in an.arms.items()
+               if c != cert.apex or arm[1] == "in" or d == first_out}
+    setattr(DF, "analyze", lambda _: an)
+    DF.apply_III(g, cert)
+
+
+def walk_meeting_an_incoming_arm(setattr):
+    a = D.Arc(0, ((0, 0), (2, 0)), False, ())
+    an = SimpleNamespace(arms={((0, 0), (1, 0)): (a.key, "out"),
+                               ((2, 0), (1, 0)): (a.key, "in")},
+                         arcs_by_key={a.key: a}, arcs=[a])
+    DF._chain_from(an, (0, 0), (1, 0))
+
+
+def walk_never_returning(setattr):
+    a = D.Arc(0, ((0, 0), (2, 0)), False, ())
+    b = D.Arc(0, ((2, 0), (4, 0), (4, 2), (1, 2), (1, 0), (2, 0)), False, ())
+    an = SimpleNamespace(arms={((0, 0), (1, 0)): (a.key, "out"),
+                               ((2, 0), (1, 0)): (b.key, "out")},
+                         arcs_by_key={a.key: a, b.key: b}, arcs=[a, b])
+    DF._chain_from(an, (0, 0), (1, 0))
+
+
+def good_IV_of_a_dot_merge(setattr):
+    g = circle_graph(dots=2)
+    DF.try_good_IV(g, DF.Move("I", tuple(sorted(g.dots)), None, 0))
+
+
+# case -> (call, error class, message): broken arms make loop deletion
+# raise, and try_good_IV rejects a move that is not a surgery
+BROKEN_CALLS = {
+    "apex without tail": (apex_without_tail, errors.InvalidGraph,
+                          "loop apex (1, 0) has no second outgoing arm"),
+    "incoming arm ahead": (walk_meeting_an_incoming_arm, errors.InvalidGraph,
+                           "the walk from (0, 0) meets no outgoing arm ahead at (2, 0)"),
+    "walk never returns": (walk_never_returning, errors.InvalidGraph,
+                           "the walk from (0, 0) does not return to it"),
+    "good IV of kind I": (good_IV_of_a_dot_merge, ValueError,
+                          "try_good_IV needs a surgery move, not kind I"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CALLS))
+def test_broken_calls_raise_typed_errors(case, monkeypatch):
+    call, error, message = BROKEN_CALLS[case]
+    with pytest.raises(error) as info:
+        call(monkeypatch.setattr)
+    assert str(info.value) == message
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import test_deform as T\n"
+            f"T.BROKEN_CALLS[{case!r}][0](setattr)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=here, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert f"{error.__name__}: {message}" in proc.stderr
 
 
 # ------------------------------------------------------ core classes --

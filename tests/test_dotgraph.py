@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latpoly import errors, geometry as G, oracle as O
-from latpoly import dotgraph as D
-from latpoly.arrangement import Arrangement, winding_2x
+from latpoly import deform as DF, dotgraph as D, formats as F
+from latpoly.arrangement import Arrangement, segments_by_line, winding_2x
 
 
 # ----------------------------------------------------------- fixtures ---
@@ -262,7 +262,7 @@ def on_a_segment(p2, segs):
 @given(segment_systems())
 def test_arrangement_matches_ray_cast_and_segment_cover(segs):
     # cells are visited in index order: column-major, bottom to top
-    arr = Arrangement(segs)
+    arr = Arrangement(*segments_by_line([segs]))
     ncol, nrow = len(arr.xs) + 1, len(arr.ys) + 1
     first_seen = []
     for c in range(ncol):
@@ -348,11 +348,11 @@ class reference_analysis:
             if d in found:
                 raise errors.DotOnCrossing(f"dot at crossing {d}")
             x, y = d
-            if not any(lo <= y <= hi for lo, hi, _, _ in v_by_x.get(x, ())) and \
-                    not any(lo <= x <= hi for lo, hi, _, _ in h_by_y.get(y, ())):
+            if not any(lo <= y <= hi for lo, hi, *_ in v_by_x.get(x, ())) and \
+                    not any(lo <= x <= hi for lo, hi, *_ in h_by_y.get(y, ())):
                 raise errors.InvalidGraph(f"dot {d} not on any curve")
         self.crossings = found
-        self.arr = Arrangement([seg for _, _, seg in D.all_segments(g)])
+        self.arr = Arrangement(*segments_by_line([[seg for _, _, seg in D.all_segments(g)]]))
         self.arcs = self._build_arcs()
         self.arcs_by_key = {a.key: a for a in self.arcs}
         self._sides()
@@ -585,6 +585,127 @@ def test_analysis_matches_reference(g, rng):
         assert analysis_or_error(D.GraphAnalysis, h) == \
             analysis_or_error(reference_analysis, h)
     assert an.geometry is D.GraphAnalysis(D.DottedGraph(g.curves, frozenset())).geometry
+
+
+# the point-on-curve scans that ``CurveGeometry.locate`` replaced, as they
+# were in deform, formats and the arrangement
+
+def reference_curve_of_point(g, q):
+    for ci, curve in enumerate(g.curves):
+        n = len(curve)
+        for i in range(n):
+            if D._on_segment(q, (curve[i], curve[(i + 1) % n])):
+                return ci
+    raise errors.RoutingFailure(f"{q} not on any curve")
+
+
+def reference_path_between(curve, qa, qb):
+    n = len(curve)
+    seg_start = []
+    run = 0
+    for i in range(n):
+        seg_start.append(run)
+        a, b = curve[i], curve[(i + 1) % n]
+        run += abs(b[0] - a[0]) + abs(b[1] - a[1])
+
+    def scalar(p):
+        for i in range(n):
+            a, b = curve[i], curve[(i + 1) % n]
+            if D._on_segment(p, (a, b)) and p != b:
+                return seg_start[i] + abs(p[0] - a[0]) + abs(p[1] - a[1])
+        raise errors.RoutingFailure(f"{p} not on curve")
+
+    sa, sb = scalar(qa), scalar(qb)
+    span = (sb - sa) % run or run
+    mids = []
+    for i in range(n):
+        rel = (seg_start[i] - sa) % run
+        if 0 < rel < span:
+            mids.append((rel, curve[i]))
+    mids.sort()
+    return [qa] + [p for _, p in mids] + [qb]
+
+
+def reference_locate_dot(g, d):
+    for ci, curve in enumerate(g.curves):
+        n = len(curve)
+        for si in range(n):
+            seg = (curve[si], curve[(si + 1) % n])
+            if D._on_segment(d, seg) and d != seg[1]:
+                off = abs(d[0] - seg[0][0]) + abs(d[1] - seg[0][1])
+                return ci, si, off
+    raise errors.ParseError(f"dot {d} not on any curve")
+
+
+class reference_segment_cover:
+    """The arrangement's own copy of the segments by line, and its
+    ``on_any_segment``."""
+
+    def __init__(self, segs):
+        self._v_by_x = {}
+        self._h_by_y = {}
+        for seg in segs:
+            (x1, y1), (x2, y2) = seg
+            if x1 == x2:
+                lo, hi = sorted((y1, y2))
+                self._v_by_x.setdefault(x1, []).append((lo, hi, 1 if y2 > y1 else -1))
+            else:
+                lo, hi = sorted((x1, x2))
+                self._h_by_y.setdefault(y1, []).append((lo, hi, 1 if x2 > x1 else -1))
+
+    def on_any_segment(self, p):
+        x, y = p
+        for lo, hi, _ in self._v_by_x.get(x, ()):
+            if lo <= y <= hi:
+                return True
+        for lo, hi, _ in self._h_by_y.get(y, ()):
+            if lo <= x <= hi:
+                return True
+        return False
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except errors.LatPolyError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(analysed_graphs(), st.randoms(use_true_random=False))
+def test_locate_matches_reference_scans(g, rng):
+    # probes: corners, crossings, points inside segments, points one step
+    # past a segment's end along its line, and points anywhere near
+    geo = D.analyze(g).geometry
+    segs = [seg for _, _, seg in D.all_segments(g)]
+    cover = reference_segment_cover(segs)
+    probes = [p for c in g.curves for p in c] + list(geo.crossings)
+    for (x1, y1), (x2, y2) in segs:
+        probes.append((rng.randint(min(x1, x2), max(x1, x2)),
+                       rng.randint(min(y1, y2), max(y1, y2))))
+        probes.append((x2 + (x2 > x1) - (x2 < x1), y2 + (y2 > y1) - (y2 < y1)))
+    xs, ys = D.coordinate_values(g)
+    if xs:
+        probes += [(rng.randint(xs[0] - 1, xs[-1] + 1), rng.randint(ys[0] - 1, ys[-1] + 1))
+                   for _ in range(8)]
+    for p in probes:
+        assert (geo.locate(p) is not None) == cover.on_any_segment(p)
+        assert outcome(DF._curve_of_point, geo, p) == outcome(reference_curve_of_point, g, p)
+        assert outcome(F._locate_dot, geo, p) == outcome(reference_locate_dot, g, p)
+    on_curve = [p for p in probes if geo.locate(p) is not None]
+    pairs = [(q, q) for q in on_curve[:10]]
+    pairs += [(rng.choice(on_curve), rng.choice(on_curve)) for _ in range(40 if on_curve else 0)]
+    for qa, qb in pairs:
+        ci = reference_curve_of_point(g, qa)
+        want = outcome(reference_path_between, g.curves[ci], qa, qb)
+        got = outcome(DF._path_between, geo, ci, qa, qb)
+        if got != want:
+            # the one difference, on no caller's path: a crossing of two
+            # curves is located on the lesser, so a walk along the greater
+            # does not find it
+            (hc, _), (vc, _) = geo.crossings[qb]
+            assert hc != vc and ci == max(hc, vc) and isinstance(want, list)
+            assert got == (errors.RoutingFailure, f"{qb} not on curve")
 
 
 def test_graphs_with_equal_curves_share_one_geometry():

@@ -353,8 +353,8 @@ def test_arrangement_checks_hold_under_O():
     # one open vertical segment: the cells beside it wind once but share
     # the unbounded face
     here = os.path.dirname(os.path.abspath(__file__))
-    code = ("from latpoly.arrangement import Arrangement\n"
-            "Arrangement([((0, 0), (0, 2))])\n")
+    code = ("from latpoly.arrangement import Arrangement, segments_by_line\n"
+            "Arrangement(*segments_by_line([[((0, 0), (0, 2))]]))\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
     proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=here, env=env,
                           capture_output=True, text=True, timeout=120)

@@ -177,6 +177,23 @@ def test_verify_minimal_trivial():
     assert PL.verify_minimal(PL.TransformPlan(()), p)
 
 
+def test_replay_wraps_step_errors_and_lets_bug_errors_through(monkeypatch):
+    p = square()
+    stray = PL.TransformPlan((PL.normal_step(P(0, 0), P(2, 2)),))
+    with pytest.raises(errors.InvalidPlan, match="^plan does not replay: "):
+        PL.replay(p, stray)
+    odd = PL.TransformPlan((PL.PlanStep(Rect(P(0, 0), P(1, 1)), "sideways"),))
+    with pytest.raises(errors.InvalidPlan,
+                       match="^plan does not replay: unknown step mode sideways$"):
+        PL.replay(p, odd)
+
+    def broken(cur, step):
+        raise errors.RoutingFailure("route failed")
+    monkeypatch.setattr(PL, "apply_step", broken)
+    with pytest.raises(errors.RoutingFailure, match="^route failed$"):
+        PL.replay(p, PL.TransformPlan((PL.normal_step(P(0, 0), P(1, 1)),)))
+
+
 def test_verify_requires_completion():
     plan = PL.TransformPlan(())
     with pytest.raises(errors.NotATransformation):
