@@ -757,7 +757,8 @@ def _pad_jogs(g: DottedGraph) -> DottedGraph:
         need = 2 - _count_vh_on_arc(a)
         if need <= 0:
             continue
-        pts = _jog_points(*_longest_arc_piece(a), need)
+        p, q = _longest_arc_piece(a)
+        pts = _jog_points(p, q, need)
         ci, off = an.geometry.locate(pts[0])     # inside the piece: on one segment
         si = bisect_right(an.geometry._offsets[ci][0], off) - 1
         inserts.setdefault((ci, si), []).append((off, pts))
