@@ -1,7 +1,8 @@
 """Command-line front end: validation, areas, graph association, reduction,
 planning, oracle runs, plan verification and SVG rendering.
 
-Exit codes: 0 ok, 2 validation or parse failure, 3 property violation.
+Exit codes: 0 ok, 2 validation or parse failure, 3 property violation,
+4 internal error (a bug: ``RoutingFailure`` or ``CompileGap``).
 """
 from __future__ import annotations
 
@@ -78,6 +79,9 @@ def main(argv=None) -> int:
             errors.MismatchedComponents, errors.InvalidGraph) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (errors.RoutingFailure, errors.CompileGap) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
     except errors.LatPolyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

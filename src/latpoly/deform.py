@@ -372,6 +372,7 @@ def _slide_one(gs, q, taken, near=None, distinct_quarter=None, F=None,
     corners = set()
     for curve in gs.curves:
         corners.update(curve)
+    avoid = None                # a quarter-cell the slid dot should not face
     if near is not None:
         candidates = _near_crossing_positions(arc, near)
     elif stay_near:
@@ -381,17 +382,16 @@ def _slide_one(gs, q, taken, near=None, distinct_quarter=None, F=None,
             candidates.insert(0, q)     # mid-piece dots need no slide at all
     else:
         candidates = _slide_candidates(arc)
-        if distinct_quarter is not None:
-            preferred = [c for c in candidates
-                         if _quarter_of(an, arc, c, F) != distinct_quarter]
-            candidates = preferred + [c for c in candidates if c not in preferred]
+        avoid = distinct_quarter
     blocked = set(gs.dots) | set(taken) | set(an.crossings) | corners
     blocked.discard(q)
-    for cand in candidates:
-        if cand not in blocked:
-            dots = (gs.dots - {q}) | {cand}
-            return DottedGraph(gs.curves, frozenset(dots)), cand
-    raise errors.RoutingFailure("no free canonical position for a surgery dot")
+    free = [c for c in candidates if c not in blocked]
+    if not free:
+        raise errors.RoutingFailure("no free canonical position for a surgery dot")
+    # the first free candidate beside another quarter-cell, else the first
+    cand = next((c for c in free if avoid is None or
+                 _quarter_of(an, arc, c, F) != avoid), free[0])
+    return DottedGraph(gs.curves, frozenset((gs.dots - {q}) | {cand})), cand
 
 
 def _near_crossing_positions(arc, c: Pt) -> list[Pt]:
@@ -770,7 +770,24 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
     target each product state keeps its successors ranked by distance to
     the target.  The route search walks that ranked list, so it visits
     states in the same order and spends the same budget as a search that
-    re-ranks the neighbours at every step."""
+    re-ranks the neighbours at every step.
+
+    The rounds run breadth-first: extra 0 for every target, then extra 4
+    for the targets still without a route, then extra 12.  Each target
+    keeps its own rounds and budgets, so it gets the route it would get
+    searched alone, or none; a target's distance table is built when it
+    is first searched.  The classes are realized in target order.
+
+    The search stops at 2^k routes for k holes when the two dots' curves
+    lie in one graph component.  Both dots then lie on one boundary
+    component of F, so a simple route from q1 to q2, closed up along that
+    boundary, is a Jordan curve, and its class is fixed by the set of
+    holes it encloses (the planar fact behind the classification of arcs
+    on surfaces; Epstein, *Curves on 2-manifolds and isotopies*, 1966):
+    at most 2^k classes exist.  Distinct targets give distinct
+    signatures, since a loop's winding around a hole is its signed
+    crossing count with the hole's ray.  So once 2^k routes are found no
+    other target has one, and stopping changes no result."""
     if not holes:
         return {(): base}
     arr, q1, n1, q2, n2 = w.ans.arr, w.q1, w.n1, w.q2, w.n2
@@ -789,10 +806,14 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
         return centers[node]
 
     def steps(node):
+        """``(neighbour, ray-delta vector)`` per step, with None for a step
+        that crosses no ray and so keeps the winding vector."""
         if node not in edges:
             a = center(node)
-            edges[node] = [(nb, _ray_deltas(a, center(nb), rays))
-                           for nb in _quarter_neighbors(F_cells, node)]
+            edges[node] = []
+            for nb in _quarter_neighbors(F_cells, node):
+                d = _ray_deltas(a, center(nb), rays)
+                edges[node].append((nb, d if any(d) else None))
         return edges[node]
 
     # forward closure of the product graph
@@ -808,78 +829,103 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
         node, vec = cur = dq.popleft()
         succ[cur] = []
         for nb, d in steps(node):
-            nvec = tuple(v + x for v, x in zip(vec, d))
-            if any(abs(v) > wind_bound for v in nvec):
-                continue
-            state = (nb, nvec)
+            if d is None:
+                state = (nb, vec)
+            else:
+                nvec = tuple(v + x for v, x in zip(vec, d))
+                if any(abs(v) > wind_bound for v in nvec):
+                    continue
+                state = (nb, nvec)
             succ[cur].append(state)
             forward.setdefault(state, []).append(cur)
             if len(forward[state]) == 1:
                 dq.append(state)
 
     targets = sorted(vec for node, vec in forward if node == nd2)
-    found: dict[tuple, tuple[Pt, ...]] = {}
+    limit = 2 ** len(rays) if _dots_share_component(w) else len(targets)
+    tables = {}                 # target -> (goal, distances, ranked successors)
+    routes = {}                 # target -> quarter nodes of its route
 
-    def signature(nodes):
-        pts = [base[0]] + [center(nd) for nd in nodes] + [base[-1]] + list(reversed(base))
-        loop = _rect_closed(pts)
-        return tuple(_polyline_winding_2x(h, loop) for h in holes)
+    def dfs(path, visited, state, room):
+        """A simple route to the goal within ``room`` more steps, or None;
+        each call spends one unit of the round's budget ``left``."""
+        nonlocal left
+        left -= 1
+        if state == goal:
+            return list(path)
+        moves = ranked.get(state)
+        if moves is None:
+            moves = ranked[state] = sorted((dist[s], s[0], s)
+                                           for s in succ[state] if s in dist)
+        for nd, nb, nxt in moves:
+            # nearest first: past the first move out of reach, or with the
+            # budget spent, no later move can be taken
+            if nd > room or left <= 0:
+                return None
+            if nb not in visited:
+                visited.add(nb)
+                path.append(nb)
+                route = dfs(path, visited, nxt, room - 1)
+                path.pop()
+                visited.remove(nb)
+                if route is not None:
+                    return route
+        return None
 
-    for tvec in targets:
-        # distance to the target over the product graph, by backward closure
-        goal = (nd2, tvec)
-        dist = {goal: 0}
-        dq = deque([goal])
-        while dq:
-            state = dq.popleft()
-            for prev in forward.get(state, ()):
-                if prev not in dist:
-                    dist[prev] = dist[state] + 1
-                    dq.append(prev)
-        if start not in dist:
-            continue
-        ranked = {}
-
-        def dfs(path, visited, state, room):
-            """A simple route to the goal within ``room`` more steps, or None;
-            each call spends one unit of the round's budget ``left``."""
-            nonlocal left
-            left -= 1
-            if state == goal:
-                return list(path)
-            moves = ranked.get(state)
-            if moves is None:
-                moves = ranked[state] = sorted((dist[s], s[0], s)
-                                               for s in succ[state] if s in dist)
-            for nd, nb, nxt in moves:
-                # nearest first: past the first move out of reach, or with the
-                # budget spent, no later move can be taken
-                if nd > room or left <= 0:
-                    return None
-                if nb not in visited:
-                    visited.add(nb)
-                    path.append(nb)
-                    route = dfs(path, visited, nxt, room - 1)
-                    path.pop()
-                    visited.remove(nb)
-                    if route is not None:
-                        return route
-            return None
-
-        # near-geodesic representatives only: bounded iterative deepening;
-        # vectors without a short simple route are outside the enumeration
-        for extra in (0, 4, 12):
+    # near-geodesic representatives only: bounded iterative deepening;
+    # vectors without a short simple route are outside the enumeration
+    pending = targets
+    for extra in (0, 4, 12):
+        missed = []
+        for tvec in pending:
+            if len(routes) == limit:
+                break
+            if tvec not in tables:
+                goal = (nd2, tvec)
+                tables[tvec] = goal, _distances_to(forward, goal), {}
+            goal, dist, ranked = tables[tvec]
+            if start not in dist:
+                continue
             left = min(3000, cap)
             nodes = dfs([nd1], {nd1}, start, dist[start] + extra - 1)
-            if nodes is not None:
-                break
-        if nodes is None:
-            continue
-        sig = signature(nodes)
+            if nodes is None:
+                missed.append(tvec)
+            else:
+                routes[tvec] = nodes
+        pending = missed
+
+    found: dict[tuple, tuple[Pt, ...]] = {}
+    for tvec in sorted(routes):
+        nodes = routes[tvec]
+        pts = [base[0]] + [center(nd) for nd in nodes] + [base[-1]] + list(reversed(base))
+        loop = _rect_closed(pts)
+        sig = tuple(_polyline_winding_2x(h, loop) for h in holes)
         if sig not in found:
             found[sig] = _route_through_quarters(arr, nodes, q1, n1, q2, n2)
     found[zero] = base
     return found
+
+
+def _distances_to(forward, goal) -> dict:
+    """Steps from each state of the product graph to the goal, by backward
+    closure."""
+    dist = {goal: 0}
+    dq = deque([goal])
+    while dq:
+        state = dq.popleft()
+        for prev in forward.get(state, ()):
+            if prev not in dist:
+                dist[prev] = dist[state] + 1
+                dq.append(prev)
+    return dist
+
+
+def _dots_share_component(w: _Pair) -> bool:
+    """True when the curves of the two surgery dots lie in one graph
+    component."""
+    geo = w.ans.geometry
+    c1, c2 = _curve_of_point(geo, w.q1), _curve_of_point(geo, w.q2)
+    return any(c1 in comp and c2 in comp for comp in _graph_components(w.ans))
 
 
 def _core_matching(w: _Pair, p1: Pt, core, p2: Pt):

@@ -669,9 +669,20 @@ def _component_code(an: GraphAnalysis, arcs: list[Arc], outer: int, code: dict) 
 # ----------------------------------------------------- coordinate maps --
 
 def transform_coords(g: DottedGraph, fx, fy) -> DottedGraph:
-    curves = [tuple((fx[x], fy[y]) for x, y in c) for c in g.curves]
-    dots = [(fx[x], fy[y]) for x, y in g.dots]
-    return DottedGraph.build(curves, dots)
+    """The validated graph g with x mapped by ``fx`` and y by ``fy``.
+
+    Both maps must be strictly increasing; a map that is not raises
+    ValueError.  Such a map keeps a valid graph valid and in normal form:
+    it keeps the order of corners along each line, collinearity, each
+    curve's least corner, the order of the curves, the crossings and which
+    segment each dot lies on.  So the result is built without
+    re-validation."""
+    for f in (fx, fy):
+        values = [f[v] for v in sorted(f)]
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ValueError("coordinate map is not strictly increasing")
+    curves = tuple(tuple(G.GridPoint(fx[x], fy[y]) for x, y in c) for c in g.curves)
+    return DottedGraph(curves, frozenset(G.GridPoint(fx[x], fy[y]) for x, y in g.dots))
 
 
 def coordinate_values(g: DottedGraph) -> tuple[list[int], list[int]]:
@@ -800,7 +811,8 @@ def _jog_points(p: Pt, q: Pt, need: int) -> list[Pt]:
     length = abs(q[0] - p[0]) + abs(q[1] - p[1])
     jogs = (need + 1) // 2
     span = 4 * jogs
-    assert length >= span + 8, "arc piece too short for jog insertion"
+    if length < span + 8:
+        raise errors.RoutingFailure("arc piece too short for jog insertion")
     start_off = (length - span) // 2
     pts: list[Pt] = []
     cx, cy = p[0] + d[0] * start_off, p[1] + d[1] * start_off
@@ -832,7 +844,8 @@ def _jitter_lines(g: DottedGraph) -> DottedGraph:
         for i in range(n):
             prev_axis, prev_line = seg_line[(ci, (i - 1) % n)]
             cur_axis, cur_line = seg_line[(ci, i)]
-            assert prev_axis != cur_axis
+            if prev_axis == cur_axis:
+                raise errors.InvalidGraph(f"curve {ci} does not turn at {curve[i]}")
             if cur_axis == "v":
                 pts.append((cur_line, prev_line))
             else:

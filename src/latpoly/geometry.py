@@ -329,7 +329,8 @@ def shoelace_total(p: LatticePolytope) -> int:
         for i in range(n):
             a, b = cyc[i], cyc[(i + 1) % n]
             total2 += a.x * b.y - b.x * a.y
-    assert total2 % 2 == 0
+    if total2 % 2:
+        raise errors.InvalidGraph(f"boundary cycles enclose an odd doubled area {total2}")
     return total2 // 2
 
 

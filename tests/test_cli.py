@@ -2,6 +2,8 @@ import json
 import os
 import shlex
 
+import pytest
+
 from latpoly import (cli, errors, formats as F, geometry as G, deform as DF,
                      dotgraph as D, plan as PL, reduce as R)
 from latpoly.render import render_svg
@@ -61,6 +63,20 @@ def test_confluence_budget_hit_prints_undecided(tmp_path, capsys, monkeypatch):
     assert cli.main(["reduce", path, "--confluence"]) == 0
     out = capsys.readouterr().out
     assert "terminals: 1\ncondition (A) throughout: undecided (budget hit)\n" in out
+
+
+@pytest.mark.parametrize("module, name, verb, error", [
+    (R, "explore_reductions", ["reduce", "--confluence"], errors.RoutingFailure),
+    (PL, "compile_plan", ["plan"], errors.CompileGap),
+])
+def test_bug_errors_exit_4(module, name, verb, error, tmp_path, capsys, monkeypatch):
+    # RoutingFailure and CompileGap are bugs, not property violations (exit 3)
+    def bug(*args):
+        raise error("broken")
+    path = write_square(tmp_path)
+    monkeypatch.setattr(module, name, bug)
+    assert cli.main([verb[0], path] + verb[1:]) == 4
+    assert capsys.readouterr().err.endswith("internal error: broken\n")
 
 
 def test_plan_square(tmp_path, capsys):

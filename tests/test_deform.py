@@ -455,6 +455,79 @@ def test_broken_calls_raise_typed_errors(case, monkeypatch):
     assert f"{error.__name__}: {message}" in proc.stderr
 
 
+# ------------------------------------------------------- dot slides --
+
+def reference_slide_one(gs, q, taken, near=None, distinct_quarter=None, F=None,
+                        stay_near=False):
+    """The former ``_slide_one``: the quarter of every candidate is computed
+    before the first free one is taken."""
+    an = D.analyze(gs)
+    arc = DF._arc_of_dot(an, q)
+    corners = set()
+    for curve in gs.curves:
+        corners.update(curve)
+    if near is not None:
+        candidates = DF._near_crossing_positions(arc, near)
+    elif stay_near:
+        candidates = sorted(DF._slide_candidates(arc),
+                            key=lambda c: abs(c[0] - q[0]) + abs(c[1] - q[1]))
+        if q not in corners:
+            candidates.insert(0, q)
+    else:
+        candidates = DF._slide_candidates(arc)
+        if distinct_quarter is not None:
+            preferred = [c for c in candidates
+                         if DF._quarter_of(an, arc, c, F) != distinct_quarter]
+            candidates = preferred + [c for c in candidates if c not in preferred]
+    blocked = set(gs.dots) | set(taken) | set(an.crossings) | corners
+    blocked.discard(q)
+    for cand in candidates:
+        if cand not in blocked:
+            dots = (gs.dots - {q}) | {cand}
+            return D.DottedGraph(gs.curves, frozenset(dots)), cand
+    raise errors.RoutingFailure("no free canonical position for a surgery dot")
+
+
+def outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except errors.LatPolyError as e:
+        return type(e), str(e)
+
+
+def walked_graph(rng):
+    g = O.random_dotted_graph(rng, require_all_dotted=rng.random() < 0.5)
+    for _ in range(rng.randint(0, 2)):
+        moves = DF.enumerate_moves(g)
+        if not moves:
+            break
+        g = DF.apply_move(g, rng.choice(moves)).after
+    return g
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32))
+def test_slide_one_matches_reference(seed):
+    # the same graph and position, or the same error, for every quarter the
+    # slid dot may be told to avoid, with stay_near, and beside each
+    # crossing at an end of the dot's arc
+    g = walked_graph(random.Random(seed))
+    for m in DF.enumerate_moves(g, allowed={"IV"}):
+        fx, fy = DF._joint_maps(g, ())
+        gs = D.transform_coords(g, fx, fy)
+        q1, q2 = [(fx[x], fy[y]) for x, y in m.site]
+        an = D.analyze(gs)
+        arc = DF._arc_of_dot(an, q1)
+        F = DF._middle_region(an, arc, DF._arc_of_dot(an, q2), None)
+        quarters = {DF._quarter_of(an, arc, c, F) for c in DF._slide_candidates(arc)}
+        options = [dict(distinct_quarter=dq, F=F) for dq in sorted(quarters) + [None]]
+        options += [dict(stay_near=True, distinct_quarter=dq, F=F) for dq in quarters]
+        options += [dict(near=c) for c in {arc.path[0], arc.path[-1]} if c in an.crossings]
+        for kwargs in options:
+            assert outcome(DF._slide_one, gs, q1, {q2}, **kwargs) == \
+                outcome(reference_slide_one, gs, q1, {q2}, **kwargs)
+
+
 # ------------------------------------------------------ core classes --
 
 def reference_core_classes(w, base, holes, cap=20000, wind_bound=1):
@@ -627,6 +700,84 @@ def test_core_classes_match_reference_around_two_holes():
     assert [len(holes) for _, _, holes in holed_sites(g)] == [2]
     for small_cap in (200, 700, 1500):
         assert_core_classes_match(g, small_cap)
+
+
+def dots_on_a_hole(w):
+    """True when the dots' graph component is itself a hole of the middle
+    region, by the test of ``_hole_samples``: the middle region lies just
+    above the component's top segment."""
+    ci = DF._curve_of_point(w.ans.geometry, w.q1)
+    [comp] = [c for c in DF._graph_components(w.ans) if ci in c]
+    tops = [s for i in comp for s in D.curve_segments(w.gs.curves[i]) if s[0][1] == s[1][1]]
+    top = max(tops, key=lambda s: (s[0][1], min(s[0][0], s[1][0])))
+    return w.ans.arr.face_of_2x((top[0][0] + top[1][0] | 1, 2 * top[0][1] + 1)) == w.Fs
+
+
+@settings(max_examples=25, deadline=None)
+@given(holed_graphs())
+def test_dots_on_one_component_give_at_most_two_to_the_k_classes(g):
+    # the bound that stops the route search, shown on the reference
+    # enumeration, which does not use it.  With the dots on the middle
+    # region's outer boundary, a route encloses each hole or not, so each
+    # signature entry takes two values
+    for w, base, holes in holed_sites(g):
+        if not DF._dots_share_component(w):
+            continue
+        try:
+            classes = reference_core_classes(w, base, holes, cap=4000)
+        except errors.BudgetExceeded:
+            continue
+        assert len(classes) <= 2 ** len(holes)
+        if not dots_on_a_hole(w):
+            for i in range(len(holes)):
+                assert len({sig[i] for sig in classes}) <= 2
+
+
+def test_dots_on_a_hole_give_three_values_and_still_2_to_the_k_classes():
+    # dots on a clockwise hole H0 beside a second hole H.  A route closed up
+    # along H0 encloses a set of holes, and it runs counterclockwise exactly
+    # when that set holds H0, so H's entry takes three values, while the
+    # classes are still at most one per set of holes
+    big = [(0, 0), (40, 0), (40, 24), (0, 24)]
+    h0 = [(6, 6), (6, 18), (14, 18), (14, 6)]
+    h = [(24, 6), (24, 18), (32, 18), (32, 6)]
+    g = D.DottedGraph.build([big, h0, h], [(6, 10), (14, 10)])
+    [(w, base, holes)] = holed_sites(g)
+    assert DF._dots_share_component(w) and dots_on_a_hole(w)
+    classes = reference_core_classes(w, base, holes)
+    assert list(classes) == [(1, 1), (1, 0), (0, 0), (0, -1)]
+    assert list(DF._enumerate_core_classes(w, base, holes).items()) == list(classes.items())
+
+
+def route_search_calls(enumerate_classes, *args, **kwargs):
+    """The result of an enumeration and the number of its ``dfs`` calls."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "dfs":
+            calls += 1
+    sys.setprofile(count)
+    try:
+        result = enumerate_classes(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return list(result.items()), calls
+
+
+def test_route_search_stops_at_two_classes_around_one_hole():
+    # both dots on the outer square: a route passes the hole on one side or
+    # the other, so the third crossing vector has no route, and the
+    # reference spends whole budgets looking for one
+    big = [(0, 0), (16, 0), (16, 16), (0, 16)]
+    inner = [(6, 6), (10, 6), (10, 10), (6, 10)]
+    g = D.DottedGraph.build([big, inner], [(0, 0), (16, 0)])
+    [(w, base, holes)] = holed_sites(g)
+    assert DF._dots_share_component(w) and not dots_on_a_hole(w) and len(holes) == 1
+    want, reference_calls = route_search_calls(reference_core_classes, w, base, holes)
+    got, calls = route_search_calls(DF._enumerate_core_classes, w, base, holes)
+    assert got == want and len(got) == 2
+    assert reference_calls > 2 * 3000 > 100 > calls
 
 
 # ----------------------------------------------------------- properties --

@@ -762,6 +762,88 @@ def test_broken_analysis_raises_typed_error(case, monkeypatch):
     assert f"latpoly.errors.InvalidGraph: {message}" in proc.stderr
 
 
+def jogs_on_a_short_piece(setattr):
+    # one jog spans 4 units and needs 4 more on each side
+    D._jog_points((0, 0), (11, 0), 2)
+
+
+def jitter_a_straight_corner(setattr):
+    # built without validation: (2, 0) is a corner on a straight run
+    D._jitter_lines(D.DottedGraph((((0, 0), (2, 0), (4, 0), (4, 2), (0, 2)),), frozenset()))
+
+
+def shoelace_of_a_triangle(setattr):
+    setattr(G, "boundary_cycles", lambda p: [[G.P(0, 0), G.P(1, 0), G.P(0, 1)]])
+    G.shoelace_total(square_poly())
+
+
+# case -> (call, error class, message): checks that once were asserts
+BROKEN_CALLS = {
+    "jog on a short piece": (jogs_on_a_short_piece, errors.RoutingFailure,
+                             "arc piece too short for jog insertion"),
+    "jitter without a turn": (jitter_a_straight_corner, errors.InvalidGraph,
+                              "curve 0 does not turn at (2, 0)"),
+    "odd shoelace area": (shoelace_of_a_triangle, errors.InvalidGraph,
+                          "boundary cycles enclose an odd doubled area 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CALLS))
+def test_broken_calls_raise_typed_errors(case, monkeypatch):
+    call, error, message = BROKEN_CALLS[case]
+    with pytest.raises(error) as info:
+        call(monkeypatch.setattr)
+    assert str(info.value) == message
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import test_dotgraph as T\n"
+            f"T.BROKEN_CALLS[{case!r}][0](setattr)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=here, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert f"{error.__name__}: {message}" in proc.stderr
+
+
+# --------------------------------------------------- coordinate maps ----
+
+def built_image(g, fx, fy):
+    return D.DottedGraph.build([[(fx[x], fy[y]) for x, y in c] for c in g.curves],
+                               [(fx[x], fy[y]) for x, y in g.dots])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 20))
+def test_transform_coords_equals_build(seed, k):
+    # a strictly increasing map needs no re-validation or re-normalization
+    rng = random.Random(seed)
+    g = O.random_dotted_graph(rng, require_all_dotted=rng.random() < 0.5)
+    for _ in range(rng.randint(0, 2)):
+        moves = DF.enumerate_moves(g)
+        after = DF.apply_move(g, rng.choice(moves)).after if moves else g
+        g = g if after.is_empty() else after
+    xs, ys = D.coordinate_values(g)
+    extra = [(rng.randint(xs[0], xs[-1]), rng.randint(ys[0], ys[-1]))
+             for _ in range(rng.randint(0, 4))]
+    fx, fy = DF._joint_maps(g, extra)
+    out, gx, gy = D.renormalize(g)
+    pairs = [(out, built_image(g, gx, gy)),
+             (D.scaled(g, k), built_image(g, {x: k * x for x in xs}, {y: k * y for y in ys})),
+             (D.transform_coords(g, fx, fy), built_image(g, fx, fy))]
+    for got, want in pairs:
+        assert got == want
+        points = [p for c in got.curves for p in c] + list(got.dots)
+        assert {type(p) for p in points} <= {G.GridPoint}
+
+
+@pytest.mark.parametrize("fx", [{0: 0, 4: 0}, {0: 4, 4: 0}, {0: 0, 2: 5, 4: 3}])
+def test_transform_coords_rejects_maps_that_do_not_increase(fx):
+    g = circle_graph()
+    ident = {0: 0, 4: 4}
+    for maps in ((fx, ident), (ident, fx)):
+        with pytest.raises(ValueError, match="^coordinate map is not strictly increasing$"):
+            D.transform_coords(g, *maps)
+
+
 # ------------------------------------------------------- equivalence ----
 
 def test_equivalence_dot_collapse():
