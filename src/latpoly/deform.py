@@ -5,8 +5,9 @@ isotopy move, starred variants, and the all-cores agreement check.
 
 Surgery runs at a working scale of 16 after coordinate compression, which
 leaves integer corridors for the band; results are compressed back, so
-coordinates stay small forever.  Every applied move returns a freshly
-validated graph with globally recomputed labels.
+coordinates stay small forever.  Every applied move returns a valid graph
+with globally recomputed labels; a merge and a circle deletion, which
+provably keep validity, skip re-validation.
 """
 from __future__ import annotations
 
@@ -103,7 +104,11 @@ def apply_I(g: DottedGraph, arc) -> DottedGraph:
 # ------------------------------------------------------------ apply II --
 
 def apply_II(g: DottedGraph, cert: ComponentCert) -> DottedGraph:
-    """Delete a circle component; labels inside its disk drop by epsilon."""
+    """Delete a circle component; labels inside its disk drop by epsilon.
+
+    The valid graph g minus one curve and its dots is valid and in normal
+    form: the curves keep their order, and the crossings and corners left
+    are some of g's.  So the result is built without re-validation."""
     if cert.kind != "circle":
         raise errors.NotALoop("apply_II needs a circle certificate")
     an = analyze(g)
@@ -112,7 +117,7 @@ def apply_II(g: DottedGraph, cert: ComponentCert) -> DottedGraph:
             "every region of the disk must carry the sign of the circle")
     curves = tuple(c for i, c in enumerate(g.curves) if i != cert.curve)
     circle_dots = {d for k in cert.arcs for d in an.arcs_by_key[k].dots}
-    return DottedGraph.build(curves, frozenset(d for d in g.dots if d not in circle_dots))
+    return DottedGraph(curves, frozenset(d for d in g.dots if d not in circle_dots))
 
 
 # ----------------------------------------------------------- apply III --

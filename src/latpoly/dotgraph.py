@@ -343,6 +343,7 @@ class CurveGeometry:
     def _sides(self) -> None:
         self.left_face: dict = {}
         self.right_face: dict = {}
+        self._face_arcs: dict[int, list] = {}       # face -> the keys of the arcs beside it
         arr = self.arr
         for a in self.arcs:
             p0, p1 = a.path[0], a.path[1]
@@ -361,6 +362,8 @@ class CurveGeometry:
                 left, right = (west, east) if d[1] > 0 else (east, west)
             self.left_face[a.key] = left
             self.right_face[a.key] = right
+            self._face_arcs.setdefault(left, []).append(a.key)
+            self._face_arcs.setdefault(right, []).append(a.key)
 
     # arms and darts ----------------------------------------------------
 
@@ -475,25 +478,29 @@ class CurveGeometry:
                 t = (2 * apex[0] + d[0], 2 * apex[1] + d[1])
                 if winding_2x(t, segs) != 0:
                     return None
-        disk = frozenset(f.index for f in self.arr.faces
-                         if winding_2x(f.sample2, segs) != 0)
-        if not disk:
-            return None
+        # an embedded boundary winds once around the faces on its left when
+        # it runs counterclockwise, and not at all when it runs clockwise
         faces = self.arr.faces
         lf, rf = self.left_face[arcs[0]], self.right_face[arcs[0]]
-        orientation = winding_2x(faces[next(iter(disk))].sample2, segs)
-        if orientation not in (-1, 1):
-            raise errors.InvalidGraph(f"{kind} boundary winds {orientation} times "
-                                      f"around its disk")
-        if lf in disk and rf not in disk:
-            disk_label, outside_label = faces[lf].omega, faces[rf].omega
-        elif rf in disk and lf not in disk:
-            disk_label, outside_label = faces[rf].omega, faces[lf].omega
-        else:
-            # ambiguous adjacency cannot happen for embedded boundaries
-            return None
-        return ComponentCert(kind, curve, arcs, boundary, disk, apex,
-                             orientation, disk_label, outside_label)
+        w = winding_2x(faces[lf].sample2, segs)
+        if w not in (0, 1):
+            raise errors.InvalidGraph(f"{kind} boundary winds {w} times around its disk")
+        inner, outer, orientation = (lf, rf, 1) if w else (rf, lf, -1)
+        # by the Jordan curve theorem every other arc lies wholly inside or
+        # wholly outside the boundary, so the disk is what the inner side
+        # face reaches across them
+        on_boundary = set(arcs)
+        disk = {inner}
+        todo = [inner]
+        for f in todo:
+            for k in self._face_arcs[f]:
+                if k not in on_boundary:
+                    for h in (self.left_face[k], self.right_face[k]):
+                        if h not in disk:
+                            disk.add(h)
+                            todo.append(h)
+        return ComponentCert(kind, curve, arcs, boundary, frozenset(disk), apex,
+                             orientation, faces[inner].omega, faces[outer].omega)
 
 
 _GEOMETRIES: "weakref.WeakValueDictionary[tuple, CurveGeometry]" = \
@@ -576,20 +583,49 @@ def canonical_form(g: DottedGraph) -> str:
     Hopcroft and Ullman; the whole form takes polynomial time.
     """
     an = analyze(g)
-    parent = {c: c for c in an.crossings}
+    return _plane_form(an.arcs, an.left_face, an.right_face,
+                       [f.omega for f in an.arr.faces], an.arr.unbounded_face)
+
+
+def form_without_circle(g: DottedGraph, cert: ComponentCert) -> str:
+    """``canonical_form`` of g with the circle of ``cert`` deleted, read
+    off g's own analysis; the circle must cross nothing, so that it is one
+    closed arc.  Deleting it merges its inner side face into its outer one
+    and drops every label of its disk by its orientation, as deformation II
+    states; no other arc, face or crossing changes.  Unlike the graph the
+    deletion builds, this needs no validation, geometry or analysis."""
+    an = analyze(g)
+    k = cert.arcs[0]
+    if not an.arcs_by_key[k].closed:
+        raise ValueError("form_without_circle needs a circle that crosses nothing")
+    lf, rf = an.left_face[k], an.right_face[k]
+    inner, outer = (lf, rf) if lf in cert.disk_faces else (rf, lf)
+    left = {key: outer if f == inner else f for key, f in an.left_face.items()}
+    right = {key: outer if f == inner else f for key, f in an.right_face.items()}
+    labels = [f.omega - cert.orientation if f.index in cert.disk_faces else f.omega
+              for f in an.arr.faces]
+    return _plane_form([a for a in an.arcs if a.key != k], left, right, labels,
+                       an.arr.unbounded_face)
+
+
+def _plane_form(arcs: list[Arc], left_face: dict, right_face: dict, labels, root: int) -> str:
+    """The code of ``canonical_form`` for a labeled plane map: its arcs,
+    each arc's side faces by arc key, each face's label by face index, and
+    the unbounded face ``root``."""
+    parent: dict[Pt, Pt] = {}
 
     def find(c: Pt) -> Pt:
-        while parent[c] != c:
+        while parent.setdefault(c, c) != c:
             parent[c] = c = parent[parent[c]]
         return c
 
-    for a in an.arcs:
+    for a in arcs:
         if not a.closed:
             parent[find(a.start)] = find(a.end)
     comps: dict = {}                    # component id -> its arcs
-    for a in an.arcs:
+    for a in arcs:
         comps.setdefault(a.key if a.closed else find(a.start), []).append(a)
-    faces_of = {k: {f for a in arcs for f in (an.left_face[a.key], an.right_face[a.key])}
+    faces_of = {k: {f for a in arcs for f in (left_face[a.key], right_face[a.key])}
                 for k, arcs in comps.items()}
     comps_at: dict[int, list] = {}
     for k, fs in faces_of.items():
@@ -598,7 +634,7 @@ def canonical_form(g: DottedGraph) -> str:
 
     # faces are ints and components tuples; in a tree, every neighbour but
     # the parent is a child
-    order = [(an.arr.unbounded_face, None)]
+    order = [(root, None)]
     for x, up in order:
         order.extend((y, x) for y in (faces_of[x] if x in comps else comps_at.get(x, ()))
                      if y != up)
@@ -606,21 +642,21 @@ def canonical_form(g: DottedGraph) -> str:
     kids: dict = {}
     for x, up in reversed(order):
         if x in comps:
-            code[x] = _component_code(an, comps[x], up, code)
+            code[x] = _component_code(comps[x], left_face, right_face, up, code)
         else:
-            f = an.arr.faces[x]
             inside = ",".join(sorted(kids.get(x, ())))
-            code[x] = f"F{f.omega}{'u' if f.unbounded else 'b'}[{inside}]"
+            code[x] = f"F{labels[x]}{'u' if x == root else 'b'}[{inside}]"
         kids.setdefault(up, []).append(code[x])
-    return code[an.arr.unbounded_face]
+    return code[root]
 
 
-def _component_code(an: GraphAnalysis, arcs: list[Arc], outer: int, code: dict) -> str:
+def _component_code(arcs: list[Arc], left_face: dict, right_face: dict, outer: int,
+                    code: dict) -> str:
     """Code of the component made of ``arcs``, whose parent face is
     ``outer``; ``code`` already holds the codes of its other faces."""
     if arcs[0].closed:
         a = arcs[0]
-        sides = (an.left_face[a.key], an.right_face[a.key])
+        sides = (left_face[a.key], right_face[a.key])
         return f"O{int(bool(a.dots))}" + "".join("p" if f == outer else code[f] for f in sides)
     base = {c: 4 * k for k, c in enumerate({a.start for a in arcs})}
     n = 4 * len(base)
@@ -633,7 +669,7 @@ def _component_code(an: GraphAnalysis, arcs: list[Arc], outer: int, code: dict) 
         h = base[a.end] + CCW_DIRS.index((-ed[0], -ed[1]))
         opp[t], opp[h] = h, t
         head[t], head[h] = f"o{int(bool(a.dots))}", f"i{int(bool(a.dots))}"
-        sides[t] = sides[h] = (an.left_face[a.key], an.right_face[a.key])
+        sides[t] = sides[h] = (left_face[a.key], right_face[a.key])
     rot = [x - x % 4 + (x + 1) % 4 for x in range(n)]
     best: list[str] = []
     for start in range(n):

@@ -99,14 +99,17 @@ def rect_area_signed(r: Rect) -> int:
 
 
 def rect_transform(delta: PointConfig, v: GridPoint, w: GridPoint) -> PointConfig:
-    """Replace the diagonal pair {v, w} by the opposite diagonal of R(v, w)."""
+    """Replace the diagonal pair {v, w} by the opposite diagonal of R(v, w).
+
+    The new pair uses the x's and the y's of the old one, so the x's and
+    the y's stay pairwise distinct and the result needs no re-validation."""
     if v not in delta or w not in delta:
         raise errors.NotInConfig(f"{v} or {w} not in configuration")
     if v == w or v.x == w.x or v.y == w.y:
         raise errors.DegenerateRectangle(f"degenerate rectangle {v}..{w}")
     vt = GridPoint(w.x, v.y)
     wt = GridPoint(v.x, w.y)
-    return PointConfig.of((delta.points - {v, w}) | {vt, wt})
+    return PointConfig((delta.points - {v, w}) | {vt, wt})
 
 
 @dataclass(frozen=True)

@@ -88,13 +88,12 @@ def good_reduce(g: DottedGraph) -> ReductionTrace:
 
 
 def _first_good_group(g: DottedGraph):
-    moves = DF.enumerate_moves(g)
-    for m in moves:
-        if m.kind in ("I", "II", "III"):
-            return [DF.apply_move(g, m)]
-    for m in moves:
-        if m.kind != "IV":
-            continue
+    """The first move in ``Move.sort_key`` order: kinds rank before sites,
+    so surgery sites are enumerated only when no I, II or III move exists."""
+    moves = DF.enumerate_moves(g, allowed=frozenset({"I", "II", "III"}))
+    if moves:
+        return [DF.apply_move(g, moves[0])]
+    for m in DF.enumerate_moves(g, allowed=frozenset({"IV"})):
         out = DF.try_good_IV(g, m)
         if out is not None:
             return list(out[1])
@@ -206,8 +205,11 @@ class ExplorationReport:
     skipped_exclusion: int = 0
 
 
-# condition (A) verdict per normalized graph, not per canonical form: graphs
-# of one form can differ in it; oldest entry evicted at the bound
+# condition (A) verdict per explored graph, not per canonical form: graphs
+# of one form can differ in it.  The start and every surgery's result are
+# normalized, but a deletion's result keeps the gaps its removed curve
+# leaves in the coordinates, so one graph up to isotopy can hold several
+# entries; oldest entry evicted at the bound
 _COND_A_CACHE: dict[DottedGraph, bool | None] = {}
 
 
@@ -216,7 +218,13 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
     """Depth-first closure of all deformation sequences I-IV (canonical
     cores), skipping the surgeries excluded by the uniqueness theorem's
     hypothesis; reports the distinct terminal forms.  The frontier is a
-    stack, and ``visited`` counts the states popped in that order."""
+    stack, and ``visited`` counts the states popped in that order.
+
+    A successor whose form is already seen is dropped, so two kinds are
+    not built at all: a merge (I), whose successor has the current graph's
+    own form, since the form collapses dot counts to flags; and the
+    deletion (II) of a circle that crosses nothing, when
+    ``form_without_circle`` finds its form seen."""
     report = ExplorationReport()
     start = DG.normalized(g)
     seen = {canonical_form(start)}
@@ -250,6 +258,9 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
             report.terminals.add(canonical_form(cur))
             continue
         for m in usable:
+            if m.kind == "I" or (m.kind == "II" and len(m.site.arcs) == 1 and
+                                 DG.form_without_circle(cur, m.site) in seen):
+                continue
             d = DF.apply_move(cur, m)
             f = canonical_form(d.after)
             if f not in seen:

@@ -1,9 +1,12 @@
 """The plane-map canonical form against the colour-refinement form it
-replaced: both must split graphs into the same classes."""
+replaced: both must split graphs into the same classes.  And the form that
+``form_without_circle`` derives for a circle deletion against the form of
+the graph the deletion builds."""
 import random
 import time
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from latpoly import deform as DF, dotgraph as D, errors, geometry as G, oracle as O, reduce as R
 
@@ -170,3 +173,50 @@ def test_form_is_invariant_under_renormalize_and_scaled(seed, k):
     form = D.canonical_form(g)
     assert D.canonical_form(D.renormalize(g)[0]) == form
     assert D.canonical_form(D.scaled(g, k)) == form
+
+
+def _square(x0, y0, side, ccw):
+    sq = [(x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side)]
+    return sq if ccw else [sq[0]] + sq[:0:-1]
+
+
+@st.composite
+def graphs_with_circles(draw):
+    """Nested squares alone, or a random dotted graph inside up to two
+    enclosing squares; every added square has a random orientation and
+    zero to two dots."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        curves, dots, inner = [], [], 0
+    else:
+        g = O.random_dotted_graph(rng, require_all_dotted=False)
+        xs, ys = D.coordinate_values(g)        # moved to lie strictly inside [0, inner]^2
+        curves = [[(x - xs[0] + 1, y - ys[0] + 1) for x, y in c] for c in g.curves]
+        dots = [(x - xs[0] + 1, y - ys[0] + 1) for x, y in g.dots]
+        inner = max(xs[-1] - xs[0], ys[-1] - ys[0]) + 2
+    depth = draw(st.integers(0 if curves else 1, 3))
+    for d in range(depth):
+        k = 3 * (depth - d)
+        sq = _square(-k, -k, inner + 2 * k, draw(st.booleans()))
+        curves.append(sq)
+        dots += sq[:draw(st.integers(0, 2))]
+    return D.DottedGraph.build(curves, dots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_circles())
+@example(D.DottedGraph.build([_square(0, 0, 4, True)], [(0, 0)]))
+@example(D.DottedGraph.build([_square(0, 0, 12, True), _square(3, 3, 6, False),
+                              _square(5, 5, 2, True)], [(0, 0), (3, 3)]))
+def test_form_without_circle_is_the_form_after_the_deletion(g):
+    an = D.analyze(g)
+    for c in an.circles:
+        dots = set(g.dots).difference(*(an.arcs_by_key[k].dots for k in c.arcs))
+        rest = D.DottedGraph.build([cv for i, cv in enumerate(g.curves) if i != c.curve], dots)
+        if DF._component_sign_ok(an, c):
+            assert DF.apply_II(g, c) == rest
+        if len(c.arcs) == 1:
+            assert D.form_without_circle(g, c) == D.canonical_form(rest)
+        else:
+            with pytest.raises(ValueError):
+                D.form_without_circle(g, c)

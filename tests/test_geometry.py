@@ -169,6 +169,9 @@ def test_rect_transform_preserves_component_multisets():
         out = G.rect_transform(p.ver0, v, w)
         assert {q.x for q in out.points} == {q.x for q in p.ver0.points}
         assert {q.y for q in out.points} == {q.y for q in p.ver0.points}
+        # built without re-validation, it equals its validated construction
+        assert out == G.PointConfig.of((p.ver0.points - {v, w}) | {P(w.x, v.y), P(v.x, w.y)})
+        assert all(type(q) is G.GridPoint for q in out.points)
 
 
 def test_rect_area_signed():

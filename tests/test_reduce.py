@@ -1,10 +1,11 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from latpoly import errors, geometry as G, dotgraph as D, deform as DF, reduce as R
+from latpoly import errors, geometry as G, dotgraph as D, deform as DF, oracle as O, reduce as R
 
 
 def square_graph():
@@ -269,3 +270,107 @@ def test_condition_A_verdict_belongs_to_the_graph_not_its_form(monkeypatch):
         monkeypatch.setattr(R, "_COND_A_CACHE", {})
         oks = {g: R.explore_reductions(g).condition_A_ok for g in order}
         assert oks == {holds: True, fails: False}
+
+
+def reference_explore(g, budget=2000, check_A=True):
+    """The former ``explore_reductions``: every successor is built, and its
+    own canonical form decides whether it is new."""
+    report = R.ExplorationReport()
+    start = D.normalized(g)
+    seen = {D.canonical_form(start)}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        report.visited += 1
+        if report.visited > budget:
+            raise errors.BudgetExceeded("reduction exploration budget hit")
+        if check_A and report.condition_A_ok:
+            if cur not in R._COND_A_CACHE:
+                try:
+                    ok = DF.check_condition_A_everywhere(cur)
+                except errors.BudgetExceeded:
+                    ok = None
+                R._COND_A_CACHE[cur] = ok
+            ok = R._COND_A_CACHE[cur]
+            if not ok:
+                report.condition_A_ok = False
+                report.condition_A_undecided = ok is None
+        usable = []
+        for m in DF.enumerate_moves(cur):
+            if m.kind == "IV" and R._excluded_IV(cur, m):
+                report.skipped_exclusion += 1
+                continue
+            usable.append(m)
+        if not usable:
+            report.terminals.add(D.canonical_form(cur))
+            continue
+        for m in usable:
+            d = DF.apply_move(cur, m)
+            f = D.canonical_form(d.after)
+            if f not in seen:
+                seen.add(f)
+                frontier.append(d.after)
+    return report
+
+
+def identical_squares(k, side=3, gap=2, ccw=True):
+    curves = []
+    for j in range(k):
+        x = j * (side + gap)
+        sq = [(x, 0), (x + side, 0), (x + side, side), (x, side)]
+        curves.append(sq if ccw else [sq[0]] + sq[:0:-1])
+    return D.DottedGraph.build(curves, [sq[0] for sq in curves])
+
+
+def report_fields(rep):
+    return (rep.terminals, rep.visited, rep.skipped_exclusion, rep.condition_A_ok,
+            rep.condition_A_undecided)
+
+
+@pytest.mark.parametrize("g", [O.random_dotted_graph(random.Random(seed))
+                               for seed in range(24)] +
+                         [identical_squares(k, ccw=bool(k % 2)) for k in range(2, 6)])
+def test_explore_matches_reference(g, monkeypatch):
+    # the explorer skips building merges and already-seen deletions of
+    # circles that cross nothing; what it reports must not change
+    monkeypatch.setattr(R, "_COND_A_CACHE", {})
+    want = report_fields(reference_explore(g))
+    monkeypatch.setattr(R, "_COND_A_CACHE", {})
+    assert report_fields(R.explore_reductions(g)) == want
+
+
+def reference_first_good_group(g):
+    """The former ``_first_good_group``: one enumeration of every kind,
+    surgery sites included."""
+    moves = DF.enumerate_moves(g)
+    for m in moves:
+        if m.kind in ("I", "II", "III"):
+            return [DF.apply_move(g, m)]
+    for m in moves:
+        if m.kind != "IV":
+            continue
+        out = DF.try_good_IV(g, m)
+        if out is not None:
+            return list(out[1])
+    return None
+
+
+def random_polytope(rng, n):
+    """An n-point polytope on the 3n x 3n grid."""
+    xs = rng.sample(range(3 * n), n)
+    ys = rng.sample(range(3 * n), n)
+    ys1 = ys[:]
+    rng.shuffle(ys1)
+    return G.validate_polytope(list(zip(xs, ys)), list(zip(xs, ys1)))
+
+
+@pytest.mark.parametrize("n", range(6, 12))
+def test_good_reduce_matches_reference_scheduler(n, monkeypatch):
+    rng = random.Random(f"good-reduce/{n}")
+    graphs = [D.associate(random_polytope(rng, n)) for _ in range(6)]
+    traces = [R.good_reduce(g) for g in graphs]
+    monkeypatch.setattr(R, "_first_good_group", reference_first_good_group)
+    for g, trace in zip(graphs, traces):
+        want = R.good_reduce(g)
+        assert trace.steps == want.steps
+        assert [s.meta for s in trace.steps] == [s.meta for s in want.steps]
