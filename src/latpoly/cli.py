@@ -219,6 +219,7 @@ def _oracle_corpus(args) -> int:
         corpus = [O.random_polytope(rng, args.max_points, args.max_coord)
                   for _ in range(args.count)]
     else:
+        O.check_exhaustive_size(args.max_points, args.max_coord)
         corpus = list(O.exhaustive_polytopes(args.max_points, args.max_coord))
     rows = O.cross_check_thm37(corpus)
     agree = sum(1 for r in rows if r.empties and

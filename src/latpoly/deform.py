@@ -7,7 +7,10 @@ Surgery runs at a working scale of 16 after coordinate compression, which
 leaves integer corridors for the band; results are compressed back, so
 coordinates stay small forever.  Every applied move returns a valid graph
 with globally recomputed labels; a merge and a circle deletion, which
-provably keep validity, skip re-validation.
+provably keep validity, skip re-validation.  A loop deletion and an arc
+isotopy validate their results with ``DottedGraph.build``.  A surgery
+builds its result with the plain constructor and analyses it: the
+result's geometry checks its curves, and the analysis its dots.
 """
 from __future__ import annotations
 
@@ -205,6 +208,7 @@ def _surgery(g: DottedGraph, p1: Pt, p2: Pt, core=None, hug_crossing=None) -> De
         core_s = _canonical_core(w)
     raw, nd1, nd2 = _cut_and_join(w, core_s)
     out, gx, gy = DG.renormalize(raw)
+    analyze(out)                    # validates it: a routing bug raises here
 
     def down(p: Pt):
         return (gx[p[0]], gy[p[1]])
@@ -606,8 +610,7 @@ def _cut_and_join(w: _Pair, core):
         curves = [c for i, c in enumerate(gs.curves)
                   if i not in (ci1, ci2)] + [tuple(merged)]
     dots = (set(gs.dots) - {q1, q2}) | {t1m, t2m}
-    out = DottedGraph.build(curves, dots)
-    return out, t1m, t2m
+    return DottedGraph(DG.normal_curves(curves), frozenset(dots)), t1m, t2m
 
 
 def _trim(piece: list[Pt], d_start: Pt, d_end: Pt) -> list[Pt]:
@@ -1186,14 +1189,6 @@ def apply_move(g: DottedGraph, move: Move) -> Deformation:
 
 
 # ------------------------------------------------------------- classify --
-
-def classify_IVa(g: DottedGraph, move: Move) -> str | None:
-    """'a1', 'a2', or None for an enumerated surgery move."""
-    out = try_good_IV(g, move)
-    if out is None:
-        return None
-    return "a1" if out[0] == "IVa1" else "a2"
-
 
 def try_good_IV(g: DottedGraph, move: Move):
     """Attempt the good interpretations of a surgery move.

@@ -61,23 +61,32 @@ class DottedGraph:
 
     @staticmethod
     def build(curves, dots=()) -> "DottedGraph":
-        normed = []
-        for raw in curves:
-            pts = [G.grid_point(p) for p in raw]
-            if pts and pts[0] == pts[-1]:
-                pts = pts[:-1]
-            pts = _merge_collinear(pts)
-            if len(pts) < 4:
-                raise errors.InvalidGraph(f"closed rectilinear curve needs >= 4 corners: {pts}")
-            k = pts.index(min(pts))
-            pts = pts[k:] + pts[:k]
-            normed.append(tuple(pts))
-        g = DottedGraph(tuple(sorted(normed)), frozenset(map(G.grid_point, dots)))
-        _validate(g)
+        g = DottedGraph(normal_curves(curves), frozenset(map(G.grid_point, dots)))
+        _check_corners(g.curves)
+        found, v_by_x, h_by_y = _segment_pass(g.curves)
+        for d in g.dots:
+            _check_dot(d, found, bool(_segments_at(d, v_by_x, h_by_y)))
         return g
 
     def is_empty(self) -> bool:
         return not self.curves
+
+
+def normal_curves(curves) -> tuple[tuple[Pt, ...], ...]:
+    """The curves in normal form: integer corners, no closing repeat or
+    collinear corner, each from its least corner, sorted.  Raises only for
+    a curve of fewer than 4 corners."""
+    normed = []
+    for raw in curves:
+        pts = [G.grid_point(p) for p in raw]
+        if pts and pts[0] == pts[-1]:
+            pts = pts[:-1]
+        pts = _merge_collinear(pts)
+        if len(pts) < 4:
+            raise errors.InvalidGraph(f"closed rectilinear curve needs >= 4 corners: {pts}")
+        k = pts.index(min(pts))
+        normed.append(tuple(pts[k:] + pts[:k]))
+    return tuple(sorted(normed))
 
 
 def empty_graph() -> DottedGraph:
@@ -108,9 +117,11 @@ def _interior(p: Pt, seg: Seg) -> bool:
     return _on_segment(p, seg) and p != seg[0] and p != seg[1]
 
 
-def _validate(g: DottedGraph) -> None:
+def _check_corners(curves) -> None:
+    """Raise unless every step is axis-parallel, every corner turns and no
+    two corners coincide."""
     corners: set[Pt] = set()
-    for curve in g.curves:
+    for curve in curves:
         n = len(curve)
         dirs = [_direction(curve[i], curve[(i + 1) % n]) for i in range(n)]
         for i, p in enumerate(curve):
@@ -119,9 +130,6 @@ def _validate(g: DottedGraph) -> None:
             corners.add(p)
             if (dirs[i - 1][0] == 0) == (dirs[i][0] == 0):
                 raise errors.InvalidGraph(f"collinear corner survived at {p}")
-    found, v_by_x, h_by_y = _segment_pass(g.curves)
-    for d in g.dots:
-        _check_dot(d, found, bool(_segments_at(d, v_by_x, h_by_y)))
 
 
 def _segment_pass(curves) -> tuple[dict[Pt, tuple], dict, dict]:
@@ -239,10 +247,13 @@ class CurveGeometry:
     arms, the circle and loop certificates, and where each segment and
     each arc starts along its curve, by arc length from the curve's first
     corner.  The segment index of ``_segment_pass`` is the only one kept:
-    the arrangement is built from it, and ``locate`` reads it."""
+    the arrangement is built from it, and ``locate`` reads it.  The curves
+    are checked first, so analysis rejects a bad graph however it was
+    built."""
 
     def __init__(self, curves: tuple[tuple[Pt, ...], ...]):
         self.curves = curves
+        _check_corners(curves)
         self.crossings, self._v_by_x, self._h_by_y = _segment_pass(curves)
         self.arr = Arrangement(self._v_by_x, self._h_by_y)
         self._build_arcs()

@@ -8,6 +8,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from math import comb, factorial
 
 from . import errors
 from . import geometry as G
@@ -17,6 +18,7 @@ from . import reduce as R
 from . import plan as PL
 
 DESK_LIMIT = 5
+EXHAUSTIVE_LIMIT = 100_000      # polytopes in an exhaustive corpus; (3, 4) has 4,025
 
 
 def min_cost(ver0, ver1, limit: int = DESK_LIMIT) -> tuple[int, PL.TransformPlan]:
@@ -52,36 +54,6 @@ def min_cost(ver0, ver1, limit: int = DESK_LIMIT) -> tuple[int, PL.TransformPlan
                     best[nconf] = (ncost, npath)
                     heapq.heappush(heap, (ncost, npath, nconf))
     raise errors.LatPolyError("configurations are not connected")  # unreachable
-
-
-def exhaustive_min_cost(ver0, ver1, depth: int) -> int | None:
-    """Depth-bounded exhaustive search; an independent check of min_cost."""
-    p = G.validate_polytope(ver0, ver1)
-    goal = frozenset(p.ver1.points)
-
-    def go(conf, budget, used):
-        if conf == goal:
-            return 0
-        if budget == 0:
-            return None
-        out = None
-        pts = sorted(conf)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                v, w = pts[i], pts[j]
-                if v.x == w.x or v.y == w.y:
-                    continue
-                nconf = frozenset(G.rect_transform(G.PointConfig(conf), v, w).points)
-                if nconf in used:
-                    continue
-                sub = go(nconf, budget - 1, used | {nconf})
-                if sub is not None:
-                    c = sub + abs(G.rect_area_signed(Rect(v, w)))
-                    out = c if out is None else min(out, c)
-        return out
-
-    start = frozenset(p.ver0.points)
-    return go(start, depth, {start})
 
 
 # -------------------------------------------------------------- generators --
@@ -127,6 +99,22 @@ def random_transformation(rng: random.Random, p: LatticePolytope,
         rects.append(Rect(v, w))
         conf = G.rect_transform(conf, v, w)
     return rects
+
+
+def check_exhaustive_size(max_points: int, max_coord: int) -> int:
+    """How many polytopes ``exhaustive_polytopes`` yields (per n: the x- and
+    y-sets times the y orders of Ver0 and Ver1).  Raises ``TooLarge`` past
+    ``DESK_LIMIT`` points, checked before counting, or past
+    ``EXHAUSTIVE_LIMIT`` polytopes."""
+    if max_points > DESK_LIMIT:
+        raise errors.TooLarge(f"exhaustive corpus of up to {max_points} points: "
+                              f"oracle bound is {DESK_LIMIT} points")
+    size = sum(comb(max(max_coord + 1, 0), n) ** 2 * factorial(n) ** 2
+               for n in range(1, max_points + 1))
+    if size > EXHAUSTIVE_LIMIT:
+        raise errors.TooLarge(f"exhaustive corpus of {size} polytopes: "
+                              f"bound is {EXHAUSTIVE_LIMIT} polytopes")
+    return size
 
 
 def exhaustive_polytopes(max_points=3, max_coord=4):

@@ -13,9 +13,11 @@ its own area.  ``geometry.label_grid`` labels the cells of the compressed
 coordinate grid in one sweep, and its two summed-area tables decide the
 test for any rectangle in O(1).
 
-Compilation is a depth-first descent through passing moves, with one label
-grid per state: any path of passing moves that reaches the trivial
-polytope is a minimal plan.
+Compilation is a depth-first descent through passing normal moves, with
+one label grid per state: any path of passing moves that reaches the
+trivial polytope is a minimal plan.  Normal moves suffice: ``normalize``
+turns any minimal plan into a normal-only one with the same rectangles,
+and a plan is minimal exactly when every step passes.
 
 Sign bookkeeping: a reversed step records its rectangle by the diagonal
 pair it adds to the terminal vertices.  That is the pair consumed when the
@@ -235,11 +237,11 @@ def compile_plan(trace: ReductionTrace, p: LatticePolytope) -> TransformPlan:
     classifier.
 
     The trace only certifies that such a plan exists; the plan itself is
-    found by depth-first descent through classifier-passing moves to the
-    trivial polytope.  A passing move lowers ``area_abs`` by exactly its own
-    area, so every such path is a minimal plan.  The result is normalized
-    to normal moves only.  Raises ``CompileGap`` when no passing path
-    reaches the trivial polytope or a postcondition fails.
+    found by depth-first descent through classifier-passing normal moves to
+    the trivial polytope.  A passing move lowers ``area_abs`` by exactly its
+    own area, so every such path is a minimal plan, and normal-only by
+    construction.  Raises ``CompileGap`` when no passing path reaches the
+    trivial polytope or a postcondition fails.
     """
     if not DG.equivalent_mod_E_I(trace.start, associate(p)):
         raise errors.InvalidPlan("trace does not start at the polytope's graph")
@@ -248,7 +250,7 @@ def compile_plan(trace: ReductionTrace, p: LatticePolytope) -> TransformPlan:
     steps = _descend(p)
     if steps is None:
         raise errors.CompileGap("no classifier-passing path reaches the trivial polytope")
-    plan = normalize(TransformPlan(tuple(steps)), p)
+    plan = TransformPlan(tuple(steps))
     if not G.trivial(replay(p, plan)):
         raise errors.CompileGap("compiled plan does not replay to the trivial polytope")
     if plan.cost_abs != G.area_abs(p):
@@ -259,11 +261,12 @@ def compile_plan(trace: ReductionTrace, p: LatticePolytope) -> TransformPlan:
 
 
 def _descend(p: LatticePolytope) -> list[PlanStep] | None:
-    """The first path of classifier-passing moves from p to a trivial
-    polytope, or None.  Passing moves lower ``area_abs``, so the moves form
-    a finite DAG and backtracking out of dead states is complete; the stack
-    is explicit because a path may take up to ``area_abs`` moves."""
-    dead: set[tuple[frozenset, frozenset]] = set()
+    """The first path of classifier-passing normal moves from p to a
+    trivial polytope, or None.  Passing moves lower ``area_abs``, so the
+    moves form a finite DAG and backtracking out of dead states is
+    complete; a state is its Ver0 point set, as Ver1 never changes.  The
+    stack is explicit because a path may take up to ``area_abs`` moves."""
+    dead: set[frozenset] = set()
     stack = [(p, _passing_steps(p), None)]
     while stack:
         state, moves, _ = stack[-1]
@@ -271,27 +274,24 @@ def _descend(p: LatticePolytope) -> list[PlanStep] | None:
             return [step for _, _, step in stack[1:]]
         for step in moves:
             nxt = apply_step(state, step)
-            if (nxt.ver0.points, nxt.ver1.points) not in dead:
+            if nxt.ver0.points not in dead:
                 stack.append((nxt, _passing_steps(nxt), step))
                 break
         else:
-            dead.add((state.ver0.points, state.ver1.points))
+            dead.add(state.ver0.points)
             stack.pop()
     return None
 
 
 def _passing_steps(p: LatticePolytope):
-    """Yield the classifier-passing moves of p: normal moves on pairs of
-    initial vertices, then reversed moves on pairs of terminal vertices,
-    each tested on one label grid with e the sign of its stored rectangle."""
+    """Yield the classifier-passing normal moves of p, each tested on one
+    label grid with e the sign of its rectangle."""
     grid = G.label_grid(p)
-    for points, make, flip in ((p.ver0.points, normal_step, 1),
-                               (p.ver1.points, reversed_step, -1)):
-        pts = sorted(points)
-        for i, v in enumerate(pts):
-            for w in pts[i + 1:]:            # w.x > v.x
-                if grid.uniform(v, w, flip if w.y > v.y else -flip):
-                    yield make(v, w)
+    pts = sorted(p.ver0.points)
+    for i, v in enumerate(pts):
+        for w in pts[i + 1:]:                # w.x > v.x
+            if grid.uniform(v, w, 1 if w.y > v.y else -1):
+                yield normal_step(v, w)
 
 
 # ---------------------------------------------------------------- normalize --

@@ -1,6 +1,8 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -208,6 +210,19 @@ def test_bad_plan_documents_exit_2(tmp_path, capsys):
         plan_path.write_text(json.dumps(steps))
         assert cli.main(["verify", path, "--plan", str(plan_path)]) == 2, steps
     assert "cost signed" not in capsys.readouterr().out
+
+
+def test_oversized_exhaustive_corpus_exits_3():
+    # either corpus would run for days; both must be refused before enumerating
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for points, coord, err in (
+            ("5", "9", "exhaustive corpus of 940385800 polytopes: bound is 100000 polytopes"),
+            ("6", "5", "exhaustive corpus of up to 6 points: oracle bound is 5 points")):
+        proc = subprocess.run([sys.executable, "-m", "latpoly.cli", "oracle", "--corpus",
+                               "--max-points", points, "--max-coord", coord],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (3, f"error: {err}\n")
 
 
 def test_bad_corpus_arguments_exit_2(capsys):

@@ -223,7 +223,6 @@ def test_classify_IVa2():
     g = nested((True, False))
     dots = sorted(g.dots)
     move = [m for m in DF.enumerate_moves(g, allowed={"IV"})][0]
-    assert DF.classify_IVa(g, move) == "a2"
     kind, (dIV, dII) = DF.try_good_IV(g, move)
     assert kind == "IVa2"
     assert dII.after.is_empty()
@@ -235,7 +234,6 @@ def test_classify_IVa1_same_arc_at_crossing():
     pair = [m for m in moves
             if set(m.site) == {(2, 2), (2, 0)}]
     assert pair
-    assert DF.classify_IVa(g, pair[0]) == "a1"
     kind, (dIV, dIII) = DF.try_good_IV(g, pair[0])
     assert kind == "IVa1"
     an = D.analyze(dIII.after)
@@ -245,7 +243,7 @@ def test_classify_IVa1_same_arc_at_crossing():
 def test_classify_none_for_plain_split():
     g = circle_graph(dots=3)
     move = DF.enumerate_moves(g, allowed={"IV"})[0]
-    assert DF.classify_IVa(g, move) is None
+    assert DF.try_good_IV(g, move) is None
 
 
 # -------------------------------------------------------------- epsilon --
@@ -425,8 +423,18 @@ def good_IV_of_a_dot_merge(setattr):
     DF.try_good_IV(g, DF.Move("I", tuple(sorted(g.dots)), None, 0))
 
 
+def surgery_routed_into_a_T_junction(setattr):
+    # a routing bug: the cut returns curves that no build would accept
+    bad = D.DottedGraph(D.normal_curves([[(0, 0), (4, 0), (4, 4), (0, 4)],
+                                         [(3, 0), (7, 0), (7, -4), (3, -4)]]), frozenset())
+    setattr(DF, "_cut_and_join", lambda w, core: (bad, (0, 0), (0, 0)))
+    g = circle_graph(dots=3)
+    DF.apply_move(g, DF.enumerate_moves(g, allowed={"IV"})[0])
+
+
 # case -> (call, error class, message): broken arms make loop deletion
-# raise, and try_good_IV rejects a move that is not a surgery
+# raise, a surgery checks its result, and try_good_IV rejects a move that
+# is not a surgery
 BROKEN_CALLS = {
     "apex without tail": (apex_without_tail, errors.InvalidGraph,
                           "loop apex (1, 0) has no second outgoing arm"),
@@ -436,6 +444,8 @@ BROKEN_CALLS = {
                            "the walk from (0, 0) does not return to it"),
     "good IV of kind I": (good_IV_of_a_dot_merge, ValueError,
                           "try_good_IV needs a surgery move, not kind I"),
+    "surgery result invalid": (surgery_routed_into_a_T_junction, errors.InvalidGraph,
+                               "collinear overlap at y=1: T-junction at corner (1, 1)"),
 }
 
 

@@ -130,6 +130,18 @@ def test_build_rejection_classes(case):
         pytest.fail(f"{case}: raised {info.type.__name__}, want {want.__name__}")
 
 
+@pytest.mark.parametrize("case", sorted(set(INVALID_GRAPHS) - {"fewer than 4 corners"}))
+def test_analysis_rejects_what_build_rejects(case):
+    # a graph made with the plain constructor is checked by its geometry
+    curves, dots = INVALID_GRAPHS[case]
+    with pytest.raises(errors.InvalidGraph) as built:
+        D.DottedGraph.build(curves, dots)
+    g = D.DottedGraph(D.normal_curves(curves), frozenset(dots))
+    with pytest.raises(errors.InvalidGraph) as analysed:
+        D.analyze(g)
+    assert (analysed.type, str(analysed.value)) == (built.type, str(built.value))
+
+
 def test_empty_graph():
     g = D.empty_graph()
     assert g.is_empty()

@@ -3,6 +3,37 @@ import random
 import pytest
 
 from latpoly import errors, geometry as G, oracle as O, dotgraph as D
+from latpoly.geometry import Rect
+
+
+def exhaustive_min_cost(ver0, ver1, depth: int) -> int | None:
+    """Depth-bounded exhaustive search; an independent check of min_cost."""
+    p = G.validate_polytope(ver0, ver1)
+    goal = frozenset(p.ver1.points)
+
+    def go(conf, budget, used):
+        if conf == goal:
+            return 0
+        if budget == 0:
+            return None
+        out = None
+        pts = sorted(conf)
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                v, w = pts[i], pts[j]
+                if v.x == w.x or v.y == w.y:
+                    continue
+                nconf = frozenset(G.rect_transform(G.PointConfig(conf), v, w).points)
+                if nconf in used:
+                    continue
+                sub = go(nconf, budget - 1, used | {nconf})
+                if sub is not None:
+                    c = sub + abs(G.rect_area_signed(Rect(v, w)))
+                    out = c if out is None else min(out, c)
+        return out
+
+    start = frozenset(p.ver0.points)
+    return go(start, depth, {start})
 
 
 def test_min_cost_square():
@@ -26,7 +57,7 @@ def test_min_cost_matches_exhaustive():
     for _ in range(30):
         p = O.random_polytope(rng, max_points=3, max_coord=4)
         cost, plan = O.min_cost(p.ver0, p.ver1)
-        bounded = O.exhaustive_min_cost(p.ver0, p.ver1, depth=len(plan.steps) + 1)
+        bounded = exhaustive_min_cost(p.ver0, p.ver1, depth=len(plan.steps) + 1)
         assert bounded == cost
 
 
@@ -86,7 +117,16 @@ def test_cross_check_small():
 def test_exhaustive_polytope_count():
     count = sum(1 for _ in O.exhaustive_polytopes(max_points=2, max_coord=2))
     # n=1: 9 placements; n=2: C(3,2)^2 * 2! * 2! = 36
-    assert count == 9 + 36
+    assert count == 9 + 36 == O.check_exhaustive_size(2, 2)
+    assert O.check_exhaustive_size(3, 4) == 4025       # the desk corpus
+
+
+def test_exhaustive_size_bounds():
+    with pytest.raises(errors.TooLarge, match="^exhaustive corpus of 940"):
+        O.check_exhaustive_size(5, 9)
+    with pytest.raises(errors.TooLarge, match="oracle bound is 5 points$"):
+        O.check_exhaustive_size(6, 3)         # holds no 6-point polytope
+    assert O.check_exhaustive_size(3, -5) == 0
 
 
 def test_random_dotted_graph_generator():

@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latpoly import (errors, geometry as G, deform as DF, dotgraph as D, oracle as O,
                      plan as PL, reduce as R)
@@ -101,6 +101,41 @@ def reference_passing_steps(p):
     return out
 
 
+def reference_mixed_steps(p):
+    """The mixed ``_passing_steps`` of descent before it searched normal
+    moves only: normal moves on pairs of initial vertices, then reversed
+    moves on pairs of terminal vertices, each tested on one label grid with
+    e the sign of its stored rectangle."""
+    grid = G.label_grid(p)
+    for points, make, flip in ((p.ver0.points, PL.normal_step, 1),
+                               (p.ver1.points, PL.reversed_step, -1)):
+        pts = sorted(points)
+        for i, v in enumerate(pts):
+            for w in pts[i + 1:]:
+                if grid.uniform(v, w, flip if w.y > v.y else -flip):
+                    yield make(v, w)
+
+
+def reference_descend(p):
+    """The mixed ``_descend``: depth-first search over both normal and
+    reversed passing moves, with dead states keyed by both point sets."""
+    dead = set()
+    stack = [(p, reference_mixed_steps(p), None)]
+    while stack:
+        state, moves, _ = stack[-1]
+        if G.trivial(state):
+            return [step for _, _, step in stack[1:]]
+        for step in moves:
+            nxt = PL.apply_step(state, step)
+            if (nxt.ver0.points, nxt.ver1.points) not in dead:
+                stack.append((nxt, reference_mixed_steps(nxt), step))
+                break
+        else:
+            dead.add((state.ver0.points, state.ver1.points))
+            stack.pop()
+    return None
+
+
 @st.composite
 def walked_polytopes(draw, max_points=10, max_coord=30):
     """A random polytope with some isolated vertices, then a short random
@@ -133,7 +168,8 @@ def test_classifier_matches_reference(p):
             for w in pts[i + 1:]:
                 for r in (Rect(v, w), Rect(*Rect(v, w).other_diagonal())):
                     assert PL.classify_step(p, r, mode) == reference_classify(p, r, mode)
-    assert list(PL._passing_steps(p)) == reference_passing_steps(p)
+    normal_half = [s for s in reference_passing_steps(p) if s.mode == "normal"]
+    assert list(PL._passing_steps(p)) == normal_half
 
 
 def test_classify_square_move():
@@ -295,29 +331,28 @@ def test_compile_rejects_nonempty_terminal():
             PL.compile_plan(trace, p)
 
 
-_normalize = PL.normalize
+_descend = PL._descend
 
 
-def detoured_normalize(plan, p):
-    """normalize, then a move on two terminal points and its inverse: the
+def detoured_descend(p):
+    """_descend, then a move on two terminal points and its inverse: the
     plan still replays but is no longer minimal."""
-    out = _normalize(plan, p)
     a, b = sorted(p.ver1.points)[:2]
-    detour = (PL.normal_step(a, b), PL.normal_step(P(a.x, b.y), P(b.x, a.y)))
-    return PL.TransformPlan(out.steps + detour)
+    detour = [PL.normal_step(a, b), PL.normal_step(P(a.x, b.y), P(b.x, a.y))]
+    return _descend(p) + detour
 
 
 def test_compile_postcondition_raises_compile_gap(monkeypatch):
-    monkeypatch.setattr(PL, "normalize", detoured_normalize)
+    monkeypatch.setattr(PL, "_descend", detoured_descend)
     p = staircase()
-    with pytest.raises(errors.CompileGap):
+    with pytest.raises(errors.CompileGap, match="^compiled plan is not minimal$"):
         PL.compile_plan(R.good_reduce(D.associate(p)), p)
 
 
 def test_compile_postcondition_holds_under_O():
     here = os.path.dirname(os.path.abspath(__file__))
     code = ("import test_plan as T\n"
-            "T.PL.normalize = T.detoured_normalize\n"
+            "T.PL._descend = T.detoured_descend\n"
             "p = T.staircase()\n"
             "T.PL.compile_plan(T.R.good_reduce(T.D.associate(p)), p)\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
@@ -325,6 +360,44 @@ def test_compile_postcondition_holds_under_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "latpoly.errors.CompileGap: compiled plan is not minimal" in proc.stderr
+
+
+@st.composite
+def polytopes(draw, max_points=8):
+    """A random polytope of 1..max_points points."""
+    n = draw(st.integers(1, max_points))
+    coords = st.lists(st.integers(0, 3 * n), min_size=n, max_size=n, unique=True)
+    xs, ys = draw(coords), draw(coords)
+    ys1 = draw(st.permutations(ys))
+    return G.validate_polytope(list(zip(xs, ys)), list(zip(xs, ys1)))
+
+
+# Draws with no minimal plan, found by seeded search under reference_descend:
+# draw 5 of Random(5) and draw 55 of Random(8), each drawn as in
+# test_compile_past_desk_scale.
+NO_PLAN_5 = G.validate_polytope([(1, 11), (4, 5), (5, 2), (7, 14), (13, 7)],
+                                [(1, 2), (4, 7), (5, 14), (7, 5), (13, 11)])
+NO_PLAN_8 = G.validate_polytope(
+    [(1, 4), (2, 10), (3, 23), (7, 19), (8, 5), (11, 14), (14, 16), (21, 6)],
+    [(1, 16), (2, 14), (3, 4), (7, 6), (8, 19), (11, 10), (14, 5), (21, 23)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(polytopes())
+@example(NO_PLAN_5)
+@example(NO_PLAN_8)
+def test_normal_descent_matches_reference(p):
+    steps = PL._descend(p)
+    assert (steps is None) == (reference_descend(p) is None)
+    if steps is not None:
+        assert all(s.mode == "normal" for s in steps)
+        assert PL.verify_minimal(PL.TransformPlan(tuple(steps)), p)
+
+
+def test_pinned_draws_have_no_minimal_plan():
+    for p in (NO_PLAN_5, NO_PLAN_8):
+        assert PL._descend(p) is None and reference_descend(p) is None
+    assert O.min_cost(NO_PLAN_5.ver0, NO_PLAN_5.ver1)[0] > G.area_abs(NO_PLAN_5)
 
 
 def test_compile_past_desk_scale():
