@@ -6,11 +6,8 @@ isotopy move, starred variants, and the all-cores agreement check.
 Surgery runs at a working scale of 16 after coordinate compression, which
 leaves integer corridors for the band; results are compressed back, so
 coordinates stay small forever.  Every applied move returns a valid graph
-with globally recomputed labels; a merge and a circle deletion, which
-provably keep validity, skip re-validation.  A loop deletion and an arc
-isotopy validate their results with ``DottedGraph.build``.  A surgery
-builds its result with the plain constructor and analyses it: the
-result's geometry checks its curves, and the analysis its dots.
+with globally recomputed labels; every graph is checked by its first
+analysis.
 """
 from __future__ import annotations
 
@@ -764,14 +761,15 @@ def _ray_deltas(a: Pt, b: Pt, rays) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
+def _enumerate_core_classes(w: _Pair, base, holes, cap=20000):
     """One realized core per winding signature around the face's holes,
     with ``base`` (the canonical core) for the zero signature.
 
     Reachable crossing vectors are found on the product of the quarter-cell
-    graph with the bounded winding lattice; each is then realized by a
-    simple route found under reachability pruning.  Windings beyond the
-    bound are outside the enumeration; an exhausted budget raises.
+    graph with the winding lattice bounded by 1 around each hole; each is
+    then realized by a simple route found under reachability pruning.
+    Windings beyond 1 are outside the enumeration; an exhausted budget
+    raises.
 
     The product graph is built once: an edge table holds each quarter
     node's centre and its steps ``(neighbour, ray-delta vector)``, and per
@@ -841,7 +839,7 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000, wind_bound=1):
                 state = (nb, vec)
             else:
                 nvec = tuple(v + x for v, x in zip(vec, d))
-                if any(abs(v) > wind_bound for v in nvec):
+                if any(abs(v) > 1 for v in nvec):
                     continue
                 state = (nb, nvec)
             succ[cur].append(state)

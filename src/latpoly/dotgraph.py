@@ -61,11 +61,9 @@ class DottedGraph:
 
     @staticmethod
     def build(curves, dots=()) -> "DottedGraph":
+        """The graph in normal form, checked by its analysis."""
         g = DottedGraph(normal_curves(curves), frozenset(map(G.grid_point, dots)))
-        _check_corners(g.curves)
-        found, v_by_x, h_by_y = _segment_pass(g.curves)
-        for d in g.dots:
-            _check_dot(d, found, bool(_segments_at(d, v_by_x, h_by_y)))
+        analyze(g)
         return g
 
     def is_empty(self) -> bool:
@@ -169,28 +167,6 @@ def _segment_pass(curves) -> tuple[dict[Pt, tuple], dict, dict]:
     return found, v_by_x, h_by_y
 
 
-def _segments_at(p: Pt, v_by_x: dict, h_by_y: dict) -> list[tuple]:
-    """The entries of the segments through p in the segment index of
-    ``_segment_pass``: one inside a segment, two at a corner or a crossing,
-    none off the curves."""
-    x, y = p
-    out = []
-    for t, segs in ((y, v_by_x.get(x)), (x, h_by_y.get(y))):
-        if segs:                        # disjoint: only the last starting at or before t
-            k = bisect_left(segs, (t + 1,)) - 1
-            if k >= 0 and segs[k][1] >= t:
-                out.append(segs[k])
-    return out
-
-
-def _check_dot(d: Pt, crossings: dict, on_curve: bool) -> None:
-    """Raise for a dot on a crossing, or on no curve."""
-    if d in crossings:
-        raise errors.DotOnCrossing(f"dot at crossing {d}")
-    if not on_curve:
-        raise errors.InvalidGraph(f"dot {d} not on any curve")
-
-
 # ----------------------------------------------------------------- arcs --
 
 @dataclass(frozen=True)
@@ -248,8 +224,8 @@ class CurveGeometry:
     each arc starts along its curve, by arc length from the curve's first
     corner.  The segment index of ``_segment_pass`` is the only one kept:
     the arrangement is built from it, and ``locate`` reads it.  The curves
-    are checked first, so analysis rejects a bad graph however it was
-    built."""
+    are checked first: analysis is the one validity check of a graph,
+    ``DottedGraph.build`` included."""
 
     def __init__(self, curves: tuple[tuple[Pt, ...], ...]):
         self.curves = curves
@@ -305,13 +281,25 @@ class CurveGeometry:
         offset is the arc length from the curve's first corner.  A corner or
         a crossing lies on two segments and gets the lesser of their two
         pairs, so the first corner reads 0, not the perimeter."""
+        x, y = p
         best = None
-        for _, _, _, ci, si in _segments_at(p, self._v_by_x, self._h_by_y):
-            a = self.curves[ci][si]
-            loc = (ci, self._offsets[ci][0][si] + abs(p[0] - a[0]) + abs(p[1] - a[1]))
-            if best is None or loc < best:
-                best = loc
+        for t, segs in ((y, self._v_by_x.get(x)), (x, self._h_by_y.get(y))):
+            if segs:                    # disjoint: only the last starting at or before t
+                k = bisect_left(segs, (t + 1,)) - 1
+                if k >= 0 and segs[k][1] >= t:
+                    ci, si = segs[k][3:]
+                    a = self.curves[ci][si]
+                    loc = (ci, self._offsets[ci][0][si] + abs(x - a[0]) + abs(y - a[1]))
+                    if best is None or loc < best:
+                        best = loc
         return best
+
+    def segment_at(self, ci: int, off: int) -> tuple[int, int]:
+        """(segment, offset along it) of the point at offset ``off`` along
+        curve ``ci``; a corner lies on the segment that starts there."""
+        seg_start = self._offsets[ci][0]
+        si = bisect_right(seg_start, off) - 1
+        return si, off - seg_start[si]
 
     def corners_between(self, ci: int, sa: int, sb: int) -> list[Pt]:
         """The corners of curve ``ci`` strictly between the offsets ``sa``
@@ -333,11 +321,15 @@ class CurveGeometry:
         """The arcs with ``dots`` on them, each arc's dots in travel order.
         A dot's offset along its curve picks its arc by bisection among the
         arcs' start offsets; a dot before the first start or after the last
-        lies on the arc that wraps round the curve's first corner."""
+        lies on the arc that wraps round the curve's first corner.  Raises
+        for a dot on a crossing, or on no curve."""
         on: dict[int, list[tuple[int, Pt]]] = {}
         for d in dots:
+            if d in self.crossings:
+                raise errors.DotOnCrossing(f"dot at crossing {d}")
             loc = self.locate(d)
-            _check_dot(d, self.crossings, loc is not None)
+            if loc is None:
+                raise errors.InvalidGraph(f"dot {d} not on any curve")
             ci, off = loc
             _, perimeter, starts, first = self._offsets[ci]
             k = bisect_right(starts, off) - 1
@@ -818,7 +810,7 @@ def _pad_jogs(g: DottedGraph) -> DottedGraph:
         p, q = _longest_arc_piece(a)
         pts = _jog_points(p, q, need)
         ci, off = an.geometry.locate(pts[0])     # inside the piece: on one segment
-        si = bisect_right(an.geometry._offsets[ci][0], off) - 1
+        si, _ = an.geometry.segment_at(ci, off)
         inserts.setdefault((ci, si), []).append((off, pts))
     curves = []
     for ci, curve in enumerate(g.curves):

@@ -4,7 +4,6 @@ on load, never read."""
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 
 from . import errors
 from . import geometry as G
@@ -46,9 +45,7 @@ def _locate_dot(geo: DG.CurveGeometry, d):
     if loc is None:
         raise errors.ParseError(f"dot {d} not on any curve")
     ci, off = loc
-    seg_start = geo._offsets[ci][0]
-    si = bisect_right(seg_start, off) - 1
-    return ci, si, off - seg_start[si]
+    return (ci, *geo.segment_at(ci, off))
 
 
 def obj_to_graph(obj) -> DottedGraph:

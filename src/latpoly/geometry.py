@@ -12,7 +12,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from . import errors
-from .arrangement import Arrangement, Seg, segments_by_line
+from .arrangement import Seg
 
 
 class GridPoint(NamedTuple):
@@ -216,30 +216,6 @@ def _present_diagonal(config: PointConfig, r: Rect, err) -> tuple[GridPoint, Gri
 
 
 # regions and areas ------------------------------------------------------
-
-@dataclass(frozen=True)
-class Region:
-    omega: int
-    area: int             # finite part only; exact for bounded regions
-    unbounded: bool
-    sample2: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class RegionDecomposition:
-    regions: tuple[Region, ...]
-
-
-def _arrangement(p: LatticePolytope) -> Arrangement:
-    return Arrangement(*segments_by_line([boundary_segments(p)]))
-
-
-def region_decomposition(p: LatticePolytope) -> RegionDecomposition:
-    arr = _arrangement(p)
-    regions = tuple(Region(f.omega, f.area, f.unbounded, f.sample2)
-                    for f in sorted(arr.faces, key=lambda f: f.sample2))
-    return RegionDecomposition(regions)
-
 
 class LabelGrid(NamedTuple):
     """A polytope's region labels on its compressed coordinate grid.

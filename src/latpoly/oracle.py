@@ -205,24 +205,6 @@ def random_dotted_graph(rng: random.Random, require_all_dotted=True) -> DG.Dotte
 
 # ------------------------------------------------------------------ reports --
 
-def check_eq1_corpus(seed: int, n: int, max_points=4, max_coord=6) -> dict:
-    """Randomized audit of the signed-area identity: the signed rectangle
-    areas of any complete transformation sum to the polytope area."""
-    rng = random.Random(seed)
-    failures = []
-    for k in range(n):
-        p = random_polytope(rng, max_points, max_coord)
-        rects = random_transformation(rng, p)
-        signed, absolute = G.plan_cost(rects)
-        if signed != G.area_signed(p):
-            failures.append({"index": k, "signed": signed,
-                             "area": G.area_signed(p)})
-        if absolute < G.area_abs(p):
-            failures.append({"index": k, "absolute": absolute,
-                             "area_abs": G.area_abs(p)})
-    return {"checked": n, "failures": failures}
-
-
 @dataclass
 class CrossCheckRow:
     ver0: tuple

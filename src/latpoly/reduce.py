@@ -5,6 +5,7 @@ reduction outcomes for confluence checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import errors
 from . import dotgraph as DG
@@ -205,12 +206,18 @@ class ExplorationReport:
     skipped_exclusion: int = 0
 
 
-# condition (A) verdict per explored graph, not per canonical form: graphs
-# of one form can differ in it.  The start and every surgery's result are
-# normalized, but a deletion's result keeps the gaps its removed curve
-# leaves in the coordinates, so one graph up to isotopy can hold several
-# entries; oldest entry evicted at the bound
-_COND_A_CACHE: dict[DottedGraph, bool | None] = {}
+@lru_cache(maxsize=DG.FORM_CACHE_SIZE)
+def _condition_A(g: DottedGraph) -> bool | None:
+    """Whether condition (A) holds at g, or None when its check runs out
+    of budget.  Cached per graph, not per canonical form: graphs of one
+    form can differ in it.  The start and every surgery's result are
+    normalized, but a deletion's result keeps the gaps its removed curve
+    leaves in the coordinates, so one graph up to isotopy can hold several
+    entries."""
+    try:
+        return DF.check_condition_A_everywhere(g)
+    except errors.BudgetExceeded:
+        return None
 
 
 def explore_reductions(g: DottedGraph, budget: int = 2000,
@@ -235,15 +242,7 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
         if report.visited > budget:
             raise errors.BudgetExceeded("reduction exploration budget hit")
         if check_A and report.condition_A_ok:
-            if cur not in _COND_A_CACHE:
-                try:
-                    ok = DF.check_condition_A_everywhere(cur)
-                except errors.BudgetExceeded:
-                    ok = None                    # undecided
-                if len(_COND_A_CACHE) >= DG.FORM_CACHE_SIZE:
-                    del _COND_A_CACHE[next(iter(_COND_A_CACHE))]
-                _COND_A_CACHE[cur] = ok
-            ok = _COND_A_CACHE[cur]
+            ok = _condition_A(cur)
             if not ok:
                 report.condition_A_ok = False
                 report.condition_A_undecided = ok is None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from . import geometry as G
 from . import dotgraph as DG
+from .arrangement import Arrangement, segments_by_line
 
 SCALE = 24
 PAD = 30
@@ -102,7 +103,7 @@ def render_svg(obj, math_axes: bool = False) -> str:
         iso = G.isolated_vertices(obj)
         marks = [("disk", q) for q in sorted(obj.ver0.points)]
         marks += [("x", q) for q in sorted(obj.ver1.points)]
-        arr = G._arrangement(obj)
+        arr = Arrangement(*segments_by_line([segs]))
         extra = sorted(iso)
     elif isinstance(obj, DG.DottedGraph):
         an = DG.analyze(obj)

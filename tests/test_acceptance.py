@@ -51,12 +51,13 @@ def test_criterion_1_signed_area_identity():
     for _ in range(1000):
         p = O.random_polytope(rng, max_points=4, max_coord=6)
         rects = O.random_transformation(rng, p)
-        signed, _ = G.plan_cost(rects)
+        signed, absolute = G.plan_cost(rects)
         assert signed == G.area_signed(p)
+        assert absolute >= G.area_abs(p)
     dt = time.monotonic() - t0
     assert dt < 10.0, f"criterion 1 took {dt:.1f}s"
     print(f"\nCRITERION 1: PASS - 1000 random transformations match the "
-          f"signed area exactly ({dt:.1f}s)")
+          f"signed area exactly and cost at least the absolute area ({dt:.1f}s)")
 
 
 def test_criterion_2_oracle_cost_bounds_area():

@@ -56,11 +56,12 @@ def test_reduce_square(tmp_path, capsys):
         ["step000.svg", "step001.svg", "step002.svg"]
 
 
-def test_confluence_budget_hit_prints_undecided(tmp_path, capsys, monkeypatch):
+def test_confluence_budget_hit_prints_undecided(tmp_path, capsys, monkeypatch, request):
     def out_of_budget(g, cap=4000):
         raise errors.BudgetExceeded("core class enumeration budget hit")
     path = write_square(tmp_path)
-    monkeypatch.setattr(R, "_COND_A_CACHE", {})
+    R._condition_A.cache_clear()
+    request.addfinalizer(R._condition_A.cache_clear)    # no patched verdict outlives the test
     monkeypatch.setattr(DF, "check_condition_A_everywhere", out_of_budget)
     assert cli.main(["reduce", path, "--confluence"]) == 0
     out = capsys.readouterr().out

@@ -540,7 +540,7 @@ def test_slide_one_matches_reference(seed):
 
 # ------------------------------------------------------ core classes --
 
-def reference_core_classes(w, base, holes, cap=20000, wind_bound=1):
+def reference_core_classes(w, base, holes, cap=20000):
     """The former ``_enumerate_core_classes``: every step of the closure and
     of the route search recomputes quarter centres and ray deltas, and the
     search re-ranks the neighbours at each step."""
@@ -575,7 +575,7 @@ def reference_core_classes(w, base, holes, cap=20000, wind_bound=1):
         for nb in neighbors(node):
             d = DF._ray_deltas(centers[node], DF._quarter_center(arr, nb), rays)
             nvec = tuple(v + x for v, x in zip(vec, d))
-            if any(abs(v) > wind_bound for v in nvec):
+            if any(abs(v) > 1 for v in nvec):
                 continue
             state = (nb, nvec)
             forward.setdefault(state, []).append((node, vec))

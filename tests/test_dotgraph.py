@@ -105,41 +105,57 @@ def transposed(curves):
     return [[(y, x) for x, y in c] for c in curves]
 
 
+# each case's error class and message, as ``DottedGraph.build`` raised them
+# when it still ran its own checks ahead of any analysis
 INVALID_GRAPHS = {
-    "non-axis step": ([[(0, 0), (4, 0), (4, 4), (1, 3)]], []),
-    "fewer than 4 corners": ([[(0, 0), (4, 0), (4, 4)]], []),
-    "coincident corners": ([SQUARE, [(4, 4), (8, 4), (8, 8), (4, 8)]], []),
-    "horizontal overlap": ([SQUARE, [(1, 0), (3, 0), (3, -4), (1, -4)]], []),
-    "vertical overlap": (transposed([SQUARE, [(1, 0), (3, 0), (3, -4), (1, -4)]]), []),
+    "non-axis step": ([[(0, 0), (4, 0), (4, 4), (1, 3)]], [],
+                      errors.InvalidGraph, "non-axis step (4, 4)->(1, 3)"),
+    "fewer than 4 corners": ([[(0, 0), (4, 0), (4, 4)]], [], errors.InvalidGraph,
+                             "closed rectilinear curve needs >= 4 corners: "
+                             "[(0, 0), (4, 0), (4, 4)]"),
+    "coincident corners": ([SQUARE, [(4, 4), (8, 4), (8, 8), (4, 8)]], [],
+                           errors.InvalidGraph, "coincident corners at (4, 4)"),
+    "horizontal overlap": ([SQUARE, [(1, 0), (3, 0), (3, -4), (1, -4)]], [],
+                           errors.InvalidGraph,
+                           "collinear overlap at y=0: T-junction at corner (1, 0)"),
+    "vertical overlap": (transposed([SQUARE, [(1, 0), (3, 0), (3, -4), (1, -4)]]), [],
+                         errors.InvalidGraph,
+                         "collinear overlap at x=0: T-junction at corner (0, 1)"),
     "corner inside a horizontal segment":
-        ([SQUARE, [(3, 0), (7, 0), (7, -4), (3, -4)]], []),
+        ([SQUARE, [(3, 0), (7, 0), (7, -4), (3, -4)]], [], errors.InvalidGraph,
+         "collinear overlap at y=0: T-junction at corner (3, 0)"),
     "corner inside a vertical segment":
-        (transposed([SQUARE, [(3, 0), (7, 0), (7, -4), (3, -4)]]), []),
-    "dot on a crossing": ([[(0, 0), (2, 0), (2, 2), (1, 2), (1, -1), (0, -1)]], [(1, 0)]),
-    "dot off every curve": ([SQUARE], [(2, 2)]),
+        (transposed([SQUARE, [(3, 0), (7, 0), (7, -4), (3, -4)]]), [], errors.InvalidGraph,
+         "collinear overlap at x=0: T-junction at corner (0, 3)"),
+    "dot on a crossing": ([[(0, 0), (2, 0), (2, 2), (1, 2), (1, -1), (0, -1)]], [(1, 0)],
+                          errors.DotOnCrossing, "dot at crossing (1, 0)"),
+    "dot off every curve": ([SQUARE], [(2, 2)],
+                            errors.InvalidGraph, "dot (2, 2) not on any curve"),
 }
+
+
+def raised(f, *args) -> tuple:
+    """The class and message of the error that ``f(*args)`` raises."""
+    with pytest.raises(errors.LatPolyError) as info:
+        f(*args)
+    return info.type, str(info.value)
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_GRAPHS))
 def test_build_rejection_classes(case):
-    curves, dots = INVALID_GRAPHS[case]
-    want = errors.DotOnCrossing if case == "dot on a crossing" else errors.InvalidGraph
-    with pytest.raises(errors.InvalidGraph) as info:
-        D.DottedGraph.build(curves, dots)
-    if info.type is not want:       # not an assert: the test also runs under -O
-        pytest.fail(f"{case}: raised {info.type.__name__}, want {want.__name__}")
+    curves, dots, *want = INVALID_GRAPHS[case]
+    got = raised(D.DottedGraph.build, curves, dots)
+    if got != tuple(want):          # not an assert: the test also runs under -O
+        pytest.fail(f"{case}: raised {got}, want {tuple(want)}")
 
 
 @pytest.mark.parametrize("case", sorted(set(INVALID_GRAPHS) - {"fewer than 4 corners"}))
 def test_analysis_rejects_what_build_rejects(case):
-    # a graph made with the plain constructor is checked by its geometry
-    curves, dots = INVALID_GRAPHS[case]
-    with pytest.raises(errors.InvalidGraph) as built:
-        D.DottedGraph.build(curves, dots)
+    # a graph made with the plain constructor is checked by its first
+    # analysis, with the error that build raises
+    curves, dots, *want = INVALID_GRAPHS[case]
     g = D.DottedGraph(D.normal_curves(curves), frozenset(dots))
-    with pytest.raises(errors.InvalidGraph) as analysed:
-        D.analyze(g)
-    assert (analysed.type, str(analysed.value)) == (built.type, str(built.value))
+    assert raised(D.analyze, g) == raised(D.DottedGraph.build, curves, dots) == tuple(want)
 
 
 def test_empty_graph():
@@ -184,8 +200,8 @@ def test_associate_labels_match_region_decomposition():
         g = D.associate(p)
         an = D.analyze(g)
         got = sorted((f.omega, f.area) for f in an.arr.faces if not f.unbounded)
-        want = sorted((r.omega, r.area) for r in G.region_decomposition(p).regions
-                      if not r.unbounded)
+        arr = Arrangement(*segments_by_line([G.boundary_segments(p)]))
+        want = sorted((f.omega, f.area) for f in arr.faces if not f.unbounded)
         assert got == want
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from latpoly import errors, geometry as G
-from latpoly.arrangement import winding_2x
+from latpoly.arrangement import Arrangement, segments_by_line, winding_2x
 from latpoly.geometry import P, Rect
 
 
@@ -223,10 +223,15 @@ def test_apply_reversed():
 
 # ---------------------------------------------------------------- regions
 
+def arrangement(p):
+    """The arrangement of p's boundary, whose faces are p's regions."""
+    return Arrangement(*segments_by_line([G.boundary_segments(p)]))
+
+
 def test_regions_unit_square():
-    dec = G.region_decomposition(square())
-    bounded = [r for r in dec.regions if not r.unbounded]
-    unbounded = [r for r in dec.regions if r.unbounded]
+    faces = arrangement(square()).faces
+    bounded = [r for r in faces if not r.unbounded]
+    unbounded = [r for r in faces if r.unbounded]
     assert len(bounded) == 1 and bounded[0].omega == 1 and bounded[0].area == 1
     assert len(unbounded) == 1 and unbounded[0].omega == 0
 
@@ -234,16 +239,15 @@ def test_regions_unit_square():
 def test_regions_clockwise_rect():
     p = cw_rect()
     assert oracle_shoelace(G.boundary_cycles(p)[0]) == -3
-    dec = G.region_decomposition(p)
-    bounded = [r for r in dec.regions if not r.unbounded]
+    bounded = [r for r in arrangement(p).faces if not r.unbounded]
     assert len(bounded) == 1 and bounded[0].omega == -1 and bounded[0].area == 3
 
 
 def test_regions_isolated_only():
     p = G.validate_polytope([(0, 0), (4, 4)], [(0, 0), (4, 4)])
-    dec = G.region_decomposition(p)
-    assert len(dec.regions) == 1
-    assert dec.regions[0].omega == 0 and dec.regions[0].unbounded
+    faces = arrangement(p).faces
+    assert len(faces) == 1
+    assert faces[0].omega == 0 and faces[0].unbounded
 
 
 def test_region_winding_matches_oracle():
@@ -251,7 +255,7 @@ def test_region_winding_matches_oracle():
     for _ in range(40):
         p = random_polytope(rng)
         cycles = G.boundary_cycles(p)
-        for r in G.region_decomposition(p).regions:
+        for r in arrangement(p).faces:
             assert r.omega == oracle_winding(r.sample2, cycles)
 
 
@@ -289,7 +293,7 @@ def test_adjacent_region_labels_differ_by_one():
     rng = random.Random(9)
     for _ in range(30):
         p = random_polytope(rng)
-        arr = G._arrangement(p)
+        arr = arrangement(p)
         for a, b in G.x_edges(p):
             lo, hi = sorted((a.x, b.x))
             row = arr.ys.index(a.y)
@@ -346,7 +350,7 @@ def test_label_grid_uniform_matches_cell_scan():
 
 def test_areas_match_regions_and_shoelace():
     for p in walked_polytopes(34, 200):
-        bounded = [r for r in G.region_decomposition(p).regions if not r.unbounded]
+        bounded = [r for r in arrangement(p).faces if not r.unbounded]
         assert G.area_signed(p) == sum(r.omega * r.area for r in bounded) == \
             G.shoelace_total(p)
         assert G.area_abs(p) == sum(abs(r.omega) * r.area for r in bounded)

@@ -92,14 +92,6 @@ def test_min_cost_deterministic():
     assert a == b
 
 
-def test_check_eq1_corpus():
-    report = O.check_eq1_corpus(seed=3, n=150)
-    assert report["checked"] == 150
-    assert report["failures"] == []
-    vacuous = O.check_eq1_corpus(seed=3, n=0)
-    assert vacuous["checked"] == 0 and vacuous["failures"] == []
-
-
 def test_cross_check_small():
     corpus = [
         G.validate_polytope([(0, 0), (1, 1)], [(1, 0), (0, 1)]),

@@ -227,30 +227,37 @@ def test_explore_confluence_on_fixtures():
             assert len(rep.terminals) == 1
 
 
-def test_condition_A_budget_hit_is_undecided(monkeypatch):
+@pytest.fixture
+def fresh_condition_A():
+    """An empty condition (A) cache, emptied again afterwards, so that no
+    verdict of a patched check outlives the test."""
+    R._condition_A.cache_clear()
+    yield
+    R._condition_A.cache_clear()
+
+
+def test_condition_A_budget_hit_is_undecided(monkeypatch, fresh_condition_A):
     def out_of_budget(g, cap=4000):
         raise errors.BudgetExceeded("core class enumeration budget hit")
-    monkeypatch.setattr(R, "_COND_A_CACHE", {})
     monkeypatch.setattr(DF, "check_condition_A_everywhere", out_of_budget)
     rep = R.explore_reductions(square_graph())
     assert rep.condition_A_undecided and not rep.condition_A_ok
     assert rep.terminals == {D.canonical_form(D.empty_graph())}
-    monkeypatch.setattr(R, "_COND_A_CACHE", {})
+    R._condition_A.cache_clear()
     monkeypatch.setattr(DF, "check_condition_A_everywhere", lambda g, cap=4000: False)
     rep = R.explore_reductions(square_graph())
     assert not rep.condition_A_undecided and not rep.condition_A_ok
 
 
-def test_condition_A_cache_stays_bounded(monkeypatch):
-    bound = D.FORM_CACHE_SIZE
-    monkeypatch.setattr(R, "_COND_A_CACHE", {f"old{i}": True for i in range(bound)})
+def test_condition_A_cache_stays_bounded(fresh_condition_A):
+    assert R._condition_A.cache_info().maxsize == D.FORM_CACHE_SIZE
     R.explore_reductions(square_graph())
-    assert len(R._COND_A_CACHE) <= bound
-    assert "old0" not in R._COND_A_CACHE
-    assert D.normalized(square_graph()) in R._COND_A_CACHE
+    hits = R._condition_A.cache_info().hits
+    R._condition_A(D.normalized(square_graph()))     # cached per graph
+    assert R._condition_A.cache_info().hits == hits + 1
 
 
-def test_condition_A_verdict_belongs_to_the_graph_not_its_form(monkeypatch):
+def test_condition_A_verdict_belongs_to_the_graph_not_its_form():
     # two graphs of the benchmark's confluence population with one canonical
     # form: random_dotted_graph(Random("confluence/36")) normalized, where
     # condition (A) holds throughout, and a state that exploring
@@ -267,7 +274,7 @@ def test_condition_A_verdict_belongs_to_the_graph_not_its_form(monkeypatch):
         [(1, 6), (4, 5), (5, 6), (7, 5), (8, 3), (9, 1), (10, 1)])
     assert D.canonical_form(holds) == D.canonical_form(fails)
     for order in ((holds, fails), (fails, holds)):
-        monkeypatch.setattr(R, "_COND_A_CACHE", {})
+        R._condition_A.cache_clear()
         oks = {g: R.explore_reductions(g).condition_A_ok for g in order}
         assert oks == {holds: True, fails: False}
 
@@ -285,13 +292,7 @@ def reference_explore(g, budget=2000, check_A=True):
         if report.visited > budget:
             raise errors.BudgetExceeded("reduction exploration budget hit")
         if check_A and report.condition_A_ok:
-            if cur not in R._COND_A_CACHE:
-                try:
-                    ok = DF.check_condition_A_everywhere(cur)
-                except errors.BudgetExceeded:
-                    ok = None
-                R._COND_A_CACHE[cur] = ok
-            ok = R._COND_A_CACHE[cur]
+            ok = R._condition_A(cur)
             if not ok:
                 report.condition_A_ok = False
                 report.condition_A_undecided = ok is None
@@ -330,12 +331,12 @@ def report_fields(rep):
 @pytest.mark.parametrize("g", [O.random_dotted_graph(random.Random(seed))
                                for seed in range(24)] +
                          [identical_squares(k, ccw=bool(k % 2)) for k in range(2, 6)])
-def test_explore_matches_reference(g, monkeypatch):
+def test_explore_matches_reference(g):
     # the explorer skips building merges and already-seen deletions of
     # circles that cross nothing; what it reports must not change
-    monkeypatch.setattr(R, "_COND_A_CACHE", {})
+    R._condition_A.cache_clear()
     want = report_fields(reference_explore(g))
-    monkeypatch.setattr(R, "_COND_A_CACHE", {})
+    R._condition_A.cache_clear()
     assert report_fields(R.explore_reductions(g)) == want
 
 
