@@ -848,7 +848,7 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000):
                 dq.append(state)
 
     targets = sorted(vec for node, vec in forward if node == nd2)
-    limit = 2 ** len(rays) if _dots_share_component(w) else len(targets)
+    limit = 2 ** len(rays) if _dots_share_component(w.ans, q1, q2) else len(targets)
     tables = {}                 # target -> (goal, distances, ranked successors)
     routes = {}                 # target -> quarter nodes of its route
 
@@ -926,12 +926,11 @@ def _distances_to(forward, goal) -> dict:
     return dist
 
 
-def _dots_share_component(w: _Pair) -> bool:
-    """True when the curves of the two surgery dots lie in one graph
+def _dots_share_component(an, p1: Pt, p2: Pt) -> bool:
+    """True when the curves through the dots p1 and p2 lie in one graph
     component."""
-    geo = w.ans.geometry
-    c1, c2 = _curve_of_point(geo, w.q1), _curve_of_point(geo, w.q2)
-    return any(c1 in comp and c2 in comp for comp in _graph_components(w.ans))
+    c1, c2 = _curve_of_point(an.geometry, p1), _curve_of_point(an.geometry, p2)
+    return any(c1 in comp and c2 in comp for comp in _graph_components(an))
 
 
 def _core_matching(w: _Pair, p1: Pt, core, p2: Pt):
@@ -1106,11 +1105,20 @@ def applicable_star(g: DottedGraph, kind: str, site) -> bool:
 def check_condition_A(g: DottedGraph, p1: Pt, p2: Pt, cap: int = 4000) -> bool:
     """True when all cores between the two dots give the same result up to
     local moves and dot merging (compared by canonical form).  Raises
-    BudgetExceeded past the enumeration cap."""
+    BudgetExceeded past the enumeration cap.
+
+    Two cases hold without enumerating cores.  A middle region without
+    holes is a disk, where all cores are isotopic.  A region with one hole
+    whose two dots lie on different graph components is an annulus with a
+    dot on each boundary: its cores differ only by twists around the hole
+    (Epstein, *Curves on 2-manifolds and isotopies*, 1966), and a full
+    twist is undone by rotating the hole's disk, an isotopy of the plane
+    (Farb & Margalit, *A Primer on Mapping Class Groups*, 2012), so every
+    core gives the same canonical form."""
     an = analyze(g)
-    a1, a2 = _arc_of_dot(an, p1), _arc_of_dot(an, p2)
-    F = _middle_region(an, a1, a2, None)
-    if not _hole_samples(an, F):
+    F = _middle_region(an, _arc_of_dot(an, p1), _arc_of_dot(an, p2), None)
+    holes = _hole_samples(an, F)
+    if not holes or (len(holes) == 1 and not _dots_share_component(an, p1, p2)):
         return True
     w = _working_pair(g, p1, p2)
     classes = _enumerate_core_classes(w, _canonical_core(w),

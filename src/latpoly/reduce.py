@@ -227,11 +227,16 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
     hypothesis; reports the distinct terminal forms.  The frontier is a
     stack, and ``visited`` counts the states popped in that order.
 
-    A successor whose form is already seen is dropped, so two kinds are
+    A successor whose form is already seen is dropped, so three kinds are
     not built at all: a merge (I), whose successor has the current graph's
-    own form, since the form collapses dot counts to flags; and the
-    deletion (II) of a circle that crosses nothing, when
-    ``form_without_circle`` finds its form seen."""
+    own form, since the form collapses dot counts to flags; the deletion
+    (II) of a circle that crosses nothing, when ``form_without_circle``
+    finds its form seen; and every surgery (IV) after the first on one
+    unordered arc pair whose middle region has no hole.  That region is a
+    disk, where all cores between the two arcs are isotopic, and
+    ``_cut_and_join`` puts a new dot on every arc the band creates, so
+    which dots of the arcs carry the band cannot change the form: the
+    first site's form is already in ``seen``."""
     report = ExplorationReport()
     start = DG.normalized(g)
     seen = {canonical_form(start)}
@@ -256,10 +261,17 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
         if not usable:
             report.terminals.add(canonical_form(cur))
             continue
+        built = set()           # arc pairs of the hole-free surgeries built
         for m in usable:
             if m.kind == "I" or (m.kind == "II" and len(m.site.arcs) == 1 and
                                  DG.form_without_circle(cur, m.site) in seen):
                 continue
+            if m.kind == "IV":
+                pair = _disk_arc_pair(cur, m)
+                if pair in built:
+                    continue
+                if pair is not None:
+                    built.add(pair)
             d = DF.apply_move(cur, m)
             f = canonical_form(d.after)
             if f not in seen:
@@ -291,6 +303,16 @@ def _excluded_IV(g: DottedGraph, move) -> bool:
         if (on1 and in2) or (on2 and in1):
             return True
     return False
+
+
+def _disk_arc_pair(g: DottedGraph, move):
+    """The unordered pair of arc keys of a surgery site whose middle region
+    has no hole, or None when it has holes."""
+    an = analyze(g)
+    a1, a2 = (DF._arc_of_dot(an, p) for p in move.site)
+    if DF._hole_samples(an, DF._middle_region(an, a1, a2, None)):
+        return None
+    return frozenset((a1.key, a2.key))
 
 
 def _arc_inside(an, arc, cert) -> bool:

@@ -731,7 +731,7 @@ def test_dots_on_one_component_give_at_most_two_to_the_k_classes(g):
     # region's outer boundary, a route encloses each hole or not, so each
     # signature entry takes two values
     for w, base, holes in holed_sites(g):
-        if not DF._dots_share_component(w):
+        if not DF._dots_share_component(w.ans, w.q1, w.q2):
             continue
         try:
             classes = reference_core_classes(w, base, holes, cap=4000)
@@ -753,7 +753,7 @@ def test_dots_on_a_hole_give_three_values_and_still_2_to_the_k_classes():
     h = [(24, 6), (24, 18), (32, 18), (32, 6)]
     g = D.DottedGraph.build([big, h0, h], [(6, 10), (14, 10)])
     [(w, base, holes)] = holed_sites(g)
-    assert DF._dots_share_component(w) and dots_on_a_hole(w)
+    assert DF._dots_share_component(w.ans, w.q1, w.q2) and dots_on_a_hole(w)
     classes = reference_core_classes(w, base, holes)
     assert list(classes) == [(1, 1), (1, 0), (0, 0), (0, -1)]
     assert list(DF._enumerate_core_classes(w, base, holes).items()) == list(classes.items())
@@ -783,11 +783,94 @@ def test_route_search_stops_at_two_classes_around_one_hole():
     inner = [(6, 6), (10, 6), (10, 10), (6, 10)]
     g = D.DottedGraph.build([big, inner], [(0, 0), (16, 0)])
     [(w, base, holes)] = holed_sites(g)
-    assert DF._dots_share_component(w) and not dots_on_a_hole(w) and len(holes) == 1
+    assert DF._dots_share_component(w.ans, w.q1, w.q2) and not dots_on_a_hole(w)
+    assert len(holes) == 1
     want, reference_calls = route_search_calls(reference_core_classes, w, base, holes)
     got, calls = route_search_calls(DF._enumerate_core_classes, w, base, holes)
     assert got == want and len(got) == 2
     assert reference_calls > 2 * 3000 > 100 > calls
+
+
+# --------------------------------------------------- condition A rules --
+
+def reference_check_condition_A(g, p1, p2, cap=4000):
+    """The former ``check_condition_A``: the core classes are enumerated at
+    every site whose middle region has holes."""
+    an = D.analyze(g)
+    a1, a2 = DF._arc_of_dot(an, p1), DF._arc_of_dot(an, p2)
+    F = DF._middle_region(an, a1, a2, None)
+    if not DF._hole_samples(an, F):
+        return True
+    w = DF._working_pair(g, p1, p2)
+    classes = DF._enumerate_core_classes(w, DF._canonical_core(w),
+                                         DF._hole_samples(w.ans, w.Fs), cap=cap)
+    forms = set()
+    for core in classes.values():
+        raw, _, _ = DF._cut_and_join(w, core)
+        forms.add(D.canonical_form(D.normalized(raw)))
+        if len(forms) > 1:
+            return False
+    return True
+
+
+def condition_A_outcome(check, g, p1, p2):
+    try:
+        return check(g, p1, p2)
+    except errors.LatPolyError as e:
+        return (type(e).__name__, str(e))
+
+
+def annulus_sites(g):
+    """(dots, working pair, canonical core, holes) at every surgery site of
+    g whose middle region has one hole and whose dots lie on different
+    graph components."""
+    out = []
+    for m in DF.enumerate_moves(g, allowed={"IV"}):
+        w = DF._working_pair(g, *m.site)
+        holes = DF._hole_samples(w.ans, w.Fs)
+        if len(holes) == 1 and not DF._dots_share_component(w.ans, w.q1, w.q2):
+            out.append((m.site, w, DF._canonical_core(w), holes))
+    return out
+
+
+def assert_annulus_rule(g):
+    """At every surgery site both checks agree; at annulus sites every core
+    class gives one form, and the check enumerates none of them."""
+    for m in DF.enumerate_moves(g, allowed={"IV"}):
+        assert condition_A_outcome(DF.check_condition_A, g, *m.site) == \
+            condition_A_outcome(reference_check_condition_A, g, *m.site)
+    sites = annulus_sites(g)
+    for _, w, base, holes in sites:
+        classes = DF._enumerate_core_classes(w, base, holes)
+        assert len({D.canonical_form(D.normalized(DF._cut_and_join(w, core)[0]))
+                    for core in classes.values()}) == 1
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("core classes enumerated at an annulus site")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DF, "_enumerate_core_classes", no_enumeration)
+        for (p1, p2), _, _, _ in sites:
+            assert DF.check_condition_A(g, p1, p2)
+    return len(sites)
+
+
+@settings(max_examples=40, deadline=None)
+@given(holed_graphs())
+def test_annulus_rule_matches_the_enumeration(g):
+    # the same verdict or the same error as the former check at every site
+    assert_annulus_rule(g)
+
+
+def test_annulus_rule_on_a_dot_on_the_hole():
+    # a counterclockwise square around a clockwise one, with a dot on each:
+    # the enumeration finds three classes, winding 1, 0 and -1 around the
+    # hole, and they give one form
+    big = [(0, 0), (16, 0), (16, 16), (0, 16)]
+    inner = [(6, 6), (6, 10), (10, 10), (10, 6)]
+    g = D.DottedGraph.build([big, inner], [(0, 0), (6, 6)])
+    [(_, w, base, holes)] = annulus_sites(g)
+    assert list(DF._enumerate_core_classes(w, base, holes)) == [(1,), (0,), (-1,)]
+    assert assert_annulus_rule(g) == 1
 
 
 # ----------------------------------------------------------- properties --

@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latpoly import errors, geometry as G, dotgraph as D, deform as DF, oracle as O, reduce as R
+from test_deform import reference_check_condition_A
 
 
 def square_graph():
@@ -279,9 +281,21 @@ def test_condition_A_verdict_belongs_to_the_graph_not_its_form():
         assert oks == {holds: True, fails: False}
 
 
+def reference_condition_A(g):
+    """Condition (A) at every surgery site by the former check, which
+    enumerates the core classes wherever the middle region has holes; None
+    when it runs out of budget."""
+    try:
+        return all(reference_check_condition_A(g, *m.site)
+                   for m in DF.enumerate_moves(g, allowed={"IV"}))
+    except errors.BudgetExceeded:
+        return None
+
+
 def reference_explore(g, budget=2000, check_A=True):
-    """The former ``explore_reductions``: every successor is built, and its
-    own canonical form decides whether it is new."""
+    """The former ``explore_reductions``: every successor is built, its own
+    canonical form decides whether it is new, and condition (A) enumerates
+    every core class."""
     report = R.ExplorationReport()
     start = D.normalized(g)
     seen = {D.canonical_form(start)}
@@ -292,7 +306,7 @@ def reference_explore(g, budget=2000, check_A=True):
         if report.visited > budget:
             raise errors.BudgetExceeded("reduction exploration budget hit")
         if check_A and report.condition_A_ok:
-            ok = R._condition_A(cur)
+            ok = reference_condition_A(cur)
             if not ok:
                 report.condition_A_ok = False
                 report.condition_A_undecided = ok is None
@@ -330,14 +344,36 @@ def report_fields(rep):
 
 @pytest.mark.parametrize("g", [O.random_dotted_graph(random.Random(seed))
                                for seed in range(24)] +
-                         [identical_squares(k, ccw=bool(k % 2)) for k in range(2, 6)])
+                         [identical_squares(k, ccw=bool(k % 2)) for k in range(2, 6)] +
+                         [O.random_dotted_graph(random.Random(f"confluence/{i}"))
+                          for i in (51, 35, 7)])
 def test_explore_matches_reference(g):
-    # the explorer skips building merges and already-seen deletions of
-    # circles that cross nothing; what it reports must not change
-    R._condition_A.cache_clear()
+    # the explorer skips building merges, already-seen deletions of circles
+    # that cross nothing and repeated surgeries on one arc pair in a disk,
+    # and condition (A) skips annulus sites; what it reports must not change
     want = report_fields(reference_explore(g))
     R._condition_A.cache_clear()
     assert report_fields(R.explore_reductions(g)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.integers(0, 3))
+def test_surgeries_on_one_arc_pair_in_a_disk_give_one_form(seed, all_dotted, walk):
+    # the rule behind the explorer's one surgery per arc pair, on a random
+    # graph after up to three random moves
+    rng = random.Random(seed)
+    g = O.random_dotted_graph(rng, require_all_dotted=all_dotted)
+    for _ in range(walk):
+        moves = DF.enumerate_moves(g)
+        if not moves:
+            break
+        g = DF.apply_move(g, rng.choice(moves)).after
+    forms = {}
+    for m in DF.enumerate_moves(g, allowed={"IV"}):
+        pair = R._disk_arc_pair(g, m)
+        if pair is not None:
+            forms.setdefault(pair, set()).add(D.canonical_form(DF.apply_move(g, m).after))
+    assert all(len(f) == 1 for f in forms.values())
 
 
 def reference_first_good_group(g):
