@@ -176,11 +176,11 @@ def _chain_from(an, c: Pt, out_dir: Pt):
 def apply_IV(g: DottedGraph, p1: Pt, p2: Pt, core=None) -> DottedGraph:
     """Band surgery between two dots across their shared middle region.
 
-    With ``core=None`` the canonical core is used: the shortest cell route
-    through the middle region, ties broken lexicographically.  An explicit
-    core polyline is matched by its homotopy class around the region's
-    obstacles and re-routed at working scale (dot slides along arcs are
-    free moves).
+    With ``core=None`` the canonical core is used: the shortest route
+    through the middle region's quarter cells, ties broken
+    lexicographically.  An explicit core polyline is matched by its
+    homotopy class around the region's obstacles and re-routed at working
+    scale (dot slides along arcs are free moves).
     """
     return _surgery(g, p1, p2, core=core).after
 
@@ -195,8 +195,7 @@ def _surgery(g: DottedGraph, p1: Pt, p2: Pt, core=None, hug_crossing=None) -> De
         core = tuple(tuple(p) for p in core)
     F = _middle_region(an, _arc_of_dot(an, p1), _arc_of_dot(an, p2), core)
     eps = 1 if an.label(F) > 0 else -1
-    w = _working_pair(g, p1, p2, extra=core or (), hug_crossing=hug_crossing,
-                      stay_near=core is not None)
+    w = _working_pair(g, p1, p2, extra=core or (), hug_crossing=hug_crossing)
     if hug_crossing is not None:
         core_s = _hug_core(w.q1, w.n1, w.q2, w.up(hug_crossing))
     elif core is not None:
@@ -236,20 +235,19 @@ class _Pair(NamedTuple):
         return (self.fx[p[0]], self.fy[p[1]])
 
 
-def _working_pair(g: DottedGraph, p1: Pt, p2: Pt, extra=(), hug_crossing=None,
-                  stay_near=False) -> _Pair:
+def _working_pair(g: DottedGraph, p1: Pt, p2: Pt, extra=(), hug_crossing=None) -> _Pair:
     """The set-up shared by every surgery: scale g to the working grid (with
-    the ``extra`` off-grid points placed inside their gaps), slide the dots
-    at p1 and p2 to canonical positions (beside ``hug_crossing`` when given,
-    as little as possible with ``stay_near``) and find the middle region and
-    the directions there."""
+    the ``extra`` points of an explicit core placed inside their gaps), slide
+    the dots at p1 and p2 to canonical positions (beside ``hug_crossing``
+    when given, as little as possible for an explicit core) and find the
+    middle region and the directions there."""
     fx, fy = _joint_maps(g, extra)
     gs = DG.transform_coords(g, fx, fy)
     q1, q2 = (fx[p1[0]], fy[p1[1]]), (fx[p2[0]], fy[p2[1]])
     hug_c = None if hug_crossing is None else (fx[hug_crossing[0]], fy[hug_crossing[1]])
     an0 = analyze(gs)
     F0 = _middle_region(an0, _arc_of_dot(an0, q1), _arc_of_dot(an0, q2), None)
-    gs, q1, q2 = _slide_pair(gs, q1, q2, hug_c, F0, stay_near)
+    gs, q1, q2 = _slide_pair(gs, q1, q2, hug_c, F0, stay_near=bool(extra))
     ans = analyze(gs)
     b1, b2 = _arc_of_dot(ans, q1), _arc_of_dot(ans, q2)
     Fs = _middle_region(ans, b1, b2, None)
@@ -428,74 +426,6 @@ def _cell_beside(arr, q: Pt, n: Pt):
     return (col, row)
 
 
-def _cell_center(arr, cell) -> Pt:
-    xlo, xhi, ylo, yhi = arr.cell_bounds(cell)
-    if None in (xlo, xhi, ylo, yhi):
-        raise errors.RoutingFailure("route entered an unbounded cell")
-    return ((xlo + xhi) // 2, (ylo + yhi) // 2)
-
-
-def _cell_neighbors(cell, cells):
-    c, r = cell
-    return [nb for nb in ((c - 1, r), (c + 1, r), (c, r - 1), (c, r + 1)) if nb in cells]
-
-
-def _cell_path(F_cells, c1, c2):
-    """Deterministic shortest path in the cell graph of a face."""
-    dist = {c2: 0}
-    dq = deque([c2])
-    while dq:
-        cur = dq.popleft()
-        for nb in _cell_neighbors(cur, F_cells):
-            if nb not in dist:
-                dist[nb] = dist[cur] + 1
-                dq.append(nb)
-    if c1 not in dist:
-        raise errors.RoutingFailure("face cells are disconnected")
-    path = [c1]
-    while path[-1] != c2:
-        best = min(nb for nb in _cell_neighbors(path[-1], F_cells)
-                   if dist.get(nb, -1) == dist[path[-1]] - 1)
-        path.append(best)
-    return path
-
-
-def _border_midpoint(arr, a, b) -> Pt:
-    (c1, r1), (c2, r2) = a, b
-    if r1 == r2:
-        x = arr.xs[min(c1, c2)]
-        ylo, yhi = arr.ys[r1 - 1], arr.ys[r1]
-        return (x, (ylo + yhi) // 2)
-    y = arr.ys[min(r1, r2)]
-    xlo, xhi = arr.xs[c1 - 1], arr.xs[c1]
-    return ((xlo + xhi) // 2, y)
-
-
-def _route_through_cells(arr, cells_path, q1, n1, q2, n2) -> tuple[Pt, ...]:
-    """Realize an embedded rectilinear polyline q1 -> q2 whose interior runs
-    through the given cells (centers and border midpoints)."""
-    entries = [(q1, n1)]
-    for i in range(len(cells_path) - 1):
-        m = _border_midpoint(arr, cells_path[i], cells_path[i + 1])
-        a, b = cells_path[i], cells_path[i + 1]
-        norm = (1, 0) if a[0] != b[0] else (0, 1)
-        entries.append((m, norm))
-    entries.append((q2, n2))
-    pts: list[Pt] = [q1]
-    for i, cell in enumerate(cells_path):
-        (a, na), (b, nb) = entries[i], entries[i + 1]
-        cx, cy = _cell_center(arr, cell)
-        ia = (cx, a[1]) if na[0] != 0 else (a[0], cy)
-        ib = (cx, b[1]) if nb[0] != 0 else (b[0], cy)
-        for p in (ia, (cx, cy), ib, b):
-            if p != pts[-1]:
-                pts.append(p)
-    out = _clean_polyline(pts)
-    if len(set(out)) != len(out):
-        raise errors.RoutingFailure("core route self-intersects")
-    return out
-
-
 def _clean_polyline(pts) -> tuple[Pt, ...]:
     out: list[Pt] = []
     for p in pts:
@@ -515,12 +445,30 @@ def _clean_polyline(pts) -> tuple[Pt, ...]:
 
 
 def _canonical_core(w: _Pair) -> tuple[Pt, ...]:
-    """The core along the shortest cell route through the middle region,
-    ties broken lexicographically."""
+    """The core along the shortest quarter-cell route through the middle
+    region, ties broken lexicographically: a breadth-first search from the
+    second dot's quarter cell, then a walk from the first dot's to the
+    least neighbour one step closer.  The search stops once it reaches the
+    first dot's quarter cell: every quarter cell nearer the goal then has
+    its distance, and the walk reads no other."""
     arr = w.ans.arr
-    path = _cell_path(arr.face_cells(w.Fs), _cell_beside(arr, w.q1, w.n1),
-                      _cell_beside(arr, w.q2, w.n2))
-    return _route_through_cells(arr, path, w.q1, w.n1, w.q2, w.n2)
+    F_cells = arr.face_cells(w.Fs)
+    start, goal = _quarter_beside(arr, w.q1, w.n1), _quarter_beside(arr, w.q2, w.n2)
+    dist = {goal: 0}
+    dq = deque([goal])
+    while start not in dist:
+        if not dq:
+            raise errors.RoutingFailure("face cells are disconnected")
+        cur = dq.popleft()
+        for nb in _quarter_neighbors(F_cells, cur):
+            if nb not in dist:
+                dist[nb] = dist[cur] + 1
+                dq.append(nb)
+    path = [start]
+    while path[-1] != goal:
+        path.append(min(nb for nb in _quarter_neighbors(F_cells, path[-1])
+                        if dist.get(nb, -1) == dist[path[-1]] - 1))
+    return _route_through_quarters(arr, path, w.q1, w.n1, w.q2, w.n2)
 
 
 def _hug_core(q1, n1, q2, c: Pt) -> tuple[Pt, ...]:
@@ -692,12 +640,15 @@ def _rect_closed(pts) -> list[Pt]:
     return out
 
 
-# quarter-cell routing: embedded cores may pass one arrangement cell twice,
-# so homotopy classes are enumerated on cells split in four
+# quarter-cell routing: a core between two dots runs through the middle
+# region's arrangement cells split in four, so that an embedded core may
+# pass one cell twice
 
 def _quarter_center(arr, node) -> Pt:
     c, r, qx, qy = node
     xlo, xhi, ylo, yhi = arr.cell_bounds((c, r))
+    if None in (xlo, xhi, ylo, yhi):
+        raise errors.RoutingFailure("route entered an unbounded cell")
     w, h = xhi - xlo, yhi - ylo
     return (xlo + w // 4 + qx * (w // 2), ylo + h // 4 + qy * (h // 2))
 

@@ -372,15 +372,16 @@ def test_extend_monotone_bounds_raise_routing_failure():
         DF._extend_monotone({0: 0, 10 * DF.SCALE: DF.SCALE}, [0, 10 * DF.SCALE], crowded)
 
 
-def test_cell_center_rejects_unbounded_cell():
+def test_quarter_center_rejects_unbounded_cell():
     # cell (0, 0) lies left of and below every line of the square
     arr = D.analyze(circle_graph()).arr
-    assert DF._cell_center(arr, (1, 1)) == (2, 2)
+    assert DF._quarter_center(arr, (1, 1, 0, 0)) == (1, 1)
+    assert DF._quarter_center(arr, (1, 1, 1, 1)) == (3, 3)
     with pytest.raises(errors.RoutingFailure, match="unbounded cell"):
-        DF._cell_center(arr, (0, 0))
+        DF._quarter_center(arr, (0, 0, 0, 0))
     here = os.path.dirname(os.path.abspath(__file__))
     code = ("import test_deform as T\n"
-            "T.DF._cell_center(T.D.analyze(T.circle_graph()).arr, (0, 0))\n")
+            "T.DF._quarter_center(T.D.analyze(T.circle_graph()).arr, (0, 0, 0, 0))\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
     proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=here, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -871,6 +872,105 @@ def test_annulus_rule_on_a_dot_on_the_hole():
     [(_, w, base, holes)] = annulus_sites(g)
     assert list(DF._enumerate_core_classes(w, base, holes)) == [(1,), (0,), (-1,)]
     assert assert_annulus_rule(g) == 1
+
+
+# ------------------------------------------------------ canonical core --
+
+def reference_cell_center(arr, cell):
+    xlo, xhi, ylo, yhi = arr.cell_bounds(cell)
+    if None in (xlo, xhi, ylo, yhi):
+        raise errors.RoutingFailure("route entered an unbounded cell")
+    return ((xlo + xhi) // 2, (ylo + yhi) // 2)
+
+
+def reference_cell_path(F_cells, c1, c2):
+    """Deterministic shortest path in the cell graph of a face."""
+    def neighbors(cell):
+        c, r = cell
+        return [nb for nb in ((c - 1, r), (c + 1, r), (c, r - 1), (c, r + 1))
+                if nb in F_cells]
+    dist = {c2: 0}
+    dq = deque([c2])
+    while dq:
+        cur = dq.popleft()
+        for nb in neighbors(cur):
+            if nb not in dist:
+                dist[nb] = dist[cur] + 1
+                dq.append(nb)
+    if c1 not in dist:
+        raise errors.RoutingFailure("face cells are disconnected")
+    path = [c1]
+    while path[-1] != c2:
+        path.append(min(nb for nb in neighbors(path[-1])
+                        if dist.get(nb, -1) == dist[path[-1]] - 1))
+    return path
+
+
+def reference_border_midpoint(arr, a, b):
+    (c1, r1), (c2, r2) = a, b
+    if r1 == r2:
+        return (arr.xs[min(c1, c2)], (arr.ys[r1 - 1] + arr.ys[r1]) // 2)
+    return ((arr.xs[c1 - 1] + arr.xs[c1]) // 2, arr.ys[min(r1, r2)])
+
+
+def reference_route_through_cells(arr, cells_path, q1, n1, q2, n2):
+    """An embedded rectilinear polyline q1 -> q2 through the given cells'
+    centres and border midpoints."""
+    entries = [(q1, n1)]
+    for a, b in zip(cells_path, cells_path[1:]):
+        entries.append((reference_border_midpoint(arr, a, b),
+                        (1, 0) if a[0] != b[0] else (0, 1)))
+    entries.append((q2, n2))
+    pts = [q1]
+    for i, cell in enumerate(cells_path):
+        (a, na), (b, nb) = entries[i], entries[i + 1]
+        cx, cy = reference_cell_center(arr, cell)
+        ia = (cx, a[1]) if na[0] != 0 else (a[0], cy)
+        ib = (cx, b[1]) if nb[0] != 0 else (b[0], cy)
+        pts += [ia, (cx, cy), ib, b]
+    out = DF._clean_polyline(pts)
+    if len(set(out)) != len(out):
+        raise errors.RoutingFailure("core route self-intersects")
+    return out
+
+
+def reference_canonical_core(w):
+    """The former canonical core: the shortest route through whole
+    arrangement cells of the middle region, ties broken lexicographically."""
+    arr = w.ans.arr
+    path = reference_cell_path(arr.face_cells(w.Fs), DF._cell_beside(arr, w.q1, w.n1),
+                               DF._cell_beside(arr, w.q2, w.n2))
+    return reference_route_through_cells(arr, path, w.q1, w.n1, w.q2, w.n2)
+
+
+def surgery_outcome(g, p1, p2):
+    try:
+        return D.canonical_form(DF._surgery(g, p1, p2).after)
+    except errors.LatPolyError as e:
+        return type(e).__name__
+
+
+def core_router_outcomes(g):
+    """Per surgery site of g: the surgery's form (or error class) and the
+    condition (A) verdict (or error class)."""
+    out = []
+    for m in DF.enumerate_moves(g, allowed={"IV"}):
+        verdict = condition_A_outcome(DF.check_condition_A, g, *m.site)
+        out.append((surgery_outcome(g, *m.site),
+                    verdict if isinstance(verdict, bool) else verdict[0]))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(holed_graphs(), st.integers(0, 2**32))
+def test_canonical_core_matches_the_cell_router(g, seed):
+    # the quarter-cell core and the former cell core are isotopic: every
+    # surgery gives the same form, and condition (A) the same verdict
+    for h in (g, O.random_dotted_graph(random.Random(seed))):
+        got = core_router_outcomes(h)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DF, "_canonical_core", reference_canonical_core)
+            assert core_router_outcomes(h) == got
 
 
 # ----------------------------------------------------------- properties --

@@ -130,10 +130,16 @@ def test_random_dotted_graph_generator():
         assert all(a.dots for a in an.arcs)
 
 
-def test_empties_cache_stays_bounded(monkeypatch):
-    bound = D.FORM_CACHE_SIZE
-    monkeypatch.setattr(O, "_EMPTIES_CACHE", {f"old{i}": True for i in range(bound)})
-    g = D.associate(G.validate_polytope([(0, 0), (1, 1)], [(1, 0), (0, 1)]))
-    assert O.reduction_empties(g)
-    assert len(O._EMPTIES_CACHE) <= bound
-    assert "old0" not in O._EMPTIES_CACHE and D.canonical_form(g) in O._EMPTIES_CACHE
+def test_cross_check_rows_do_not_depend_on_the_corpus():
+    # x and y have graphs of one canonical form, but only x's good
+    # reduction empties: each row is that of the polytope checked alone
+    x = G.validate_polytope([(3, 7), (7, 10), (8, 6), (10, 5)],
+                            [(3, 5), (7, 6), (8, 7), (10, 10)])
+    y = G.validate_polytope([(0, 9), (4, 8), (5, 4), (6, 2), (7, 1)],
+                            [(0, 4), (4, 1), (5, 2), (6, 8), (7, 9)])
+    assert D.canonical_form(D.associate(x)) == D.canonical_form(D.associate(y))
+    rows = O.cross_check_thm37([x, y])
+    assert rows == O.cross_check_thm37([x]) + O.cross_check_thm37([y])
+    assert [r.empties for r in rows] == [True, False]
+    assert (rows[1].oracle_cost, rows[1].area_abs, rows[1].minimal_without_empty) == \
+        (54, 54, True)
