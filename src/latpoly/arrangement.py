@@ -199,16 +199,44 @@ class Arrangement:
             raise errors.InvalidGraph("unbounded face must have winding 0")
         self.unbounded_face = unb[0].index
 
+    def transformed(self, fx: dict, fy: dict) -> "Arrangement":
+        """This arrangement with x mapped by ``fx`` and y by ``fy``, both
+        strictly increasing.  Such a map keeps the order of the lines, so
+        the cells, their faces and the windings stay; only the faces'
+        areas and samples are computed again, from the first finite cell of
+        each face as ``_build`` takes it."""
+        new = object.__new__(Arrangement)
+        xs = new.xs = [fx[x] for x in self.xs]
+        ys = new.ys = [fy[y] for y in self.ys]
+        nrow = new._nrow = self._nrow
+        cell_face = new._cell_face = self._cell_face
+        area = [0] * len(self.faces)
+        sample: list = [None] * len(self.faces)
+        for c in range(1, len(xs)):
+            width, base = xs[c] - xs[c - 1], c * nrow
+            for r in range(1, nrow - 1):
+                f = cell_face[base + r]
+                area[f] += width * (ys[r] - ys[r - 1])
+                if sample[f] is None:
+                    sample[f] = (xs[c - 1] + xs[c], ys[r - 1] + ys[r])
+        new.faces = [Face(f.index, f.omega, area[f.index], f.unbounded,
+                          sample[f.index] or (_sample2(xs, 0), _sample2(ys, 0)))
+                     for f in self.faces]
+        new.unbounded_face = self.unbounded_face
+        return new
+
     # -- queries ---------------------------------------------------------
 
     def face_of_cell(self, cell: tuple[int, int]) -> int:
         c, r = cell
         return self._cell_face[c * self._nrow + r]
 
-    def face_cells(self, f: int) -> set[tuple[int, int]]:
-        """The (column, row) cells of face f."""
-        nrow = self._nrow
-        return {divmod(i, nrow) for i, face in enumerate(self._cell_face) if face == f}
+    def cells_by_face(self) -> list[frozenset[tuple[int, int]]]:
+        """The (column, row) cells of every face, by face index."""
+        cells: list[list[tuple[int, int]]] = [[] for _ in self.faces]
+        for i, face in enumerate(self._cell_face):
+            cells[face].append(divmod(i, self._nrow))
+        return [frozenset(c) for c in cells]
 
     def face_of_2x(self, p2: Pt) -> int:
         """Face of the cell holding a doubled-grid point (x2, y2).

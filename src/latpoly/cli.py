@@ -2,7 +2,8 @@
 planning, oracle runs, plan verification and SVG rendering.
 
 Exit codes: 0 ok, 2 validation or parse failure, 3 property violation,
-4 internal error (a bug: ``RoutingFailure`` or ``CompileGap``).
+4 internal error (a bug: ``RoutingFailure``, ``CompileGap`` or
+``StuckReduction``).
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ def main(argv=None) -> int:
             errors.MismatchedComponents, errors.InvalidGraph) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (errors.RoutingFailure, errors.CompileGap) as e:
+    except (errors.RoutingFailure, errors.CompileGap, errors.StuckReduction) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4
     except errors.LatPolyError as e:

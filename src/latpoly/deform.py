@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import errors
@@ -214,13 +215,49 @@ def _surgery(g: DottedGraph, p1: Pt, p2: Pt, core=None, hug_crossing=None) -> De
     return Deformation("IV", (p1, p2, core), eps, abs(an.label(F)), g, out, meta)
 
 
+class _Grid:
+    """A graph at working scale, set up once for all its surgeries: the
+    compression maps ``fx``/``fy`` scaled by SCALE (with the ``extra``
+    points of an explicit core placed inside their gaps), the scaled graph
+    ``gs`` and its geometry ``geo`` (mapped from g's), the corners, and the
+    points no slid dot may take besides the dots (``fixed``: corners and
+    crossings).  It memoizes each arc's slide candidates (``candidates``),
+    each surgery site's working pair (``pairs``), and per working site the
+    canonical core (``cores``) and, per core, the band's curves and new
+    dots (``bands``)."""
+
+    def __init__(self, g: DottedGraph, extra):
+        self.fx, self.fy = _joint_maps(g, extra)
+        self.gs = DG.transform_coords(g, self.fx, self.fy)
+        self.geo = DG.curve_geometry(self.gs.curves, lambda curves: analyze(
+            g).geometry.transformed(curves, self.fx, self.fy))
+        self.corners = {p for curve in self.gs.curves for p in curve}
+        self.fixed = self.corners | set(self.geo.crossings)
+        self.candidates: dict = {}
+        self.pairs: dict = {}
+        self.cores: dict = {}
+        self.bands: dict = {}
+
+    def up(self, p: Pt) -> Pt:
+        return (self.fx[p[0]], self.fy[p[1]])
+
+
+@lru_cache(maxsize=4)
+def _working_grid(g: DottedGraph, extra: tuple) -> _Grid:
+    """The working grid of g, kept for the few graphs last worked on: the
+    explorer and condition (A) work on one state at a time, and the good
+    scheduler tries every surgery site of one graph in turn."""
+    return _Grid(g, extra)
+
+
 class _Pair(NamedTuple):
-    """Two surgery dots at working scale: the scaled graph ``gs`` (with its
-    analysis ``ans``) after the dots slid to q1 and q2, their middle region
-    Fs, the arc directions d1, d2 at the dots and the normals n1, n2 from
-    the dots into Fs.  ``fx``/``fy`` map original coordinates up."""
+    """Two surgery dots on a working grid: ``gs`` is the grid's graph after
+    the dots slid to q1 and q2 (never analysed), Fs their middle region,
+    d1, d2 the arc directions at the dots and n1, n2 the normals from the
+    dots into Fs.  ``key`` is the working site: the arcs of the two dots,
+    in site order, with their slid positions."""
+    grid: _Grid
     gs: DottedGraph
-    ans: GraphAnalysis
     Fs: int
     q1: Pt
     d1: Pt
@@ -228,32 +265,36 @@ class _Pair(NamedTuple):
     q2: Pt
     d2: Pt
     n2: Pt
-    fx: dict
-    fy: dict
+    key: tuple
+
+    @property
+    def geo(self):
+        return self.grid.geo
 
     def up(self, p: Pt) -> Pt:
-        return (self.fx[p[0]], self.fy[p[1]])
+        return self.grid.up(p)
 
 
 def _working_pair(g: DottedGraph, p1: Pt, p2: Pt, extra=(), hug_crossing=None) -> _Pair:
-    """The set-up shared by every surgery: scale g to the working grid (with
-    the ``extra`` points of an explicit core placed inside their gaps), slide
-    the dots at p1 and p2 to canonical positions (beside ``hug_crossing``
-    when given, as little as possible for an explicit core) and find the
-    middle region and the directions there."""
-    fx, fy = _joint_maps(g, extra)
-    gs = DG.transform_coords(g, fx, fy)
-    q1, q2 = (fx[p1[0]], fy[p1[1]]), (fx[p2[0]], fy[p2[1]])
-    hug_c = None if hug_crossing is None else (fx[hug_crossing[0]], fy[hug_crossing[1]])
-    an0 = analyze(gs)
-    F0 = _middle_region(an0, _arc_of_dot(an0, q1), _arc_of_dot(an0, q2), None)
-    gs, q1, q2 = _slide_pair(gs, q1, q2, hug_c, F0, stay_near=bool(extra))
-    ans = analyze(gs)
-    b1, b2 = _arc_of_dot(ans, q1), _arc_of_dot(ans, q2)
-    Fs = _middle_region(ans, b1, b2, None)
-    d1, d2 = _dir_at(b1, q1), _dir_at(b2, q2)
-    return _Pair(gs, ans, Fs, q1, d1, _normal_into(ans, b1, d1, Fs),
-                 q2, d2, _normal_into(ans, b2, d2, Fs), fx, fy)
+    """The set-up of one surgery on the working grid of g (with the
+    ``extra`` points of an explicit core): the dots at p1 and p2 slide to
+    canonical positions (beside ``hug_crossing`` when given, as little as
+    possible for an explicit core), and their arcs, directions, normals and
+    middle region are read off the grid's geometry.  Nothing is analysed,
+    and each site's pair is built once per grid.
+
+    The working site ``key``, (a1.key, q1, a2.key, q2), fixes the surgery
+    up to the form: the core, its cut and the band are functions of the
+    geometry, q1 and q2 alone.  Sites with one key differ only in which
+    old dots of a1 and a2 survive, and every piece of a1 and a2 ends on an
+    arc the band creates, which ``_cut_and_join`` dots, so their results
+    have one canonical form, and condition (A) one verdict."""
+    grid = _working_grid(g, extra)
+    site = (p1, p2, hug_crossing)
+    w = grid.pairs.get(site)
+    if w is None:
+        w = grid.pairs[site] = _slide_pair(grid, p1, p2, hug_crossing, stay_near=bool(extra))
+    return w
 
 
 def _joint_maps(g: DottedGraph, extra_points):
@@ -331,26 +372,31 @@ def _normal_into(an, arc, d: Pt, F) -> Pt:
 
 # dot sliding ---------------------------------------------------------------
 
-def _slide_pair(gs, q1, q2, hug_c, F, stay_near):
+def _slide_pair(grid: _Grid, p1: Pt, p2: Pt, hug_crossing, stay_near) -> _Pair:
     """Slide both surgery dots to canonical arc positions.  Unless the dots
     hug a crossing, the second dot lands beside a different quarter-cell of
-    the middle region F than the first, so that band routes around it stay
-    enumerable.  With
-    ``stay_near`` the dots move as little as possible (the drag of an
-    explicit core's endpoints must not wind around obstacles)."""
-    gs, q1n = _slide_one(gs, q1, taken={q2}, near=hug_c, stay_near=stay_near)
-    distinct = None
-    if hug_c is None:
-        an = analyze(gs)
-        distinct = _quarter_of(an, _arc_of_dot(an, q1n), q1n, F)
-    gs, q2n = _slide_one(gs, q2, taken={q1n}, near=hug_c,
-                         distinct_quarter=distinct, F=F, stay_near=stay_near)
-    return gs, q1n, q2n
+    the middle region than the first, so that band routes around it stay
+    enumerable.  With ``stay_near`` the dots move as little as possible
+    (the drag of an explicit core's endpoints must not wind around
+    obstacles).  The first dot has left its old place when the second
+    slides, so the second may take it."""
+    geo, dots = grid.geo, grid.gs.dots
+    q1, q2 = grid.up(p1), grid.up(p2)
+    near = None if hug_crossing is None else grid.up(hug_crossing)
+    a1, a2 = geo.arcs[geo.arc_at(q1)[0]], geo.arcs[geo.arc_at(q2)[0]]
+    Fs = _middle_region(geo, a1, a2, None)
+    s1 = _slide(grid, q1, a1, dots, near, stay_near)
+    avoid = None if near is not None or stay_near else _quarter_of(geo, a1, s1, Fs)
+    s2 = _slide(grid, q2, a2, (dots - {q1}) | {s1}, near, stay_near, avoid, Fs)
+    d1, d2 = _dir_at(a1, s1), _dir_at(a2, s2)
+    gs = DottedGraph(grid.gs.curves, (dots - {q1, q2}) | {s1, s2})
+    return _Pair(grid, gs, Fs, s1, d1, _normal_into(geo, a1, d1, Fs),
+                 s2, d2, _normal_into(geo, a2, d2, Fs), (a1.key, s1, a2.key, s2))
 
 
-def _quarter_of(an, arc, q: Pt, F):
+def _quarter_of(geo, arc, q: Pt, F):
     """The quarter-cell of face F beside the point q of the arc."""
-    return _quarter_beside(an.arr, q, _normal_into(an, arc, _dir_at(arc, q), F))
+    return _quarter_beside(geo.arr, q, _normal_into(geo, arc, _dir_at(arc, q), F))
 
 
 def _slide_candidates(arc) -> list[Pt]:
@@ -369,33 +415,26 @@ def _slide_candidates(arc) -> list[Pt]:
     return out
 
 
-def _slide_one(gs, q, taken, near=None, distinct_quarter=None, F=None,
-               stay_near=False):
-    an = analyze(gs)
-    arc = _arc_of_dot(an, q)
-    corners = set()
-    for curve in gs.curves:
-        corners.update(curve)
-    avoid = None                # a quarter-cell the slid dot should not face
+def _slide(grid: _Grid, q: Pt, arc, taken, near=None, stay_near=False, avoid=None,
+           F=None) -> Pt:
+    """Where the dot at q of the arc slides: the first free candidate, one
+    that is no corner, crossing or ``taken`` dot (q itself is free), and
+    not beside the quarter-cell ``avoid`` of face F if such a one exists."""
     if near is not None:
         candidates = _near_crossing_positions(arc, near)
-    elif stay_near:
-        candidates = sorted(_slide_candidates(arc),
-                            key=lambda c: abs(c[0] - q[0]) + abs(c[1] - q[1]))
-        if q not in corners:
-            candidates.insert(0, q)     # mid-piece dots need no slide at all
     else:
-        candidates = _slide_candidates(arc)
-        avoid = distinct_quarter
-    blocked = set(gs.dots) | set(taken) | set(an.crossings) | corners
-    blocked.discard(q)
-    free = [c for c in candidates if c not in blocked]
+        candidates = grid.candidates.get(arc.key)
+        if candidates is None:
+            candidates = grid.candidates[arc.key] = _slide_candidates(arc)
+        if stay_near:
+            candidates = sorted(candidates, key=lambda c: abs(c[0] - q[0]) + abs(c[1] - q[1]))
+            if q not in grid.corners:
+                candidates.insert(0, q)     # mid-piece dots need no slide at all
+    free = [c for c in candidates if c == q or not (c in taken or c in grid.fixed)]
     if not free:
         raise errors.RoutingFailure("no free canonical position for a surgery dot")
-    # the first free candidate beside another quarter-cell, else the first
-    cand = next((c for c in free if avoid is None or
-                 _quarter_of(an, arc, c, F) != avoid), free[0])
-    return DottedGraph(gs.curves, frozenset((gs.dots - {q}) | {cand})), cand
+    return next((c for c in free if avoid is None or
+                 _quarter_of(grid.geo, arc, c, F) != avoid), free[0])
 
 
 def _near_crossing_positions(arc, c: Pt) -> list[Pt]:
@@ -450,9 +489,13 @@ def _canonical_core(w: _Pair) -> tuple[Pt, ...]:
     second dot's quarter cell, then a walk from the first dot's to the
     least neighbour one step closer.  The search stops once it reaches the
     first dot's quarter cell: every quarter cell nearer the goal then has
-    its distance, and the walk reads no other."""
-    arr = w.ans.arr
-    F_cells = arr.face_cells(w.Fs)
+    its distance, and the walk reads no other.  Built once per working
+    site of the grid."""
+    core = w.grid.cores.get(w.key)
+    if core is not None:
+        return core
+    arr = w.geo.arr
+    F_cells = w.geo.face_cells[w.Fs]
     start, goal = _quarter_beside(arr, w.q1, w.n1), _quarter_beside(arr, w.q2, w.n2)
     dist = {goal: 0}
     dq = deque([goal])
@@ -468,7 +511,8 @@ def _canonical_core(w: _Pair) -> tuple[Pt, ...]:
     while path[-1] != goal:
         path.append(min(nb for nb in _quarter_neighbors(F_cells, path[-1])
                         if dist.get(nb, -1) == dist[path[-1]] - 1))
-    return _route_through_quarters(arr, path, w.q1, w.n1, w.q2, w.n2)
+    core = w.grid.cores[w.key] = _route_through_quarters(arr, path, w.q1, w.n1, w.q2, w.n2)
+    return core
 
 
 def _hug_core(q1, n1, q2, c: Pt) -> tuple[Pt, ...]:
@@ -526,7 +570,22 @@ def _shorter_path_between(geo, ci: int, qa: Pt, qb: Pt) -> list[Pt]:
 
 
 def _cut_and_join(w: _Pair, core):
-    gs, geo, q1, d1, q2, d2 = w.gs, w.ans.geometry, w.q1, w.d1, w.q2, w.d2
+    """The graph after the band surgery along ``core`` and the band's two
+    new dots.  The band's curves and new dots are functions of the working
+    site and the core, so they are built once per pair on the grid; the
+    other dots are the slid graph's."""
+    band = w.grid.bands.get((w.key, core))
+    if band is None:
+        band = w.grid.bands[(w.key, core)] = _band(w, core)
+    curves, t1m, t2m = band
+    return DottedGraph(curves, (w.gs.dots - {w.q1, w.q2}) | {t1m, t2m}), t1m, t2m
+
+
+def _band(w: _Pair, core):
+    """The curves after cutting both arcs at the dots and joining the cuts
+    along the two sides of the band around ``core``, and the new dots
+    t1m, t2m, one on each arc the band creates."""
+    gs, geo, q1, d1, q2, d2 = w.gs, w.geo, w.q1, w.d1, w.q2, w.d2
     ci1 = _curve_of_point(geo, q1)
     ci2 = _curve_of_point(geo, q2)
     off_minus = _offset_polyline(core, (-d1[0], -d1[1]), 1)
@@ -554,8 +613,7 @@ def _cut_and_join(w: _Pair, core):
                   _trim(whole2, d2, d2)[1:] + list(reversed(off_plus))[1:-1])
         curves = [c for i, c in enumerate(gs.curves)
                   if i not in (ci1, ci2)] + [tuple(merged)]
-    dots = (set(gs.dots) - {q1, q2}) | {t1m, t2m}
-    return DottedGraph(DG.normal_curves(curves), frozenset(dots)), t1m, t2m
+    return DG.normal_curves(curves), t1m, t2m
 
 
 def _trim(piece: list[Pt], d_start: Pt, d_end: Pt) -> list[Pt]:
@@ -575,8 +633,8 @@ def _curve_of_point(geo, q: Pt) -> int:
 
 # homotopy classes of cores ----------------------------------------------------
 
-def _graph_components(an):
-    n = len(an.g.curves)
+def _graph_components(geo):
+    n = len(geo.curves)
     parent = list(range(n))
 
     def find(a):
@@ -585,7 +643,7 @@ def _graph_components(an):
             a = parent[a]
         return a
 
-    for (hc, _), (vc, _) in an.crossings.values():
+    for (hc, _), (vc, _) in geo.crossings.values():
         pa, pb = find(hc), find(vc)
         if pa != pb:
             parent[pb] = pa
@@ -595,16 +653,16 @@ def _graph_components(an):
     return sorted(groups.values())
 
 
-def _hole_samples(an, F) -> list[Pt]:
+def _hole_samples(geo, F) -> list[Pt]:
     """One doubled-grid sample inside each graph component enclosed by F.
 
     Samples carry odd doubled coordinates so they never meet grid lines or
     route vertices."""
     samples = []
-    for curves in _graph_components(an):
+    for curves in _graph_components(geo):
         segs = []
         for ci in curves:
-            segs.extend(DG.curve_segments(an.g.curves[ci]))
+            segs.extend(DG.curve_segments(geo.curves[ci]))
         hsegs = [s for s in segs if s[0][1] == s[1][1]]
         top = max(hsegs, key=lambda s: (s[0][1], min(s[0][0], s[1][0])))
         sx2 = top[0][0] + top[1][0]
@@ -612,7 +670,7 @@ def _hole_samples(an, F) -> list[Pt]:
             sx2 += 1            # stays interior: even sums need length >= 2
         ty = top[0][1]
         above = (sx2, 2 * ty + 1)
-        if an.arr.face_of_2x(above) == F:
+        if geo.arr.face_of_2x(above) == F:
             samples.append((sx2, 2 * ty - 1))
     return samples
 
@@ -747,8 +805,8 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000):
     other target has one, and stopping changes no result."""
     if not holes:
         return {(): base}
-    arr, q1, n1, q2, n2 = w.ans.arr, w.q1, w.n1, w.q2, w.n2
-    F_cells = arr.face_cells(w.Fs)
+    arr, q1, n1, q2, n2 = w.geo.arr, w.q1, w.n1, w.q2, w.n2
+    F_cells = w.geo.face_cells[w.Fs]
     rays = list(holes)          # odd coordinates: no ties with route points
     nd1 = _quarter_beside(arr, q1, n1)
     nd2 = _quarter_beside(arr, q2, n2)
@@ -799,7 +857,7 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000):
                 dq.append(state)
 
     targets = sorted(vec for node, vec in forward if node == nd2)
-    limit = 2 ** len(rays) if _dots_share_component(w.ans, q1, q2) else len(targets)
+    limit = 2 ** len(rays) if _dots_share_component(w.geo, q1, q2) else len(targets)
     tables = {}                 # target -> (goal, distances, ranked successors)
     routes = {}                 # target -> quarter nodes of its route
 
@@ -877,11 +935,11 @@ def _distances_to(forward, goal) -> dict:
     return dist
 
 
-def _dots_share_component(an, p1: Pt, p2: Pt) -> bool:
+def _dots_share_component(geo, p1: Pt, p2: Pt) -> bool:
     """True when the curves through the dots p1 and p2 lie in one graph
     component."""
-    c1, c2 = _curve_of_point(an.geometry, p1), _curve_of_point(an.geometry, p2)
-    return any(c1 in comp and c2 in comp for comp in _graph_components(an))
+    c1, c2 = _curve_of_point(geo, p1), _curve_of_point(geo, p2)
+    return any(c1 in comp and c2 in comp for comp in _graph_components(geo))
 
 
 def _core_matching(w: _Pair, p1: Pt, core, p2: Pt):
@@ -893,11 +951,11 @@ def _core_matching(w: _Pair, p1: Pt, core, p2: Pt):
     curve as the canonical drag); the class is measured against the
     canonical core by winding numbers around the middle region's obstacles.
     """
-    holes = _hole_samples(w.ans, w.Fs)
+    holes = _hole_samples(w.geo, w.Fs)
     base = _canonical_core(w)
     if not holes:
         return base
-    geo, q1, q2 = w.ans.geometry, w.q1, w.q2
+    geo, q1, q2 = w.geo, w.q1, w.q2
     conn1 = _shorter_path_between(geo, _curve_of_point(geo, q1), q1, w.up(p1))
     conn2 = _shorter_path_between(geo, _curve_of_point(geo, q2), w.up(p2), q2)
     loop = _rect_closed(list(conn1) + [w.up(p) for p in core[1:]] + list(conn2)[1:] +
@@ -1066,28 +1124,49 @@ def check_condition_A(g: DottedGraph, p1: Pt, p2: Pt, cap: int = 4000) -> bool:
     twist is undone by rotating the hole's disk, an isotopy of the plane
     (Farb & Margalit, *A Primer on Mapping Class Groups*, 2012), so every
     core gives the same canonical form."""
+    w = _core_search_site(g, p1, p2)
+    return w is None or _cores_agree(w, cap)
+
+
+def check_condition_A_everywhere(g: DottedGraph, cap: int = 4000) -> bool:
+    """Condition (A) over every dot pair where a surgery applies, checked
+    once per working site (a1.key, q1, a2.key, q2; see ``_working_pair``).
+    The core classes, each core's cut and the band are functions of the
+    geometry, q1 and q2 alone; sites with one key differ only in which old
+    dots of a1 and a2 survive, and every piece of a1 and a2 ends on an arc
+    the band creates, which ``_cut_and_join`` dots, so each core gives one
+    canonical form at all of them, and the verdict is the same."""
+    agreed = set()              # working sites where every core gives one form
+    for move in enumerate_moves(g, allowed=frozenset({"IV"})):
+        w = _core_search_site(g, *move.site)
+        if w is None or w.key in agreed:
+            continue
+        if not _cores_agree(w, cap):
+            return False
+        agreed.add(w.key)
+    return True
+
+
+def _core_search_site(g: DottedGraph, p1: Pt, p2: Pt):
+    """The working pair of a surgery site where condition (A) needs a core
+    search, or None where it holds without one: in a disk, or in an
+    annulus with a dot on each boundary (``check_condition_A``)."""
     an = analyze(g)
     F = _middle_region(an, _arc_of_dot(an, p1), _arc_of_dot(an, p2), None)
-    holes = _hole_samples(an, F)
-    if not holes or (len(holes) == 1 and not _dots_share_component(an, p1, p2)):
-        return True
-    w = _working_pair(g, p1, p2)
+    holes = _hole_samples(an.geometry, F)
+    if not holes or (len(holes) == 1 and not _dots_share_component(an.geometry, p1, p2)):
+        return None
+    return _working_pair(g, p1, p2)
+
+
+def _cores_agree(w: _Pair, cap: int) -> bool:
     classes = _enumerate_core_classes(w, _canonical_core(w),
-                                      _hole_samples(w.ans, w.Fs), cap=cap)
+                                      _hole_samples(w.geo, w.Fs), cap=cap)
     forms = set()
     for core in classes.values():
         raw, _, _ = _cut_and_join(w, core)
         forms.add(canonical_form(DG.normalized(raw)))
         if len(forms) > 1:
-            return False
-    return True
-
-
-def check_condition_A_everywhere(g: DottedGraph, cap: int = 4000) -> bool:
-    """Condition (A) over every dot pair where a surgery applies."""
-    for move in enumerate_moves(g, allowed=frozenset({"IV"})):
-        p1, p2 = move.site
-        if not check_condition_A(g, p1, p2, cap=cap):
             return False
     return True
 

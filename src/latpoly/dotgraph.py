@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from . import errors
@@ -232,11 +232,45 @@ class CurveGeometry:
         _check_corners(curves)
         self.crossings, self._v_by_x, self._h_by_y = _segment_pass(curves)
         self.arr = Arrangement(self._v_by_x, self._h_by_y)
+        self._build_from_arrangement()
+        self.circles, self.loops = self._components()
+
+    def transformed(self, curves, fx: dict, fy: dict) -> "CurveGeometry":
+        """The geometry of ``curves``, this geometry's curves with x mapped
+        by ``fx`` and y by ``fy``, both strictly increasing.  Such a map
+        keeps which segments meet, in the same order along every line (see
+        ``transform_coords``), so the crossings, the segment index, the
+        arrangement and the certificates are mapped, not built, and the
+        curves are not checked again; the result equals the geometry built
+        from ``curves``."""
+        geo = object.__new__(CurveGeometry)
+        geo.curves = curves
+        geo.crossings = {(fx[x], fy[y]): at for (x, y), at in self.crossings.items()}
+        geo._v_by_x = {fx[x]: [(fy[lo], fy[hi], d, ci, si) for lo, hi, d, ci, si in segs]
+                       for x, segs in self._v_by_x.items()}
+        geo._h_by_y = {fy[y]: [(fx[lo], fx[hi], d, ci, si) for lo, hi, d, ci, si in segs]
+                       for y, segs in self._h_by_y.items()}
+        geo.arr = self.arr.transformed(fx, fy)
+        geo._build_from_arrangement()
+        keys = dict(zip(self.arcs_by_key, geo.arcs_by_key))
+
+        def up(p: Pt) -> Pt:
+            return (fx[p[0]], fy[p[1]])
+
+        def moved(cert: ComponentCert) -> ComponentCert:
+            return replace(cert, arcs=tuple(keys[k] for k in cert.arcs),
+                           boundary=tuple(map(up, cert.boundary)),
+                           apex=None if cert.apex is None else up(cert.apex))
+
+        geo.circles = [moved(c) for c in self.circles]
+        geo.loops = [moved(c) for c in self.loops]
+        return geo
+
+    def _build_from_arrangement(self) -> None:
         self._build_arcs()
         self.arcs_by_key = {a.key: a for a in self.arcs}
         self._sides()
         self._arm_map()
-        self.circles, self.loops = self._components()
 
     # arcs -----------------------------------------------------------
 
@@ -317,29 +351,44 @@ class CurveGeometry:
             out.append(curve[k % n])
         return out
 
+    def arc_at(self, p: Pt) -> tuple[int, int]:
+        """(index in ``arcs``, offset along that arc) of a point on the
+        curves off the crossings.  The point's offset along its curve picks
+        its arc by bisection among the arcs' start offsets; a point before
+        the first start or after the last lies on the arc that wraps round
+        the curve's first corner.  Raises for a point on a crossing, or on
+        no curve."""
+        if p in self.crossings:
+            raise errors.DotOnCrossing(f"dot at crossing {p}")
+        loc = self.locate(p)
+        if loc is None:
+            raise errors.InvalidGraph(f"dot {p} not on any curve")
+        ci, off = loc
+        _, perimeter, starts, first = self._offsets[ci]
+        k = bisect_right(starts, off) - 1
+        return first + k % len(starts), (off - starts[k]) % perimeter
+
     def dotted_arcs(self, dots) -> list[Arc]:
-        """The arcs with ``dots`` on them, each arc's dots in travel order.
-        A dot's offset along its curve picks its arc by bisection among the
-        arcs' start offsets; a dot before the first start or after the last
-        lies on the arc that wraps round the curve's first corner.  Raises
-        for a dot on a crossing, or on no curve."""
+        """The arcs with ``dots`` on them, each arc's dots in travel order,
+        each dot put on its arc by ``arc_at``."""
         on: dict[int, list[tuple[int, Pt]]] = {}
         for d in dots:
-            if d in self.crossings:
-                raise errors.DotOnCrossing(f"dot at crossing {d}")
-            loc = self.locate(d)
-            if loc is None:
-                raise errors.InvalidGraph(f"dot {d} not on any curve")
-            ci, off = loc
-            _, perimeter, starts, first = self._offsets[ci]
-            k = bisect_right(starts, off) - 1
-            on.setdefault(first + k % len(starts), []).append(
-                ((off - starts[k]) % perimeter, d))
+            i, off = self.arc_at(d)
+            on.setdefault(i, []).append((off, d))
         arcs = list(self.arcs)
         for i, ds in on.items():
             a = arcs[i]
             arcs[i] = Arc(a.curve, a.path, a.closed, tuple(d for _, d in sorted(ds)))
         return arcs
+
+    def label(self, fid: int) -> int:
+        return self.arr.faces[fid].omega
+
+    @cached_property
+    def face_cells(self) -> list[frozenset[tuple[int, int]]]:
+        """Each face's (column, row) cells of the arrangement, by face
+        index, listed by one scan on first use."""
+        return self.arr.cells_by_face()
 
     # side faces -------------------------------------------------------
 
@@ -510,6 +559,15 @@ _GEOMETRIES: "weakref.WeakValueDictionary[tuple, CurveGeometry]" = \
     weakref.WeakValueDictionary()
 
 
+def curve_geometry(curves: tuple[tuple[Pt, ...], ...], make=CurveGeometry) -> CurveGeometry:
+    """The one ``CurveGeometry`` of a curve set, made by ``make(curves)`` on
+    first use and shared for as long as something holds it."""
+    geo = _GEOMETRIES.get(curves)
+    if geo is None:
+        geo = _GEOMETRIES[curves] = make(curves)
+    return geo
+
+
 class GraphAnalysis:
     """Everything derived from a dotted graph, in two layers.  The curve
     layer, a ``CurveGeometry``, is computed once per ``curves`` tuple and
@@ -519,19 +577,14 @@ class GraphAnalysis:
     and put on their arcs."""
 
     def __init__(self, g: DottedGraph):
-        geo = _GEOMETRIES.get(g.curves)
-        if geo is None:
-            geo = _GEOMETRIES[g.curves] = CurveGeometry(g.curves)
+        geo = curve_geometry(g.curves)
         self.g = g
         self.geometry = geo             # keeps geo in _GEOMETRIES while self lives
         self.crossings, self.arr, self.arms = geo.crossings, geo.arr, geo.arms
         self.left_face, self.right_face = geo.left_face, geo.right_face
-        self.circles, self.loops = geo.circles, geo.loops
+        self.circles, self.loops, self.label = geo.circles, geo.loops, geo.label
         self.arcs = geo.dotted_arcs(g.dots)
         self.arcs_by_key = dict(zip(geo.arcs_by_key, self.arcs))
-
-    def label(self, fid: int) -> int:
-        return self.arr.faces[fid].omega
 
 
 @lru_cache(maxsize=4096)

@@ -94,6 +94,11 @@ class BudgetExceeded(LatPolyError):
     """A reduction exceeded its step budget; signals a bug or a pathology."""
 
 
+class StuckReduction(LatPolyError):
+    """Internal: the every-arc-dotted pipeline found no circle-eliminating
+    step, although its second stage always has one.  Treated as a bug."""
+
+
 class InvalidTrace(LatPolyError):
     """Reduction trace steps do not compose or break the good order."""
 

@@ -181,7 +181,12 @@ def _merge_at_max_face(g: DottedGraph, an):
         p = _first_dot(an, adjacent[0])
         q = _first_dot(an, adjacent[1])
         return [DF._surgery(g, p, q)]
-    raise errors.BudgetExceeded("no circle-eliminating step applies")
+    top = faces[0]
+    circles = [cert.boundary[0] for cert in an.circles
+               if top.index in (an.left_face[cert.arcs[0]], an.right_face[cert.arcs[0]])]
+    raise errors.StuckReduction(f"no circle-eliminating step applies: the face of label "
+                                f"{top.omega}, the greatest magnitude, borders circles at "
+                                f"{circles}")
 
 
 def _first_dot(an, cert):
@@ -232,11 +237,18 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
     own form, since the form collapses dot counts to flags; the deletion
     (II) of a circle that crosses nothing, when ``form_without_circle``
     finds its form seen; and every surgery (IV) after the first on one
-    unordered arc pair whose middle region has no hole.  That region is a
-    disk, where all cores between the two arcs are isotopic, and
+    unordered arc pair whose middle region has no hole, or, around holes,
+    after the first at one working site.  A hole-free region is a disk,
+    where all cores between the two arcs are isotopic, and
     ``_cut_and_join`` puts a new dot on every arc the band creates, so
     which dots of the arcs carry the band cannot change the form: the
-    first site's form is already in ``seen``."""
+    first site's form is already in ``seen``.  Around holes the working
+    site is the key (a1.key, q1, a2.key, q2) of the original arcs, the
+    slid dots' positions and the site order.  The core, its cut and the
+    band are functions of the geometry, q1 and q2 alone; sites with one
+    key differ only in which old dots of a1 and a2 survive, and every
+    piece of a1 and a2 ends on an arc the band creates, which
+    ``_cut_and_join`` dots, so the canonical form is the same."""
     report = ExplorationReport()
     start = DG.normalized(g)
     seen = {canonical_form(start)}
@@ -261,17 +273,16 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
         if not usable:
             report.terminals.add(canonical_form(cur))
             continue
-        built = set()           # arc pairs of the hole-free surgeries built
+        built = set()           # the arc pairs in disks and working sites built
         for m in usable:
             if m.kind == "I" or (m.kind == "II" and len(m.site.arcs) == 1 and
                                  DG.form_without_circle(cur, m.site) in seen):
                 continue
             if m.kind == "IV":
-                pair = _disk_arc_pair(cur, m)
-                if pair in built:
+                key = _disk_arc_pair(cur, m) or DF._working_pair(cur, *m.site).key
+                if key in built:
                     continue
-                if pair is not None:
-                    built.add(pair)
+                built.add(key)
             d = DF.apply_move(cur, m)
             f = canonical_form(d.after)
             if f not in seen:
@@ -310,7 +321,7 @@ def _disk_arc_pair(g: DottedGraph, move):
     has no hole, or None when it has holes."""
     an = analyze(g)
     a1, a2 = (DF._arc_of_dot(an, p) for p in move.site)
-    if DF._hole_samples(an, DF._middle_region(an, a1, a2, None)):
+    if DF._hole_samples(an.geometry, DF._middle_region(an, a1, a2, None)):
         return None
     return frozenset((a1.key, a2.key))
 

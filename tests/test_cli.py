@@ -82,6 +82,15 @@ def test_bug_errors_exit_4(module, name, verb, error, tmp_path, capsys, monkeypa
     assert capsys.readouterr().err.endswith("internal error: broken\n")
 
 
+def test_stuck_all_dotted_reduction_exits_4(tmp_path, capsys, monkeypatch):
+    # a stuck stage two of the every-arc-dotted pipeline is a bug
+    monkeypatch.setattr(DF, "_component_sign_ok", lambda an, cert: False)
+    assert cli.main(["reduce", write_square(tmp_path), "--all-dotted"]) == 4
+    assert capsys.readouterr().err == (
+        "internal error: no circle-eliminating step applies: the face of label 1, "
+        "the greatest magnitude, borders circles at [(0, 0)]\n")
+
+
 def test_plan_square(tmp_path, capsys):
     path = write_square(tmp_path)
     plan_out = tmp_path / "plan.json"

@@ -516,17 +516,30 @@ def walked_graph(rng):
     return g
 
 
+def geometry_slide_one(grid, q, taken, near=None, distinct_quarter=None, F=None,
+                       stay_near=False):
+    """``DF._slide`` called as the former ``_slide_one`` was, on the grid's
+    graph; it returns the slid position."""
+    arc = grid.geo.arcs[grid.geo.arc_at(q)[0]]
+    avoid = None if near is not None or stay_near else distinct_quarter
+    return DF._slide(grid, q, arc, grid.gs.dots | taken, near, stay_near, avoid, F)
+
+
+def reference_slid_position(*args, **kwargs):
+    return reference_slide_one(*args, **kwargs)[1]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32))
 def test_slide_one_matches_reference(seed):
-    # the same graph and position, or the same error, for every quarter the
-    # slid dot may be told to avoid, with stay_near, and beside each
-    # crossing at an end of the dot's arc
+    # the same position, or the same error, for every quarter the slid dot
+    # may be told to avoid, with stay_near, and beside each crossing at an
+    # end of the dot's arc
     g = walked_graph(random.Random(seed))
     for m in DF.enumerate_moves(g, allowed={"IV"}):
-        fx, fy = DF._joint_maps(g, ())
-        gs = D.transform_coords(g, fx, fy)
-        q1, q2 = [(fx[x], fy[y]) for x, y in m.site]
+        grid = DF._working_grid(g, ())
+        gs = grid.gs
+        q1, q2 = [grid.up(p) for p in m.site]
         an = D.analyze(gs)
         arc = DF._arc_of_dot(an, q1)
         F = DF._middle_region(an, arc, DF._arc_of_dot(an, q2), None)
@@ -535,8 +548,8 @@ def test_slide_one_matches_reference(seed):
         options += [dict(stay_near=True, distinct_quarter=dq, F=F) for dq in quarters]
         options += [dict(near=c) for c in {arc.path[0], arc.path[-1]} if c in an.crossings]
         for kwargs in options:
-            assert outcome(DF._slide_one, gs, q1, {q2}, **kwargs) == \
-                outcome(reference_slide_one, gs, q1, {q2}, **kwargs)
+            assert outcome(geometry_slide_one, grid, q1, {q2}, **kwargs) == \
+                outcome(reference_slid_position, gs, q1, {q2}, **kwargs)
 
 
 # ------------------------------------------------------ core classes --
@@ -547,8 +560,8 @@ def reference_core_classes(w, base, holes, cap=20000):
     search re-ranks the neighbours at each step."""
     if not holes:
         return {(): base}
-    arr, q1, n1, q2, n2 = w.ans.arr, w.q1, w.n1, w.q2, w.n2
-    F_cells = arr.face_cells(w.Fs)
+    arr, q1, n1, q2, n2 = w.geo.arr, w.q1, w.n1, w.q2, w.n2
+    F_cells = w.geo.face_cells[w.Fs]
     rays = list(holes)
     nd1 = DF._quarter_beside(arr, q1, n1)
     nd2 = DF._quarter_beside(arr, q2, n2)
@@ -652,7 +665,7 @@ def holed_sites(g):
     out = []
     for m in DF.enumerate_moves(g, allowed={"IV"}):
         w = DF._working_pair(g, *m.site)
-        holes = DF._hole_samples(w.ans, w.Fs)
+        holes = DF._hole_samples(w.geo, w.Fs)
         if holes:
             out.append((w, DF._canonical_core(w), holes))
     return out
@@ -717,11 +730,11 @@ def dots_on_a_hole(w):
     """True when the dots' graph component is itself a hole of the middle
     region, by the test of ``_hole_samples``: the middle region lies just
     above the component's top segment."""
-    ci = DF._curve_of_point(w.ans.geometry, w.q1)
-    [comp] = [c for c in DF._graph_components(w.ans) if ci in c]
+    ci = DF._curve_of_point(w.geo, w.q1)
+    [comp] = [c for c in DF._graph_components(w.geo) if ci in c]
     tops = [s for i in comp for s in D.curve_segments(w.gs.curves[i]) if s[0][1] == s[1][1]]
     top = max(tops, key=lambda s: (s[0][1], min(s[0][0], s[1][0])))
-    return w.ans.arr.face_of_2x((top[0][0] + top[1][0] | 1, 2 * top[0][1] + 1)) == w.Fs
+    return w.geo.arr.face_of_2x((top[0][0] + top[1][0] | 1, 2 * top[0][1] + 1)) == w.Fs
 
 
 @settings(max_examples=25, deadline=None)
@@ -732,7 +745,7 @@ def test_dots_on_one_component_give_at_most_two_to_the_k_classes(g):
     # region's outer boundary, a route encloses each hole or not, so each
     # signature entry takes two values
     for w, base, holes in holed_sites(g):
-        if not DF._dots_share_component(w.ans, w.q1, w.q2):
+        if not DF._dots_share_component(w.geo, w.q1, w.q2):
             continue
         try:
             classes = reference_core_classes(w, base, holes, cap=4000)
@@ -754,7 +767,7 @@ def test_dots_on_a_hole_give_three_values_and_still_2_to_the_k_classes():
     h = [(24, 6), (24, 18), (32, 18), (32, 6)]
     g = D.DottedGraph.build([big, h0, h], [(6, 10), (14, 10)])
     [(w, base, holes)] = holed_sites(g)
-    assert DF._dots_share_component(w.ans, w.q1, w.q2) and dots_on_a_hole(w)
+    assert DF._dots_share_component(w.geo, w.q1, w.q2) and dots_on_a_hole(w)
     classes = reference_core_classes(w, base, holes)
     assert list(classes) == [(1, 1), (1, 0), (0, 0), (0, -1)]
     assert list(DF._enumerate_core_classes(w, base, holes).items()) == list(classes.items())
@@ -784,7 +797,7 @@ def test_route_search_stops_at_two_classes_around_one_hole():
     inner = [(6, 6), (10, 6), (10, 10), (6, 10)]
     g = D.DottedGraph.build([big, inner], [(0, 0), (16, 0)])
     [(w, base, holes)] = holed_sites(g)
-    assert DF._dots_share_component(w.ans, w.q1, w.q2) and not dots_on_a_hole(w)
+    assert DF._dots_share_component(w.geo, w.q1, w.q2) and not dots_on_a_hole(w)
     assert len(holes) == 1
     want, reference_calls = route_search_calls(reference_core_classes, w, base, holes)
     got, calls = route_search_calls(DF._enumerate_core_classes, w, base, holes)
@@ -800,11 +813,11 @@ def reference_check_condition_A(g, p1, p2, cap=4000):
     an = D.analyze(g)
     a1, a2 = DF._arc_of_dot(an, p1), DF._arc_of_dot(an, p2)
     F = DF._middle_region(an, a1, a2, None)
-    if not DF._hole_samples(an, F):
+    if not DF._hole_samples(an.geometry, F):
         return True
     w = DF._working_pair(g, p1, p2)
     classes = DF._enumerate_core_classes(w, DF._canonical_core(w),
-                                         DF._hole_samples(w.ans, w.Fs), cap=cap)
+                                         DF._hole_samples(w.geo, w.Fs), cap=cap)
     forms = set()
     for core in classes.values():
         raw, _, _ = DF._cut_and_join(w, core)
@@ -828,8 +841,8 @@ def annulus_sites(g):
     out = []
     for m in DF.enumerate_moves(g, allowed={"IV"}):
         w = DF._working_pair(g, *m.site)
-        holes = DF._hole_samples(w.ans, w.Fs)
-        if len(holes) == 1 and not DF._dots_share_component(w.ans, w.q1, w.q2):
+        holes = DF._hole_samples(w.geo, w.Fs)
+        if len(holes) == 1 and not DF._dots_share_component(w.geo, w.q1, w.q2):
             out.append((m.site, w, DF._canonical_core(w), holes))
     return out
 
@@ -937,8 +950,8 @@ def reference_route_through_cells(arr, cells_path, q1, n1, q2, n2):
 def reference_canonical_core(w):
     """The former canonical core: the shortest route through whole
     arrangement cells of the middle region, ties broken lexicographically."""
-    arr = w.ans.arr
-    path = reference_cell_path(arr.face_cells(w.Fs), DF._cell_beside(arr, w.q1, w.n1),
+    arr = w.geo.arr
+    path = reference_cell_path(w.geo.face_cells[w.Fs], DF._cell_beside(arr, w.q1, w.n1),
                                DF._cell_beside(arr, w.q2, w.n2))
     return reference_route_through_cells(arr, path, w.q1, w.n1, w.q2, w.n2)
 
@@ -971,6 +984,76 @@ def test_canonical_core_matches_the_cell_router(g, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(DF, "_canonical_core", reference_canonical_core)
             assert core_router_outcomes(h) == got
+
+
+# ------------------------------------------------------- working sites --
+
+def reference_slide(g, p1, p2, hug_crossing=None):
+    """The former slides of ``_working_pair``: g scaled to the working grid
+    and analysed, then each dot slid on the analysis of the graph so far,
+    the first by ``reference_slide_one`` with the second taken, the second
+    with the first's new position taken and, unless the dots hug a
+    crossing, away from the quarter-cell beside the first; returns the slid
+    positions."""
+    fx, fy = DF._joint_maps(g, ())
+    gs = D.transform_coords(g, fx, fy)
+    q1, q2 = [(fx[x], fy[y]) for x, y in (p1, p2)]
+    near = None if hug_crossing is None else (fx[hug_crossing[0]], fy[hug_crossing[1]])
+    an = D.analyze(gs)
+    F = DF._middle_region(an, DF._arc_of_dot(an, q1), DF._arc_of_dot(an, q2), None)
+    gs, s1 = reference_slide_one(gs, q1, {q2}, near=near)
+    distinct = None
+    if near is None:
+        an = D.analyze(gs)
+        distinct = DF._quarter_of(an, DF._arc_of_dot(an, s1), s1, F)
+    _, s2 = reference_slide_one(gs, q2, {s1}, near=near, distinct_quarter=distinct, F=F)
+    return s1, s2
+
+
+def geometry_slide(g, p1, p2, hug_crossing=None):
+    w = DF._working_pair(g, p1, p2, hug_crossing=hug_crossing)
+    return w.q1, w.q2
+
+
+def assert_working_sites_agree(g):
+    """At every surgery site of g the slides land where the former ones
+    did, also beside each crossing the site's arcs hug, and any two sites
+    with one working site key give one surgery form (or error class) and
+    one condition (A) verdict (or error class).  Each site starts from a
+    fresh working grid, so no site reads another's memo.  Returns how many
+    sites in regions with holes repeat an earlier site's key."""
+    by_key = {}
+    repeats = 0
+    moves = DF.enumerate_moves(g, allowed={"IV"})
+    for m in moves:
+        DF._working_grid.cache_clear()
+        assert outcome(geometry_slide, g, *m.site) == outcome(reference_slide, g, *m.site)
+        try:
+            w = DF._working_pair(g, *m.site)
+        except errors.LatPolyError:
+            continue
+        verdict = condition_A_outcome(DF.check_condition_A, g, *m.site)
+        site = (surgery_outcome(g, *m.site), verdict if isinstance(verdict, bool) else verdict[0])
+        if w.key in by_key and DF._hole_samples(w.geo, w.Fs):
+            repeats += 1
+        by_key.setdefault(w.key, set()).add(site)
+    assert all(len(sites) == 1 for sites in by_key.values())
+    an = D.analyze(g)
+    for c, _, k_in, k_out in DF.hug_sites(an):
+        for m in moves:
+            if {DF._arc_of_dot(an, p).key for p in m.site} == {k_in, k_out}:
+                DF._working_grid.cache_clear()
+                assert outcome(geometry_slide, g, *m.site, c) == \
+                    outcome(reference_slide, g, *m.site, c)
+    return repeats
+
+
+@settings(max_examples=25, deadline=None)
+@given(holed_graphs())
+def test_sites_with_one_working_site_key_agree(g):
+    # the rule behind one surgery and one condition (A) verdict per working
+    # site: the slid dots' positions and the arcs fix the result's form
+    assert_working_sites_agree(g)
 
 
 # ----------------------------------------------------------- properties --

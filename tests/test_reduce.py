@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latpoly import errors, geometry as G, dotgraph as D, deform as DF, oracle as O, reduce as R
-from test_deform import reference_check_condition_A
+from test_deform import assert_working_sites_agree, reference_check_condition_A
 
 
 def square_graph():
@@ -84,6 +84,17 @@ def test_good_reduce_concentric_pair_is_IVa2():
     trace = R.good_reduce(nested((True, False)))
     assert trace.kinds() == ["IVa2", "II"]
     assert trace.terminal.is_empty()
+
+
+def test_stuck_all_dotted_reduction_is_a_bug(monkeypatch):
+    # stage two always has a circle-eliminating step; with every deletion
+    # refused, a lone circle leaves it none, and the error names the face
+    # of greatest label magnitude and the circles beside it
+    monkeypatch.setattr(DF, "_component_sign_ok", lambda an, cert: False)
+    with pytest.raises(errors.StuckReduction) as info:
+        R.reduce_all_dotted(circle_graph())
+    assert str(info.value) == ("no circle-eliminating step applies: the face of label 1, "
+                               "the greatest magnitude, borders circles at [(0, 0)]")
 
 
 @pytest.mark.parametrize("reducer, graph", [(R.good_reduce, nested((True, False))),
@@ -292,16 +303,18 @@ def reference_condition_A(g):
         return None
 
 
-def reference_explore(g, budget=2000, check_A=True):
+def reference_explore(g, budget=2000, check_A=True, states=None):
     """The former ``explore_reductions``: every successor is built, its own
     canonical form decides whether it is new, and condition (A) enumerates
-    every core class."""
+    every core class.  Appends each visited state to ``states`` if given."""
     report = R.ExplorationReport()
     start = D.normalized(g)
     seen = {D.canonical_form(start)}
     frontier = [start]
     while frontier:
         cur = frontier.pop()
+        if states is not None:
+            states.append(cur)
         report.visited += 1
         if report.visited > budget:
             raise errors.BudgetExceeded("reduction exploration budget hit")
@@ -346,11 +359,12 @@ def report_fields(rep):
                                for seed in range(24)] +
                          [identical_squares(k, ccw=bool(k % 2)) for k in range(2, 6)] +
                          [O.random_dotted_graph(random.Random(f"confluence/{i}"))
-                          for i in (51, 35, 7)])
+                          for i in (51, 35, 7, 47, 48)])
 def test_explore_matches_reference(g):
     # the explorer skips building merges, already-seen deletions of circles
-    # that cross nothing and repeated surgeries on one arc pair in a disk,
-    # and condition (A) skips annulus sites; what it reports must not change
+    # that cross nothing, repeated surgeries on one arc pair in a disk and
+    # at one working site around holes, and condition (A) skips annulus
+    # sites and repeated working sites; what it reports must not change
     want = report_fields(reference_explore(g))
     R._condition_A.cache_clear()
     assert report_fields(R.explore_reductions(g)) == want
@@ -374,6 +388,16 @@ def test_surgeries_on_one_arc_pair_in_a_disk_give_one_form(seed, all_dotted, wal
         if pair is not None:
             forms.setdefault(pair, set()).add(D.canonical_form(DF.apply_move(g, m).after))
     assert all(len(f) == 1 for f in forms.values())
+
+
+@pytest.mark.parametrize("i", [35, 7, 47])
+def test_working_sites_agree_on_explored_states(i):
+    # the confluence inputs that repeat a working site around holes most
+    # often, at every state their exploration visits
+    states = []
+    reference_explore(O.random_dotted_graph(random.Random(f"confluence/{i}")),
+                      check_A=False, states=states)
+    assert sum(assert_working_sites_agree(s) for s in states) > 0
 
 
 def reference_first_good_group(g):
