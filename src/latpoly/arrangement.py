@@ -199,32 +199,6 @@ class Arrangement:
             raise errors.InvalidGraph("unbounded face must have winding 0")
         self.unbounded_face = unb[0].index
 
-    def transformed(self, fx: dict, fy: dict) -> "Arrangement":
-        """This arrangement with x mapped by ``fx`` and y by ``fy``, both
-        strictly increasing.  Such a map keeps the order of the lines, so
-        the cells, their faces and the windings stay; only the faces'
-        areas and samples are computed again, from the first finite cell of
-        each face as ``_build`` takes it."""
-        new = object.__new__(Arrangement)
-        xs = new.xs = [fx[x] for x in self.xs]
-        ys = new.ys = [fy[y] for y in self.ys]
-        nrow = new._nrow = self._nrow
-        cell_face = new._cell_face = self._cell_face
-        area = [0] * len(self.faces)
-        sample: list = [None] * len(self.faces)
-        for c in range(1, len(xs)):
-            width, base = xs[c] - xs[c - 1], c * nrow
-            for r in range(1, nrow - 1):
-                f = cell_face[base + r]
-                area[f] += width * (ys[r] - ys[r - 1])
-                if sample[f] is None:
-                    sample[f] = (xs[c - 1] + xs[c], ys[r - 1] + ys[r])
-        new.faces = [Face(f.index, f.omega, area[f.index], f.unbounded,
-                          sample[f.index] or (_sample2(xs, 0), _sample2(ys, 0)))
-                     for f in self.faces]
-        new.unbounded_face = self.unbounded_face
-        return new
-
     # -- queries ---------------------------------------------------------
 
     def face_of_cell(self, cell: tuple[int, int]) -> int:

@@ -219,34 +219,30 @@ class _Grid:
     """A graph at working scale, set up once for all its surgeries: the
     compression maps ``fx``/``fy`` scaled by SCALE (with the ``extra``
     points of an explicit core placed inside their gaps), the scaled graph
-    ``gs`` and its geometry ``geo`` (mapped from g's), the corners, and the
-    points no slid dot may take besides the dots (``fixed``: corners and
-    crossings).  It memoizes each arc's slide candidates (``candidates``),
-    each surgery site's working pair (``pairs``), and per working site the
-    canonical core (``cores``) and, per core, the band's curves and new
-    dots (``bands``)."""
+    ``gs`` and its geometry ``geo``, the corners, and the points no slid
+    dot may take besides the dots (``fixed``: corners and crossings).  It
+    memoizes each arc's slide candidates (``candidates``) and each surgery
+    site's working pair (``pairs``)."""
 
     def __init__(self, g: DottedGraph, extra):
         self.fx, self.fy = _joint_maps(g, extra)
         self.gs = DG.transform_coords(g, self.fx, self.fy)
-        self.geo = DG.curve_geometry(self.gs.curves, lambda curves: analyze(
-            g).geometry.transformed(curves, self.fx, self.fy))
+        self.geo = DG.curve_geometry(self.gs.curves)
         self.corners = {p for curve in self.gs.curves for p in curve}
         self.fixed = self.corners | set(self.geo.crossings)
         self.candidates: dict = {}
         self.pairs: dict = {}
-        self.cores: dict = {}
-        self.bands: dict = {}
 
     def up(self, p: Pt) -> Pt:
         return (self.fx[p[0]], self.fy[p[1]])
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _working_grid(g: DottedGraph, extra: tuple) -> _Grid:
-    """The working grid of g, kept for the few graphs last worked on: the
-    explorer and condition (A) work on one state at a time, and the good
-    scheduler tries every surgery site of one graph in turn."""
+    """The working grid of g, kept for the last graph worked on: the
+    explorer checks condition (A) at a state and then builds its surgeries
+    before it moves to the next state, so the reuse of a grid falls within
+    one state's work, and a second grid would only be held in memory."""
     return _Grid(g, extra)
 
 
@@ -255,9 +251,10 @@ class _Pair(NamedTuple):
     the dots slid to q1 and q2 (never analysed), Fs their middle region,
     d1, d2 the arc directions at the dots and n1, n2 the normals from the
     dots into Fs.  ``key`` is the working site: the arcs of the two dots,
-    in site order, with their slid positions."""
-    grid: _Grid
+    in site order, with their slid positions.  ``geo`` is the grid's
+    geometry and ``fx``/``fy`` its maps of original coordinates up."""
     gs: DottedGraph
+    geo: DG.CurveGeometry
     Fs: int
     q1: Pt
     d1: Pt
@@ -265,14 +262,12 @@ class _Pair(NamedTuple):
     q2: Pt
     d2: Pt
     n2: Pt
+    fx: dict
+    fy: dict
     key: tuple
 
-    @property
-    def geo(self):
-        return self.grid.geo
-
     def up(self, p: Pt) -> Pt:
-        return self.grid.up(p)
+        return (self.fx[p[0]], self.fy[p[1]])
 
 
 def _working_pair(g: DottedGraph, p1: Pt, p2: Pt, extra=(), hug_crossing=None) -> _Pair:
@@ -390,8 +385,8 @@ def _slide_pair(grid: _Grid, p1: Pt, p2: Pt, hug_crossing, stay_near) -> _Pair:
     s2 = _slide(grid, q2, a2, (dots - {q1}) | {s1}, near, stay_near, avoid, Fs)
     d1, d2 = _dir_at(a1, s1), _dir_at(a2, s2)
     gs = DottedGraph(grid.gs.curves, (dots - {q1, q2}) | {s1, s2})
-    return _Pair(grid, gs, Fs, s1, d1, _normal_into(geo, a1, d1, Fs),
-                 s2, d2, _normal_into(geo, a2, d2, Fs), (a1.key, s1, a2.key, s2))
+    return _Pair(gs, geo, Fs, s1, d1, _normal_into(geo, a1, d1, Fs), s2, d2,
+                 _normal_into(geo, a2, d2, Fs), grid.fx, grid.fy, (a1.key, s1, a2.key, s2))
 
 
 def _quarter_of(geo, arc, q: Pt, F):
@@ -489,11 +484,7 @@ def _canonical_core(w: _Pair) -> tuple[Pt, ...]:
     second dot's quarter cell, then a walk from the first dot's to the
     least neighbour one step closer.  The search stops once it reaches the
     first dot's quarter cell: every quarter cell nearer the goal then has
-    its distance, and the walk reads no other.  Built once per working
-    site of the grid."""
-    core = w.grid.cores.get(w.key)
-    if core is not None:
-        return core
+    its distance, and the walk reads no other."""
     arr = w.geo.arr
     F_cells = w.geo.face_cells[w.Fs]
     start, goal = _quarter_beside(arr, w.q1, w.n1), _quarter_beside(arr, w.q2, w.n2)
@@ -511,8 +502,7 @@ def _canonical_core(w: _Pair) -> tuple[Pt, ...]:
     while path[-1] != goal:
         path.append(min(nb for nb in _quarter_neighbors(F_cells, path[-1])
                         if dist.get(nb, -1) == dist[path[-1]] - 1))
-    core = w.grid.cores[w.key] = _route_through_quarters(arr, path, w.q1, w.n1, w.q2, w.n2)
-    return core
+    return _route_through_quarters(arr, path, w.q1, w.n1, w.q2, w.n2)
 
 
 def _hug_core(q1, n1, q2, c: Pt) -> tuple[Pt, ...]:
@@ -570,21 +560,6 @@ def _shorter_path_between(geo, ci: int, qa: Pt, qb: Pt) -> list[Pt]:
 
 
 def _cut_and_join(w: _Pair, core):
-    """The graph after the band surgery along ``core`` and the band's two
-    new dots.  The band's curves and new dots are functions of the working
-    site and the core, so they are built once per pair on the grid; the
-    other dots are the slid graph's."""
-    band = w.grid.bands.get((w.key, core))
-    if band is None:
-        band = w.grid.bands[(w.key, core)] = _band(w, core)
-    curves, t1m, t2m = band
-    return DottedGraph(curves, (w.gs.dots - {w.q1, w.q2}) | {t1m, t2m}), t1m, t2m
-
-
-def _band(w: _Pair, core):
-    """The curves after cutting both arcs at the dots and joining the cuts
-    along the two sides of the band around ``core``, and the new dots
-    t1m, t2m, one on each arc the band creates."""
     gs, geo, q1, d1, q2, d2 = w.gs, w.geo, w.q1, w.d1, w.q2, w.d2
     ci1 = _curve_of_point(geo, q1)
     ci2 = _curve_of_point(geo, q2)
@@ -613,7 +588,8 @@ def _band(w: _Pair, core):
                   _trim(whole2, d2, d2)[1:] + list(reversed(off_plus))[1:-1])
         curves = [c for i, c in enumerate(gs.curves)
                   if i not in (ci1, ci2)] + [tuple(merged)]
-    return DG.normal_curves(curves), t1m, t2m
+    dots = (set(gs.dots) - {q1, q2}) | {t1m, t2m}
+    return DottedGraph(DG.normal_curves(curves), frozenset(dots)), t1m, t2m
 
 
 def _trim(piece: list[Pt], d_start: Pt, d_end: Pt) -> list[Pt]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import errors
@@ -232,45 +232,11 @@ class CurveGeometry:
         _check_corners(curves)
         self.crossings, self._v_by_x, self._h_by_y = _segment_pass(curves)
         self.arr = Arrangement(self._v_by_x, self._h_by_y)
-        self._build_from_arrangement()
-        self.circles, self.loops = self._components()
-
-    def transformed(self, curves, fx: dict, fy: dict) -> "CurveGeometry":
-        """The geometry of ``curves``, this geometry's curves with x mapped
-        by ``fx`` and y by ``fy``, both strictly increasing.  Such a map
-        keeps which segments meet, in the same order along every line (see
-        ``transform_coords``), so the crossings, the segment index, the
-        arrangement and the certificates are mapped, not built, and the
-        curves are not checked again; the result equals the geometry built
-        from ``curves``."""
-        geo = object.__new__(CurveGeometry)
-        geo.curves = curves
-        geo.crossings = {(fx[x], fy[y]): at for (x, y), at in self.crossings.items()}
-        geo._v_by_x = {fx[x]: [(fy[lo], fy[hi], d, ci, si) for lo, hi, d, ci, si in segs]
-                       for x, segs in self._v_by_x.items()}
-        geo._h_by_y = {fy[y]: [(fx[lo], fx[hi], d, ci, si) for lo, hi, d, ci, si in segs]
-                       for y, segs in self._h_by_y.items()}
-        geo.arr = self.arr.transformed(fx, fy)
-        geo._build_from_arrangement()
-        keys = dict(zip(self.arcs_by_key, geo.arcs_by_key))
-
-        def up(p: Pt) -> Pt:
-            return (fx[p[0]], fy[p[1]])
-
-        def moved(cert: ComponentCert) -> ComponentCert:
-            return replace(cert, arcs=tuple(keys[k] for k in cert.arcs),
-                           boundary=tuple(map(up, cert.boundary)),
-                           apex=None if cert.apex is None else up(cert.apex))
-
-        geo.circles = [moved(c) for c in self.circles]
-        geo.loops = [moved(c) for c in self.loops]
-        return geo
-
-    def _build_from_arrangement(self) -> None:
         self._build_arcs()
         self.arcs_by_key = {a.key: a for a in self.arcs}
         self._sides()
         self._arm_map()
+        self.circles, self.loops = self._components()
 
     # arcs -----------------------------------------------------------
 
@@ -559,12 +525,12 @@ _GEOMETRIES: "weakref.WeakValueDictionary[tuple, CurveGeometry]" = \
     weakref.WeakValueDictionary()
 
 
-def curve_geometry(curves: tuple[tuple[Pt, ...], ...], make=CurveGeometry) -> CurveGeometry:
-    """The one ``CurveGeometry`` of a curve set, made by ``make(curves)`` on
-    first use and shared for as long as something holds it."""
+def curve_geometry(curves: tuple[tuple[Pt, ...], ...]) -> CurveGeometry:
+    """The one ``CurveGeometry`` of a curve set, built on first use and
+    shared for as long as something holds it."""
     geo = _GEOMETRIES.get(curves)
     if geo is None:
-        geo = _GEOMETRIES[curves] = make(curves)
+        geo = _GEOMETRIES[curves] = CurveGeometry(curves)
     return geo
 
 

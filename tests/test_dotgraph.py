@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -735,27 +734,6 @@ def test_locate_matches_reference_scans(g, rng):
             (hc, _), (vc, _) = geo.crossings[qb]
             assert hc != vc and ci == max(hc, vc) and isinstance(want, list)
             assert got == (errors.RoutingFailure, f"{qb} not on curve")
-
-
-def geometry_fields(geo):
-    """Every field of a curve geometry, dict fields with their order."""
-    return (geo.curves, list(geo.crossings.items()), list(geo._v_by_x.items()),
-            list(geo._h_by_y.items()), vars(geo.arr), geo._offsets, geo.arcs,
-            list(geo.arcs_by_key.items()), list(geo.left_face.items()),
-            list(geo.right_face.items()), geo._face_arcs, list(geo.arms.items()),
-            geo.circles, geo.loops)
-
-
-@settings(max_examples=100, deadline=None)
-@given(analysed_graphs(), st.randoms(use_true_random=False))
-def test_transformed_geometry_equals_the_built_one(g, rng):
-    # under strictly increasing coordinate maps, the geometry mapped from
-    # g's equals the one built from the mapped curves, field by field
-    fx, fy = ({v: k for v, k in zip(vs, accumulate(rng.randint(1, 5) for _ in vs))}
-              for vs in D.coordinate_values(g))
-    h = D.transform_coords(g, fx, fy)
-    assert geometry_fields(D.analyze(g).geometry.transformed(h.curves, fx, fy)) == \
-        geometry_fields(D.CurveGeometry(h.curves))
 
 
 def test_graphs_with_equal_curves_share_one_geometry():
