@@ -214,13 +214,17 @@ def _need_polytope(obj) -> G.LatticePolytope:
 
 
 def _oracle_corpus(args) -> int:
+    if args.count < 0:
+        raise errors.ParseError(f"need count >= 0, got count={args.count}")
     if args.count:
         import random
         rng = random.Random(args.seed)
         corpus = [O.random_polytope(rng, args.max_points, args.max_coord)
                   for _ in range(args.count)]
     else:
-        O.check_exhaustive_size(args.max_points, args.max_coord)
+        if not O.check_exhaustive_size(args.max_points, args.max_coord):
+            raise errors.ParseError(f"empty exhaustive corpus: max_points={args.max_points}, "
+                                    f"max_coord={args.max_coord}")
         corpus = list(O.exhaustive_polytopes(args.max_points, args.max_coord))
     rows = O.cross_check_thm37(corpus)
     agree = sum(1 for r in rows if r.empties and

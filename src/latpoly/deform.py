@@ -66,25 +66,9 @@ def _rot_right(d: Pt) -> Pt:
     return (d[1], -d[0])
 
 
-def _viable_side(an, arc_key):
-    """The unique side of an arc where a band may attach: the face whose
-    label magnitude dominates.  Returns (face, epsilon)."""
-    lf, rf = an.left_face[arc_key], an.right_face[arc_key]
-    L, R = an.label(lf), an.label(rf)
-    if L != R + 1:
-        raise errors.InvalidGraph(
-            f"left label {L} of arc {arc_key} does not exceed its right label {R} by one")
-    return (lf, 1) if L >= 1 else (rf, -1)
-
-
-def _arc_of_dot(an, dot: Pt):
-    for a in an.arcs:
-        if dot in a.dots:
-            return a
-    raise errors.MissingDot(f"{dot} is not a dot of the graph")
-
-
-def _component_sign_ok(an, cert: ComponentCert) -> bool:
+def component_sign_ok(an, cert: ComponentCert) -> bool:
+    """True when every region of the component's disk carries its sign,
+    so that deformation II or III may delete it."""
     eps = cert.orientation
     return all(eps * an.label(f) >= 1 for f in cert.disk_faces)
 
@@ -113,7 +97,7 @@ def apply_II(g: DottedGraph, cert: ComponentCert) -> DottedGraph:
     if cert.kind != "circle":
         raise errors.NotALoop("apply_II needs a circle certificate")
     an = analyze(g)
-    if not _component_sign_ok(an, cert):
+    if not component_sign_ok(an, cert):
         raise errors.LabelMismatch(
             "every region of the disk must carry the sign of the circle")
     curves = tuple(c for i, c in enumerate(g.curves) if i != cert.curve)
@@ -129,7 +113,7 @@ def apply_III(g: DottedGraph, cert: ComponentCert) -> DottedGraph:
     if cert.kind != "loop":
         raise errors.NotALoop("apply_III needs a loop certificate")
     an = analyze(g)
-    if not _component_sign_ok(an, cert):
+    if not component_sign_ok(an, cert):
         raise errors.LabelMismatch(
             "every region of the disk must carry the sign of the loop")
     c = cert.apex
@@ -183,18 +167,29 @@ def apply_IV(g: DottedGraph, p1: Pt, p2: Pt, core=None) -> DottedGraph:
     homotopy class around the region's obstacles and re-routed at working
     scale (dot slides along arcs are free moves).
     """
-    return _surgery(g, p1, p2, core=core).after
+    return surgery(g, p1, p2, core=core).after
 
 
-def _surgery(g: DottedGraph, p1: Pt, p2: Pt, core=None, hug_crossing=None) -> Deformation:
+def surgery_site(an: GraphAnalysis, p1: Pt, p2: Pt, core=None):
+    """The site ``(a1, a2, F)`` of a surgery between the dots p1 and p2:
+    their arcs and their middle region, the band face both arcs share, or
+    the face beside both arcs that an explicit ``core`` runs through.
+    Raises ``MissingDot`` for a point that is no dot, and ``NotApplicable``
+    where no surgery joins the two."""
+    a1, a2 = an.arc_of(p1), an.arc_of(p2)
+    return a1, a2, _middle_region(an.geometry, a1, a2, core)
+
+
+def surgery(g: DottedGraph, p1: Pt, p2: Pt, core=None, hug_crossing=None) -> Deformation:
+    """The surgery between the dots p1 and p2 as a deformation: along the
+    canonical core, an explicit ``core``, or the core that hugs the
+    crossing ``hug_crossing`` (subcase IVa1)."""
     an = analyze(g)
-    if p1 not in g.dots or p2 not in g.dots:
-        raise errors.MissingDot("deformation IV needs two dots")
     if p1 == p2:
         raise errors.MissingDot("the two dots must be distinct")
     if core is not None:
         core = tuple(tuple(p) for p in core)
-    F = _middle_region(an, _arc_of_dot(an, p1), _arc_of_dot(an, p2), core)
+    _, _, F = surgery_site(an, p1, p2, core)
     eps = 1 if an.label(F) > 0 else -1
     w = _working_pair(g, p1, p2, extra=core or (), hug_crossing=hug_crossing)
     if hug_crossing is not None:
@@ -250,9 +245,9 @@ class _Pair(NamedTuple):
     """Two surgery dots on a working grid: ``gs`` is the grid's graph after
     the dots slid to q1 and q2 (never analysed), Fs their middle region,
     d1, d2 the arc directions at the dots and n1, n2 the normals from the
-    dots into Fs.  ``key`` is the working site: the arcs of the two dots,
-    in site order, with their slid positions.  ``geo`` is the grid's
-    geometry and ``fx``/``fy`` its maps of original coordinates up."""
+    dots into Fs.  ``key`` is the working site of ``sharing_key``.  ``geo``
+    is the grid's geometry and ``fx``/``fy`` its maps of original
+    coordinates up."""
     gs: DottedGraph
     geo: DG.CurveGeometry
     Fs: int
@@ -276,14 +271,7 @@ def _working_pair(g: DottedGraph, p1: Pt, p2: Pt, extra=(), hug_crossing=None) -
     canonical positions (beside ``hug_crossing`` when given, as little as
     possible for an explicit core), and their arcs, directions, normals and
     middle region are read off the grid's geometry.  Nothing is analysed,
-    and each site's pair is built once per grid.
-
-    The working site ``key``, (a1.key, q1, a2.key, q2), fixes the surgery
-    up to the form: the core, its cut and the band are functions of the
-    geometry, q1 and q2 alone.  Sites with one key differ only in which
-    old dots of a1 and a2 survive, and every piece of a1 and a2 ends on an
-    arc the band creates, which ``_cut_and_join`` dots, so their results
-    have one canonical form, and condition (A) one verdict."""
+    and each site's pair is built once per grid."""
     grid = _working_grid(g, extra)
     site = (p1, p2, hug_crossing)
     w = grid.pairs.get(site)
@@ -319,34 +307,33 @@ def _extend_monotone(f: dict, base: list[int], extras: list[int]) -> None:
             f[v] = f[base[lo]] + (SCALE * j) // (k + 1)
 
 
-def _middle_region(an, a1, a2, core):
+def _middle_region(geo, a1, a2, core):
     if core is not None:
         if len(core) < 2:
             raise errors.NoCommonFace("core needs at least one segment")
         for p in core[1:-1]:
-            if an.geometry.locate(p) is not None:
+            if geo.locate(p) is not None:
                 raise errors.RoutingFailure("core interior touches the graph")
         k = max(range(len(core) - 1),
                 key=lambda i: abs(core[i][0] - core[i + 1][0]) +
                 abs(core[i][1] - core[i + 1][1]))
         probe2 = (core[k][0] + core[k + 1][0], core[k][1] + core[k + 1][1])
-        F = an.arr.face_of_2x(probe2)
-        sides1 = (an.left_face[a1.key], an.right_face[a1.key])
-        sides2 = (an.left_face[a2.key], an.right_face[a2.key])
+        F = geo.arr.face_of_2x(probe2)
+        sides1 = (geo.left_face[a1.key], geo.right_face[a1.key])
+        sides2 = (geo.left_face[a2.key], geo.right_face[a2.key])
         if F not in sides1 or F not in sides2:
             raise errors.NoCommonFace("core does not run beside both arcs")
-        if an.label(F) == 0:
+        if geo.label(F) == 0:
             raise errors.ZeroLabel("middle region label is zero")
         for a in (a1, a2):
-            if (F == an.left_face[a.key]) != (an.label(F) >= 1):
+            if (F == geo.left_face[a.key]) != (geo.label(F) >= 1):
                 raise errors.OrientationClash(
                     "arcs do not admit the induced orientations")
         return F
-    F1, _ = _viable_side(an, a1.key)
-    F2, _ = _viable_side(an, a2.key)
-    if F1 != F2:
+    F = geo.band_face[a1.key]
+    if geo.band_face[a2.key] != F:
         raise errors.NoCommonFace("dots have no shared middle region")
-    return F1
+    return F
 
 
 def _dir_at(arc, q: Pt) -> Pt:
@@ -609,48 +596,6 @@ def _curve_of_point(geo, q: Pt) -> int:
 
 # homotopy classes of cores ----------------------------------------------------
 
-def _graph_components(geo):
-    n = len(geo.curves)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (hc, _), (vc, _) in geo.crossings.values():
-        pa, pb = find(hc), find(vc)
-        if pa != pb:
-            parent[pb] = pa
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
-
-
-def _hole_samples(geo, F) -> list[Pt]:
-    """One doubled-grid sample inside each graph component enclosed by F.
-
-    Samples carry odd doubled coordinates so they never meet grid lines or
-    route vertices."""
-    samples = []
-    for curves in _graph_components(geo):
-        segs = []
-        for ci in curves:
-            segs.extend(DG.curve_segments(geo.curves[ci]))
-        hsegs = [s for s in segs if s[0][1] == s[1][1]]
-        top = max(hsegs, key=lambda s: (s[0][1], min(s[0][0], s[1][0])))
-        sx2 = top[0][0] + top[1][0]
-        if sx2 % 2 == 0:
-            sx2 += 1            # stays interior: even sums need length >= 2
-        ty = top[0][1]
-        above = (sx2, 2 * ty + 1)
-        if geo.arr.face_of_2x(above) == F:
-            samples.append((sx2, 2 * ty - 1))
-    return samples
-
-
 def _polyline_winding_2x(sample2: Pt, pts) -> int:
     segs = []
     m = len(pts)
@@ -833,7 +778,9 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000):
                 dq.append(state)
 
     targets = sorted(vec for node, vec in forward if node == nd2)
-    limit = 2 ** len(rays) if _dots_share_component(w.geo, q1, q2) else len(targets)
+    comp = w.geo.component
+    one_component = comp[_curve_of_point(w.geo, q1)] == comp[_curve_of_point(w.geo, q2)]
+    limit = 2 ** len(rays) if one_component else len(targets)
     tables = {}                 # target -> (goal, distances, ranked successors)
     routes = {}                 # target -> quarter nodes of its route
 
@@ -911,13 +858,6 @@ def _distances_to(forward, goal) -> dict:
     return dist
 
 
-def _dots_share_component(geo, p1: Pt, p2: Pt) -> bool:
-    """True when the curves through the dots p1 and p2 lie in one graph
-    component."""
-    c1, c2 = _curve_of_point(geo, p1), _curve_of_point(geo, p2)
-    return any(c1 in comp and c2 in comp for comp in _graph_components(geo))
-
-
 def _core_matching(w: _Pair, p1: Pt, core, p2: Pt):
     """Route a core in the homotopy class of an explicitly given core from
     p1 to p2 (original coordinates).
@@ -927,7 +867,7 @@ def _core_matching(w: _Pair, p1: Pt, core, p2: Pt):
     curve as the canonical drag); the class is measured against the
     canonical core by winding numbers around the middle region's obstacles.
     """
-    holes = _hole_samples(w.geo, w.Fs)
+    holes = w.geo.holes[w.Fs]
     base = _canonical_core(w)
     if not holes:
         return base
@@ -948,7 +888,7 @@ def _core_matching(w: _Pair, p1: Pt, core, p2: Pt):
 def slide_dot(g: DottedGraph, dot: Pt, target: Pt) -> DottedGraph:
     """Move a dot along its own arc (changes nothing up to isotopy)."""
     an = analyze(g)
-    arc = _arc_of_dot(an, dot)
+    arc = an.arc_of(dot)
     target = tuple(target)
     if not any(DG._on_segment(target, s) for s in arc.pieces):
         raise errors.LabelMismatch("dot slide must stay on its arc")
@@ -1075,13 +1015,11 @@ def applicable_star(g: DottedGraph, kind: str, site) -> bool:
         least = min(abs(x) for x in labels)
         return any(abs(an.label(f)) == least for f in adjacent)
     if kind == "IV":
-        p1, p2 = site
         try:
-            a1, a2 = _arc_of_dot(an, p1), _arc_of_dot(an, p2)
-            _middle_region(an, a1, a2, None)
-            return True
+            surgery_site(an, *site)
         except errors.NotApplicable:
             return False
+        return True
     raise ValueError(f"unknown starred kind {kind}")
 
 
@@ -1100,44 +1038,64 @@ def check_condition_A(g: DottedGraph, p1: Pt, p2: Pt, cap: int = 4000) -> bool:
     twist is undone by rotating the hole's disk, an isotopy of the plane
     (Farb & Margalit, *A Primer on Mapping Class Groups*, 2012), so every
     core gives the same canonical form."""
-    w = _core_search_site(g, p1, p2)
-    return w is None or _cores_agree(w, cap)
+    return not _needs_core_search(analyze(g), p1, p2) or \
+        _cores_agree(_working_pair(g, p1, p2), cap)
 
 
 def check_condition_A_everywhere(g: DottedGraph, cap: int = 4000) -> bool:
     """Condition (A) over every dot pair where a surgery applies, checked
-    once per working site (a1.key, q1, a2.key, q2; see ``_working_pair``).
-    The core classes, each core's cut and the band are functions of the
-    geometry, q1 and q2 alone; sites with one key differ only in which old
-    dots of a1 and a2 survive, and every piece of a1 and a2 ends on an arc
-    the band creates, which ``_cut_and_join`` dots, so each core gives one
-    canonical form at all of them, and the verdict is the same."""
-    agreed = set()              # working sites where every core gives one form
+    once per ``sharing_key``: each core gives one canonical form at all the
+    sites of one key (see there), so they share one verdict."""
+    an = analyze(g)
+    agreed = set()              # keys where every core gives one form
     for move in enumerate_moves(g, allowed=frozenset({"IV"})):
-        w = _core_search_site(g, *move.site)
-        if w is None or w.key in agreed:
+        if not _needs_core_search(an, *move.site):
             continue
-        if not _cores_agree(w, cap):
-            return False
-        agreed.add(w.key)
+        key = sharing_key(g, *move.site)
+        if key not in agreed:
+            if not _cores_agree(_working_pair(g, *move.site), cap):
+                return False
+            agreed.add(key)
     return True
 
 
-def _core_search_site(g: DottedGraph, p1: Pt, p2: Pt):
-    """The working pair of a surgery site where condition (A) needs a core
-    search, or None where it holds without one: in a disk, or in an
-    annulus with a dot on each boundary (``check_condition_A``)."""
+def _needs_core_search(an: GraphAnalysis, p1: Pt, p2: Pt) -> bool:
+    """Whether condition (A) at a surgery site needs a core search: not in
+    a disk, nor in an annulus with a dot on each boundary
+    (``check_condition_A``)."""
+    a1, a2, F = surgery_site(an, p1, p2)
+    geo = an.geometry
+    holes = geo.holes[F]
+    return len(holes) > 1 or (len(holes) == 1 and
+                              geo.component[a1.curve] == geo.component[a2.curve])
+
+
+def sharing_key(g: DottedGraph, p1: Pt, p2: Pt):
+    """The key under which the surgeries at one state share their result's
+    canonical form, and condition (A) its verdict: the unordered pair of
+    the two arcs' keys when their middle region has no hole, and around
+    holes the working site (a1.key, q1, a2.key, q2) of ``_working_pair``,
+    the original arcs with the slid dots' positions, in site order.  Only
+    a key around holes sets up the working grid.
+
+    It is sound.  A hole-free middle region is a disk, where all cores
+    between the two arcs are isotopic, and ``_cut_and_join`` puts a new dot
+    on every arc the band creates, so which dots of the arcs carry the band
+    cannot change the form.  Around holes, each core, its cut and the band
+    are functions of the geometry, q1 and q2 alone.  Sites with one working
+    site differ only in which old dots of a1 and a2 survive, and every
+    piece of a1 and a2 ends on an arc the band creates, which
+    ``_cut_and_join`` dots, so each core gives one canonical form at all of
+    them."""
     an = analyze(g)
-    F = _middle_region(an, _arc_of_dot(an, p1), _arc_of_dot(an, p2), None)
-    holes = _hole_samples(an.geometry, F)
-    if not holes or (len(holes) == 1 and not _dots_share_component(an.geometry, p1, p2)):
-        return None
-    return _working_pair(g, p1, p2)
+    a1, a2, F = surgery_site(an, p1, p2)
+    if not an.geometry.holes[F]:
+        return frozenset((a1.key, a2.key))
+    return _working_pair(g, p1, p2).key
 
 
 def _cores_agree(w: _Pair, cap: int) -> bool:
-    classes = _enumerate_core_classes(w, _canonical_core(w),
-                                      _hole_samples(w.geo, w.Fs), cap=cap)
+    classes = _enumerate_core_classes(w, _canonical_core(w), w.geo.holes[w.Fs], cap=cap)
     forms = set()
     for core in classes.values():
         raw, _, _ = _cut_and_join(w, core)
@@ -1159,17 +1117,16 @@ def enumerate_moves(g: DottedGraph, allowed=frozenset(KINDS)) -> list[Move]:
             if len(a.dots) >= 2:
                 moves.append(Move("I", a.key, None, 0))
     if "II" in allowed:
-        moves += [deletion(c) for c in an.circles if _component_sign_ok(an, c)]
+        moves += [deletion(c) for c in an.circles if component_sign_ok(an, c)]
     if "III" in allowed:
-        moves += [deletion(c) for c in an.loops if _component_sign_ok(an, c)]
+        moves += [deletion(c) for c in an.loops if component_sign_ok(an, c)]
     if "IV" in allowed:
         dots = sorted(g.dots)
         for i in range(len(dots)):
             for j in range(i + 1, len(dots)):
                 p1, p2 = dots[i], dots[j]
                 try:
-                    a1, a2 = _arc_of_dot(an, p1), _arc_of_dot(an, p2)
-                    F = _middle_region(an, a1, a2, None)
+                    _, _, F = surgery_site(an, p1, p2)
                 except errors.NotApplicable:
                     continue
                 eps = 1 if an.label(F) > 0 else -1
@@ -1194,7 +1151,7 @@ def apply_move(g: DottedGraph, move: Move) -> Deformation:
         after = (apply_II if move.kind == "II" else apply_III)(g, move.site)
         site = (move.site.kind, move.site.boundary)
     elif move.kind == "IV":
-        return _surgery(g, move.site[0], move.site[1])
+        return surgery(g, move.site[0], move.site[1])
     else:
         raise ValueError(f"cannot apply kind {move.kind}")
     return Deformation(move.kind, site, move.epsilon, move.magnitude, g, after)
@@ -1211,26 +1168,25 @@ def try_good_IV(g: DottedGraph, move: Move):
         raise ValueError(f"try_good_IV needs a surgery move, not kind {move.kind}")
     p1, p2 = move.site
     an = analyze(g)
-    a1, a2 = _arc_of_dot(an, p1), _arc_of_dot(an, p2)
-    F = _middle_region(an, a1, a2, None)
+    a1, a2, F = surgery_site(an, p1, p2)
     # (a1): arcs adjacent at a crossing whose near quadrant is the region
     for c, (sx, sy), k_in, k_out in hug_sites(an):
         if {k_in, k_out} != {a1.key, a2.key} or \
                 an.arr.face_of_2x((2 * c[0] + sx, 2 * c[1] + sy)) != F:
             continue
         try:
-            dIV = _surgery(g, p1, p2, hug_crossing=c)
+            dIV = surgery(g, p1, p2, hug_crossing=c)
         except errors.NotApplicable:
             continue
         apex = dIV.meta_dict()["apex"]
         an2 = analyze(dIV.after)
         for cert in an2.loops:
-            if cert.apex == apex and _component_sign_ok(an2, cert):
+            if cert.apex == apex and component_sign_ok(an2, cert):
                 return ("IVa1", (replace(dIV, kind="IVa1"),
                                  apply_move(dIV.after, deletion(cert))))
     # (a2): concentric circle components merging into a deletable circle
-    cert1 = _circle_cert_of_arc(an, a1.key)
-    cert2 = _circle_cert_of_arc(an, a2.key)
+    circle_of = {k: cert for cert in an.circles for k in cert.arcs}
+    cert1, cert2 = circle_of.get(a1.key), circle_of.get(a2.key)
     if cert1 is not None and cert2 is not None and cert1 != cert2:
         s1 = (2 * cert1.boundary[0][0] + 1, 2 * cert1.boundary[0][1] + 1)
         s2 = (2 * cert2.boundary[0][0] + 1, 2 * cert2.boundary[0][1] + 1)
@@ -1238,13 +1194,13 @@ def try_good_IV(g: DottedGraph, move: Move):
                   _polyline_winding_2x(s1, list(cert2.boundary)) != 0)
         if nested:
             try:
-                dIV = _surgery(g, p1, p2)
+                dIV = surgery(g, p1, p2)
             except errors.NotApplicable:
                 return None
             an2 = analyze(dIV.after)
             ci = _curve_of_point(an2.geometry, dIV.meta_dict()["new_dots"][0])
             for cert in an2.circles:
-                if cert.curve == ci and _component_sign_ok(an2, cert):
+                if cert.curve == ci and component_sign_ok(an2, cert):
                     return ("IVa2", (replace(dIV, kind="IVa2"),
                                      apply_move(dIV.after, deletion(cert))))
     return None
@@ -1266,10 +1222,3 @@ def hug_sites(an: GraphAnalysis):
                 k_out, role = an.arms[(c, d_out)]
                 if role == "out" and d_in[0] * d_out[0] + d_in[1] * d_out[1] == 0:
                     yield c, (d_in[0] + d_out[0], d_in[1] + d_out[1]), k_in, k_out
-
-
-def _circle_cert_of_arc(an, arc_key):
-    for cert in an.circles:
-        if arc_key in cert.arcs:
-            return cert
-    return None

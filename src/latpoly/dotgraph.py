@@ -219,13 +219,14 @@ class ComponentCert:
 
 class CurveGeometry:
     """Everything a dotted graph's curves determine without its dots: the
-    crossings, the arrangement, the undotted arcs with their side faces and
-    arms, the circle and loop certificates, and where each segment and
-    each arc starts along its curve, by arc length from the curve's first
-    corner.  The segment index of ``_segment_pass`` is the only one kept:
-    the arrangement is built from it, and ``locate`` reads it.  The curves
-    are checked first: analysis is the one validity check of a graph,
-    ``DottedGraph.build`` included."""
+    crossings, the arrangement, the undotted arcs with their side faces,
+    band faces and arms, the circle and loop certificates, and where each
+    segment and each arc starts along its curve, by arc length from the
+    curve's first corner; on first use, each face's cells and hole samples
+    and each curve's graph component.  The segment index of
+    ``_segment_pass`` is the only one kept: the arrangement is built from
+    it, and ``locate`` reads it.  The curves are checked first: analysis is
+    the one validity check of a graph, ``DottedGraph.build`` included."""
 
     def __init__(self, curves: tuple[tuple[Pt, ...], ...]):
         self.curves = curves
@@ -356,11 +357,52 @@ class CurveGeometry:
         index, listed by one scan on first use."""
         return self.arr.cells_by_face()
 
+    @cached_property
+    def component(self) -> list[int]:
+        """Each curve's graph component, named by the component's least
+        curve: a union-find over the crossings that keeps the lesser root."""
+        parent = list(range(len(self.curves)))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for (hc, _), (vc, _) in self.crossings.values():
+            pa, pb = find(hc), find(vc)
+            parent[max(pa, pb)] = min(pa, pb)
+        return [find(i) for i in range(len(self.curves))]
+
+    @cached_property
+    def holes(self) -> list[tuple[Pt, ...]]:
+        """Each face's hole samples, by face index: one doubled-grid point
+        inside each graph component the face encloses, in component order.
+        A component is enclosed by the face just above its top horizontal
+        segment, and its sample lies just below that segment's middle.
+        Samples carry odd doubled coordinates so they never meet grid lines
+        or route vertices."""
+        hsegs: dict[int, list[Seg]] = {}
+        for ci, comp in enumerate(self.component):
+            hsegs.setdefault(comp, []).extend(
+                s for s in curve_segments(self.curves[ci]) if s[0][1] == s[1][1])
+        out: list[list[Pt]] = [[] for _ in self.arr.faces]
+        for comp in sorted(hsegs):
+            (ax, ty), (bx, _) = max(hsegs[comp], key=lambda s: (s[0][1], min(s[0][0], s[1][0])))
+            sx2 = ax + bx | 1           # stays interior: even sums need length >= 2
+            out[self.arr.face_of_2x((sx2, 2 * ty + 1))].append((sx2, 2 * ty - 1))
+        return [tuple(samples) for samples in out]
+
     # side faces -------------------------------------------------------
 
     def _sides(self) -> None:
+        """Each arc's left and right faces, and its band face, the one side
+        where a band may attach: the side whose label magnitude dominates.
+        Across an arc the label drops by one from left to right, which is
+        checked here."""
         self.left_face: dict = {}
         self.right_face: dict = {}
+        self.band_face: dict = {}
         self._face_arcs: dict[int, list] = {}       # face -> the keys of the arcs beside it
         arr = self.arr
         for a in self.arcs:
@@ -378,8 +420,13 @@ class CurveGeometry:
                 west = arr.face_of_cell((col, row))
                 east = arr.face_of_cell((col + 1, row))
                 left, right = (west, east) if d[1] > 0 else (east, west)
+            L, R = self.label(left), self.label(right)
+            if L != R + 1:
+                raise errors.InvalidGraph(
+                    f"left label {L} of arc {a.key} does not exceed its right label {R} by one")
             self.left_face[a.key] = left
             self.right_face[a.key] = right
+            self.band_face[a.key] = left if L >= 1 else right
             self._face_arcs.setdefault(left, []).append(a.key)
             self._face_arcs.setdefault(right, []).append(a.key)
 
@@ -540,7 +587,7 @@ class GraphAnalysis:
     shared by every analysis of a graph with those curves, for as long as
     one of them is alive.  The dot layer is this graph's own: its dots are
     checked (``DotOnCrossing``, or ``InvalidGraph`` for a dot on no curve)
-    and put on their arcs."""
+    and put on their arcs, and ``arc_of`` reads each dot's arc."""
 
     def __init__(self, g: DottedGraph):
         geo = curve_geometry(g.curves)
@@ -551,6 +598,15 @@ class GraphAnalysis:
         self.circles, self.loops, self.label = geo.circles, geo.loops, geo.label
         self.arcs = geo.dotted_arcs(g.dots)
         self.arcs_by_key = dict(zip(geo.arcs_by_key, self.arcs))
+        self._arc_of = {d: a for a in self.arcs for d in a.dots}
+
+    def arc_of(self, dot: Pt) -> Arc:
+        """The arc that carries a dot of the graph; ``MissingDot`` for a
+        point that is no dot."""
+        a = self._arc_of.get(dot)
+        if a is None:
+            raise errors.MissingDot(f"{dot} is not a dot of the graph")
+        return a
 
 
 @lru_cache(maxsize=4096)

@@ -59,9 +59,11 @@ def obj_to_graph(obj) -> DottedGraph:
             a, b = curve[si], curve[(si + 1) % n]
             dx = (b[0] > a[0]) - (b[0] < a[0])
             dy = (b[1] > a[1]) - (b[1] < a[1])
-            off = rec["offset"]
+            off, length = rec["offset"], abs(b[0] - a[0]) + abs(b[1] - a[1])
             if type(off) is not int:
                 raise TypeError(f"dot offset must be an integer: {off!r}")
+            if not 0 <= off <= length:
+                raise ValueError(f"dot offset must be in 0..{length} on its segment: {off}")
             dots.append((a[0] + dx * off, a[1] + dy * off))
         return DottedGraph.build(curves, dots)
     except (KeyError, TypeError, ValueError, IndexError) as e:

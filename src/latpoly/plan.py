@@ -185,11 +185,13 @@ def realize_IVa1(p: LatticePolytope, site) -> tuple[Rect, str]:
     a_in, a_out = (an.arcs_by_key[k] for k in keys)
     if not a_in.dots or not a_out.dots or (a_in.key == a_out.key and len(a_in.dots) < 2):
         raise errors.NotIVa1Site("both arcs need dots")
-    quad = an.arr.face_of_2x((2 * c.x + sx, 2 * c.y + sy))
-    for arc in set(keys):
-        F, _ = DF._viable_side(an, arc)
-        if F != quad:
-            raise errors.NotIVa1Site("the quadrant is not the middle region")
+    q = a_in.dots[1] if a_in.key == a_out.key else a_out.dots[0]
+    try:
+        _, _, F = DF.surgery_site(an, a_in.dots[0], q)
+    except errors.NoCommonFace:
+        F = None
+    if F != an.arr.face_of_2x((2 * c.x + sx, 2 * c.y + sy)):
+        raise errors.NotIVa1Site("the quadrant is not the middle region")
     v = _edge_endpoint(p, c, horizontal=True, sign=sx)
     w = _edge_endpoint(p, c, horizontal=False, sign=sy)
     _check_clean_rectangle(p, v, w, c)

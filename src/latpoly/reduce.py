@@ -162,7 +162,7 @@ def _all_dotted_group(g: DottedGraph):
             return list(out[1])
     # then a loop deletion, or a circle deletion to unblock the rest
     for cert in [*an.loops, *an.circles]:
-        if DF._component_sign_ok(an, cert):
+        if DF.component_sign_ok(an, cert):
             return [DF.apply_move(g, DF.deletion(cert))]
     return _merge_at_max_face(g, an)
 
@@ -180,7 +180,7 @@ def _merge_at_max_face(g: DottedGraph, an):
             continue
         p = _first_dot(an, adjacent[0])
         q = _first_dot(an, adjacent[1])
-        return [DF._surgery(g, p, q)]
+        return [DF.surgery(g, p, q)]
     top = faces[0]
     circles = [cert.boundary[0] for cert in an.circles
                if top.index in (an.left_face[cert.arcs[0]], an.right_face[cert.arcs[0]])]
@@ -236,19 +236,9 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
     not built at all: a merge (I), whose successor has the current graph's
     own form, since the form collapses dot counts to flags; the deletion
     (II) of a circle that crosses nothing, when ``form_without_circle``
-    finds its form seen; and every surgery (IV) after the first on one
-    unordered arc pair whose middle region has no hole, or, around holes,
-    after the first at one working site.  A hole-free region is a disk,
-    where all cores between the two arcs are isotopic, and
-    ``_cut_and_join`` puts a new dot on every arc the band creates, so
-    which dots of the arcs carry the band cannot change the form: the
-    first site's form is already in ``seen``.  Around holes the working
-    site is the key (a1.key, q1, a2.key, q2) of the original arcs, the
-    slid dots' positions and the site order.  The core, its cut and the
-    band are functions of the geometry, q1 and q2 alone; sites with one
-    key differ only in which old dots of a1 and a2 survive, and every
-    piece of a1 and a2 ends on an arc the band creates, which
-    ``_cut_and_join`` dots, so the canonical form is the same."""
+    finds its form seen; and every surgery (IV) after the first with one
+    ``deform.sharing_key``, whose form is already in ``seen`` (that
+    function's docstring says why)."""
     report = ExplorationReport()
     start = DG.normalized(g)
     seen = {canonical_form(start)}
@@ -273,13 +263,13 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
         if not usable:
             report.terminals.add(canonical_form(cur))
             continue
-        built = set()           # the arc pairs in disks and working sites built
+        built = set()           # the sharing keys of the surgeries built
         for m in usable:
             if m.kind == "I" or (m.kind == "II" and len(m.site.arcs) == 1 and
                                  DG.form_without_circle(cur, m.site) in seen):
                 continue
             if m.kind == "IV":
-                key = _disk_arc_pair(cur, m) or DF._working_pair(cur, *m.site).key
+                key = DF.sharing_key(cur, *m.site)
                 if key in built:
                     continue
                 built.add(key)
@@ -301,11 +291,9 @@ def _excluded_IV(g: DottedGraph, move) -> bool:
     overlapping regions (the uniqueness theorem excludes these; the
     detector errs conservative)."""
     an = analyze(g)
-    p1, p2 = move.site
-    a1 = DF._arc_of_dot(an, p1)
-    a2 = DF._arc_of_dot(an, p2)
+    a1, a2, _ = DF.surgery_site(an, *move.site)
     for cert in list(an.circles) + list(an.loops):
-        if not DF._component_sign_ok(an, cert):
+        if not DF.component_sign_ok(an, cert):
             continue
         on1 = a1.key in cert.arcs
         on2 = a2.key in cert.arcs
@@ -314,16 +302,6 @@ def _excluded_IV(g: DottedGraph, move) -> bool:
         if (on1 and in2) or (on2 and in1):
             return True
     return False
-
-
-def _disk_arc_pair(g: DottedGraph, move):
-    """The unordered pair of arc keys of a surgery site whose middle region
-    has no hole, or None when it has holes."""
-    an = analyze(g)
-    a1, a2 = (DF._arc_of_dot(an, p) for p in move.site)
-    if DF._hole_samples(an.geometry, DF._middle_region(an, a1, a2, None)):
-        return None
-    return frozenset((a1.key, a2.key))
 
 
 def _arc_inside(an, arc, cert) -> bool:

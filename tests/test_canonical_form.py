@@ -213,7 +213,7 @@ def test_form_without_circle_is_the_form_after_the_deletion(g):
     for c in an.circles:
         dots = set(g.dots).difference(*(an.arcs_by_key[k].dots for k in c.arcs))
         rest = D.DottedGraph.build([cv for i, cv in enumerate(g.curves) if i != c.curve], dots)
-        if DF._component_sign_ok(an, c):
+        if DF.component_sign_ok(an, c):
             assert DF.apply_II(g, c) == rest
         if len(c.arcs) == 1:
             assert D.form_without_circle(g, c) == D.canonical_form(rest)

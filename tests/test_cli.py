@@ -84,7 +84,7 @@ def test_bug_errors_exit_4(module, name, verb, error, tmp_path, capsys, monkeypa
 
 def test_stuck_all_dotted_reduction_exits_4(tmp_path, capsys, monkeypatch):
     # a stuck stage two of the every-arc-dotted pipeline is a bug
-    monkeypatch.setattr(DF, "_component_sign_ok", lambda an, cert: False)
+    monkeypatch.setattr(DF, "component_sign_ok", lambda an, cert: False)
     assert cli.main(["reduce", write_square(tmp_path), "--all-dotted"]) == 4
     assert capsys.readouterr().err == (
         "internal error: no circle-eliminating step applies: the face of label 1, "
@@ -207,6 +207,15 @@ def test_bad_dot_indices_exit_2(tmp_path, capsys):
         path.write_text(json.dumps({"curves": [square],
                                     "dots": [{"curve": ci, "segment": si, "offset": 1}]}))
         assert cli.main(["validate", str(path)]) == 2, (ci, si)
+    # offsets off their segment that still land on the curve: segments 0
+    # and 4 have length 1, so these put the dot on the corners (2, 0),
+    # (3, 0) and (1, 0)
+    notch = [[0, 0], [1, 0], [1, 2], [2, 2], [2, 0], [3, 0], [3, 3], [0, 3]]
+    for si, off in ((0, 2), (0, 3), (4, -1)):
+        path = tmp_path / "offset.json"
+        path.write_text(json.dumps({"curves": [notch],
+                                    "dots": [{"curve": 0, "segment": si, "offset": off}]}))
+        assert cli.main(["validate", str(path)]) == 2, (si, off)
     assert "dotted graph ok" not in capsys.readouterr().out
 
 
@@ -240,6 +249,16 @@ def test_bad_corpus_arguments_exit_2(capsys):
         assert cli.main(["oracle", "--corpus", "--count", "3", *args]) == 2, args
     err = capsys.readouterr().err
     assert err.count("error: need 1 <= max_points <= max_coord + 1") == 2
+    # arguments that leave the corpus empty, on either path
+    for args in (["--count", "-3"], ["--max-points", "0"], ["--max-coord", "-1"],
+                 ["--count", "3", "--max-coord", "-1"]):
+        assert cli.main(["oracle", "--corpus", *args]) == 2, args
+    shown = capsys.readouterr()
+    err = shown.err
+    assert "corpus 0" not in shown.out
+    assert err.count("error: need count >= 0, got count=-3") == 1
+    assert err.count("error: empty exhaustive corpus") == 2
+    assert err.count("error: need 1 <= max_points <= max_coord + 1") == 1
 
 
 def readme_transcript():

@@ -357,11 +357,12 @@ def test_core_routing_bugs_reach_the_caller(monkeypatch):
         DF.check_condition_A_everywhere(g)
 
 
-def test_viable_side_rejects_unit_step_violation():
-    an = SimpleNamespace(left_face={"a": 0}, right_face={"a": 1},
-                         label={0: 2, 1: 0}.__getitem__)
-    with pytest.raises(errors.InvalidGraph):
-        DF._viable_side(an, "a")
+def test_viable_side_rejects_unit_step_violation(monkeypatch):
+    # each arc's band face is read off its two side labels when the
+    # geometry is built; a pair that does not drop by one is rejected
+    monkeypatch.setattr(D.CurveGeometry, "label", lambda geo, f: 2 * geo.arr.faces[f].omega)
+    with pytest.raises(errors.InvalidGraph, match="left label 2 of arc .* right label 0 by one"):
+        D.CurveGeometry(D.normal_curves([[(0, 0), (4, 0), (4, 4), (0, 4)]]))
 
 
 def test_extend_monotone_bounds_raise_routing_failure():
@@ -473,7 +474,7 @@ def reference_slide_one(gs, q, taken, near=None, distinct_quarter=None, F=None,
     """The former ``_slide_one``: the quarter of every candidate is computed
     before the first free one is taken."""
     an = D.analyze(gs)
-    arc = DF._arc_of_dot(an, q)
+    arc = an.arc_of(q)
     corners = set()
     for curve in gs.curves:
         corners.update(curve)
@@ -541,8 +542,7 @@ def test_slide_one_matches_reference(seed):
         gs = grid.gs
         q1, q2 = [grid.up(p) for p in m.site]
         an = D.analyze(gs)
-        arc = DF._arc_of_dot(an, q1)
-        F = DF._middle_region(an, arc, DF._arc_of_dot(an, q2), None)
+        arc, _, F = DF.surgery_site(an, q1, q2)
         quarters = {DF._quarter_of(an, arc, c, F) for c in DF._slide_candidates(arc)}
         options = [dict(distinct_quarter=dq, F=F) for dq in sorted(quarters) + [None]]
         options += [dict(stay_near=True, distinct_quarter=dq, F=F) for dq in quarters]
@@ -665,7 +665,7 @@ def holed_sites(g):
     out = []
     for m in DF.enumerate_moves(g, allowed={"IV"}):
         w = DF._working_pair(g, *m.site)
-        holes = DF._hole_samples(w.geo, w.Fs)
+        holes = w.geo.holes[w.Fs]
         if holes:
             out.append((w, DF._canonical_core(w), holes))
     return out
@@ -728,10 +728,10 @@ def test_core_classes_match_reference_around_two_holes():
 
 def dots_on_a_hole(w):
     """True when the dots' graph component is itself a hole of the middle
-    region, by the test of ``_hole_samples``: the middle region lies just
-    above the component's top segment."""
+    region, by the test of ``reference_hole_samples``: the middle region
+    lies just above the component's top segment."""
     ci = DF._curve_of_point(w.geo, w.q1)
-    [comp] = [c for c in DF._graph_components(w.geo) if ci in c]
+    [comp] = [c for c in reference_graph_components(w.geo) if ci in c]
     tops = [s for i in comp for s in D.curve_segments(w.gs.curves[i]) if s[0][1] == s[1][1]]
     top = max(tops, key=lambda s: (s[0][1], min(s[0][0], s[1][0])))
     return w.geo.arr.face_of_2x((top[0][0] + top[1][0] | 1, 2 * top[0][1] + 1)) == w.Fs
@@ -745,7 +745,7 @@ def test_dots_on_one_component_give_at_most_two_to_the_k_classes(g):
     # region's outer boundary, a route encloses each hole or not, so each
     # signature entry takes two values
     for w, base, holes in holed_sites(g):
-        if not DF._dots_share_component(w.geo, w.q1, w.q2):
+        if not reference_dots_share_component(w.geo, w.q1, w.q2):
             continue
         try:
             classes = reference_core_classes(w, base, holes, cap=4000)
@@ -767,7 +767,7 @@ def test_dots_on_a_hole_give_three_values_and_still_2_to_the_k_classes():
     h = [(24, 6), (24, 18), (32, 18), (32, 6)]
     g = D.DottedGraph.build([big, h0, h], [(6, 10), (14, 10)])
     [(w, base, holes)] = holed_sites(g)
-    assert DF._dots_share_component(w.geo, w.q1, w.q2) and dots_on_a_hole(w)
+    assert reference_dots_share_component(w.geo, w.q1, w.q2) and dots_on_a_hole(w)
     classes = reference_core_classes(w, base, holes)
     assert list(classes) == [(1, 1), (1, 0), (0, 0), (0, -1)]
     assert list(DF._enumerate_core_classes(w, base, holes).items()) == list(classes.items())
@@ -797,7 +797,7 @@ def test_route_search_stops_at_two_classes_around_one_hole():
     inner = [(6, 6), (10, 6), (10, 10), (6, 10)]
     g = D.DottedGraph.build([big, inner], [(0, 0), (16, 0)])
     [(w, base, holes)] = holed_sites(g)
-    assert DF._dots_share_component(w.geo, w.q1, w.q2) and not dots_on_a_hole(w)
+    assert reference_dots_share_component(w.geo, w.q1, w.q2) and not dots_on_a_hole(w)
     assert len(holes) == 1
     want, reference_calls = route_search_calls(reference_core_classes, w, base, holes)
     got, calls = route_search_calls(DF._enumerate_core_classes, w, base, holes)
@@ -811,13 +811,13 @@ def reference_check_condition_A(g, p1, p2, cap=4000):
     """The former ``check_condition_A``: the core classes are enumerated at
     every site whose middle region has holes."""
     an = D.analyze(g)
-    a1, a2 = DF._arc_of_dot(an, p1), DF._arc_of_dot(an, p2)
-    F = DF._middle_region(an, a1, a2, None)
-    if not DF._hole_samples(an.geometry, F):
+    a1, a2 = reference_arc_of_dot(an, p1), reference_arc_of_dot(an, p2)
+    F = reference_middle_region(an, a1, a2)
+    if not reference_hole_samples(an.geometry, F):
         return True
     w = DF._working_pair(g, p1, p2)
     classes = DF._enumerate_core_classes(w, DF._canonical_core(w),
-                                         DF._hole_samples(w.geo, w.Fs), cap=cap)
+                                         reference_hole_samples(w.geo, w.Fs), cap=cap)
     forms = set()
     for core in classes.values():
         raw, _, _ = DF._cut_and_join(w, core)
@@ -841,8 +841,8 @@ def annulus_sites(g):
     out = []
     for m in DF.enumerate_moves(g, allowed={"IV"}):
         w = DF._working_pair(g, *m.site)
-        holes = DF._hole_samples(w.geo, w.Fs)
-        if len(holes) == 1 and not DF._dots_share_component(w.geo, w.q1, w.q2):
+        holes = reference_hole_samples(w.geo, w.Fs)
+        if len(holes) == 1 and not reference_dots_share_component(w.geo, w.q1, w.q2):
             out.append((m.site, w, DF._canonical_core(w), holes))
     return out
 
@@ -958,7 +958,7 @@ def reference_canonical_core(w):
 
 def surgery_outcome(g, p1, p2):
     try:
-        return D.canonical_form(DF._surgery(g, p1, p2).after)
+        return D.canonical_form(DF.surgery(g, p1, p2).after)
     except errors.LatPolyError as e:
         return type(e).__name__
 
@@ -986,6 +986,151 @@ def test_canonical_core_matches_the_cell_router(g, seed):
             assert core_router_outcomes(h) == got
 
 
+# ------------------------------------------------------- surgery sites --
+
+def reference_arc_of_dot(an, dot):
+    """The former ``_arc_of_dot``: a scan of the arcs."""
+    for a in an.arcs:
+        if dot in a.dots:
+            return a
+    raise errors.MissingDot(f"{dot} is not a dot of the graph")
+
+
+def reference_viable_side(an, arc_key):
+    """The former ``_viable_side``: (face, epsilon) of the side whose label
+    magnitude dominates."""
+    lf, rf = an.left_face[arc_key], an.right_face[arc_key]
+    L, R = an.label(lf), an.label(rf)
+    if L != R + 1:
+        raise errors.InvalidGraph(
+            f"left label {L} of arc {arc_key} does not exceed its right label {R} by one")
+    return (lf, 1) if L >= 1 else (rf, -1)
+
+
+def reference_middle_region(an, a1, a2):
+    """The former ``_middle_region`` without a core."""
+    F1, _ = reference_viable_side(an, a1.key)
+    F2, _ = reference_viable_side(an, a2.key)
+    if F1 != F2:
+        raise errors.NoCommonFace("dots have no shared middle region")
+    return F1
+
+
+def reference_graph_components(geo):
+    """The former ``_graph_components``: each graph component's curves."""
+    n = len(geo.curves)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for (hc, _), (vc, _) in geo.crossings.values():
+        pa, pb = find(hc), find(vc)
+        if pa != pb:
+            parent[pb] = pa
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values())
+
+
+def reference_hole_samples(geo, F):
+    """The former ``_hole_samples``: one doubled-grid sample inside each
+    graph component enclosed by F, recomputed per call."""
+    samples = []
+    for curves in reference_graph_components(geo):
+        segs = []
+        for ci in curves:
+            segs.extend(D.curve_segments(geo.curves[ci]))
+        hsegs = [s for s in segs if s[0][1] == s[1][1]]
+        top = max(hsegs, key=lambda s: (s[0][1], min(s[0][0], s[1][0])))
+        sx2 = top[0][0] + top[1][0]
+        if sx2 % 2 == 0:
+            sx2 += 1
+        ty = top[0][1]
+        if geo.arr.face_of_2x((sx2, 2 * ty + 1)) == F:
+            samples.append((sx2, 2 * ty - 1))
+    return samples
+
+
+def reference_dots_share_component(geo, p1, p2):
+    """The former ``_dots_share_component``."""
+    c1, c2 = DF._curve_of_point(geo, p1), DF._curve_of_point(geo, p2)
+    return any(c1 in comp and c2 in comp for comp in reference_graph_components(geo))
+
+
+def reference_core_search_site(g, p1, p2):
+    """The former ``_core_search_site``: the working pair of a site where
+    condition (A) needs a core search, or None."""
+    an = D.analyze(g)
+    F = reference_middle_region(an, reference_arc_of_dot(an, p1), reference_arc_of_dot(an, p2))
+    holes = reference_hole_samples(an.geometry, F)
+    if not holes or (len(holes) == 1 and
+                     not reference_dots_share_component(an.geometry, p1, p2)):
+        return None
+    return DF._working_pair(g, p1, p2)
+
+
+def reference_disk_arc_pair(g, move):
+    """The former ``reduce._disk_arc_pair``: the unordered pair of arc keys
+    of a site whose middle region has no hole, or None."""
+    an = D.analyze(g)
+    a1, a2 = (reference_arc_of_dot(an, p) for p in move.site)
+    if reference_hole_samples(an.geometry, reference_middle_region(an, a1, a2)):
+        return None
+    return frozenset((a1.key, a2.key))
+
+
+def site_record(g, move):
+    """A surgery site as the library derives it: its arcs and middle
+    region, the hole samples on the graph's geometry and, around holes, on
+    the working grid's, the sharing key and whether condition (A) searches
+    cores there."""
+    an = D.analyze(g)
+    a1, a2, F = DF.surgery_site(an, *move.site)
+    holes = list(an.geometry.holes[F])
+    grid_holes = None
+    if holes:
+        w = DF._working_pair(g, *move.site)
+        grid_holes = list(w.geo.holes[w.Fs])
+    return (a1.key, a2.key, F, holes, grid_holes, DF.sharing_key(g, *move.site),
+            DF._needs_core_search(an, *move.site))
+
+
+def reference_site_record(g, move):
+    """``site_record`` by the former helpers."""
+    an = D.analyze(g)
+    a1, a2 = (reference_arc_of_dot(an, p) for p in move.site)
+    F = reference_middle_region(an, a1, a2)
+    holes = reference_hole_samples(an.geometry, F)
+    grid_holes = None
+    if holes:
+        w = DF._working_pair(g, *move.site)
+        grid_holes = reference_hole_samples(w.geo, w.Fs)
+    key = reference_disk_arc_pair(g, move) or DF._working_pair(g, *move.site).key
+    return (a1.key, a2.key, F, holes, grid_holes, key,
+            reference_core_search_site(g, *move.site) is not None)
+
+
+def assert_sites_match_reference(g):
+    """At every surgery site of g, the site, its holes, its sharing key and
+    condition (A)'s choice to search are those of the former helpers, or
+    both raise the same error; returns the number of sites."""
+    moves = DF.enumerate_moves(g, allowed={"IV"})
+    for m in moves:
+        assert outcome(site_record, g, m) == outcome(reference_site_record, g, m)
+    return len(moves)
+
+
+@settings(max_examples=25, deadline=None)
+@given(holed_graphs())
+def test_sites_match_the_former_derivations(g):
+    assert_sites_match_reference(g)
+
+
 # ------------------------------------------------------- working sites --
 
 def reference_slide(g, p1, p2, hug_crossing=None):
@@ -999,13 +1144,12 @@ def reference_slide(g, p1, p2, hug_crossing=None):
     gs = D.transform_coords(g, fx, fy)
     q1, q2 = [(fx[x], fy[y]) for x, y in (p1, p2)]
     near = None if hug_crossing is None else (fx[hug_crossing[0]], fy[hug_crossing[1]])
-    an = D.analyze(gs)
-    F = DF._middle_region(an, DF._arc_of_dot(an, q1), DF._arc_of_dot(an, q2), None)
+    _, _, F = DF.surgery_site(D.analyze(gs), q1, q2)
     gs, s1 = reference_slide_one(gs, q1, {q2}, near=near)
     distinct = None
     if near is None:
         an = D.analyze(gs)
-        distinct = DF._quarter_of(an, DF._arc_of_dot(an, s1), s1, F)
+        distinct = DF._quarter_of(an, an.arc_of(s1), s1, F)
     _, s2 = reference_slide_one(gs, q2, {s1}, near=near, distinct_quarter=distinct, F=F)
     return s1, s2
 
@@ -1034,14 +1178,14 @@ def assert_working_sites_agree(g):
             continue
         verdict = condition_A_outcome(DF.check_condition_A, g, *m.site)
         site = (surgery_outcome(g, *m.site), verdict if isinstance(verdict, bool) else verdict[0])
-        if w.key in by_key and DF._hole_samples(w.geo, w.Fs):
+        if w.key in by_key and w.geo.holes[w.Fs]:
             repeats += 1
         by_key.setdefault(w.key, set()).add(site)
     assert all(len(sites) == 1 for sites in by_key.values())
     an = D.analyze(g)
     for c, _, k_in, k_out in DF.hug_sites(an):
         for m in moves:
-            if {DF._arc_of_dot(an, p).key for p in m.site} == {k_in, k_out}:
+            if {an.arc_of(p).key for p in m.site} == {k_in, k_out}:
                 DF._working_grid.cache_clear()
                 assert outcome(geometry_slide, g, *m.site, c) == \
                     outcome(reference_slide, g, *m.site, c)
@@ -1085,8 +1229,7 @@ def test_all_IV_sites_at_a_dot_share_a_side():
         sides = {}
         for m in DF.enumerate_moves(g, allowed={"IV"}):
             for p in m.site:
-                arc = DF._arc_of_dot(an, p)
-                F = DF._middle_region(an, arc, arc, None)
+                arc, _, F = DF.surgery_site(an, p, p)
                 side = "L" if an.left_face[arc.key] == F else "R"
                 sides.setdefault(p, set()).add(side)
         assert all(len(s) == 1 for s in sides.values())
@@ -1097,10 +1240,10 @@ def test_no_IV_between_loop_and_outside_arc():
     # arc outside the loop's disk
     g = figure_eight(2, 2)
     an = D.analyze(g)
-    loops = [c for c in an.loops if DF._component_sign_ok(an, c)]
+    loops = [c for c in an.loops if DF.component_sign_ok(an, c)]
     for m in DF.enumerate_moves(g, allowed={"IV"}):
         p1, p2 = m.site
-        a1, a2 = DF._arc_of_dot(an, p1), DF._arc_of_dot(an, p2)
+        a1, a2 = an.arc_of(p1), an.arc_of(p2)
         for cert in loops:
             in1 = a1.key in cert.arcs
             in2 = a2.key in cert.arcs

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latpoly import errors, geometry as G, dotgraph as D, deform as DF, oracle as O, reduce as R
-from test_deform import assert_working_sites_agree, reference_check_condition_A
+from test_deform import (assert_sites_match_reference, assert_working_sites_agree,
+                         reference_check_condition_A, reference_disk_arc_pair)
 
 
 def square_graph():
@@ -90,7 +91,7 @@ def test_stuck_all_dotted_reduction_is_a_bug(monkeypatch):
     # stage two always has a circle-eliminating step; with every deletion
     # refused, a lone circle leaves it none, and the error names the face
     # of greatest label magnitude and the circles beside it
-    monkeypatch.setattr(DF, "_component_sign_ok", lambda an, cert: False)
+    monkeypatch.setattr(DF, "component_sign_ok", lambda an, cert: False)
     with pytest.raises(errors.StuckReduction) as info:
         R.reduce_all_dotted(circle_graph())
     assert str(info.value) == ("no circle-eliminating step applies: the face of label 1, "
@@ -105,7 +106,7 @@ def test_surgery_bugs_are_not_swallowed(monkeypatch, reducer, graph):
     def broken(*args, **kwargs):
         raise errors.RoutingFailure("broken router")
 
-    monkeypatch.setattr(DF, "_surgery", broken)
+    monkeypatch.setattr(DF, "surgery", broken)
     with pytest.raises(errors.RoutingFailure, match="broken router"):
         reducer(graph)
 
@@ -384,7 +385,7 @@ def test_surgeries_on_one_arc_pair_in_a_disk_give_one_form(seed, all_dotted, wal
         g = DF.apply_move(g, rng.choice(moves)).after
     forms = {}
     for m in DF.enumerate_moves(g, allowed={"IV"}):
-        pair = R._disk_arc_pair(g, m)
+        pair = reference_disk_arc_pair(g, m)
         if pair is not None:
             forms.setdefault(pair, set()).add(D.canonical_form(DF.apply_move(g, m).after))
     assert all(len(f) == 1 for f in forms.values())
@@ -398,6 +399,15 @@ def test_working_sites_agree_on_explored_states(i):
     reference_explore(O.random_dotted_graph(random.Random(f"confluence/{i}")),
                       check_A=False, states=states)
     assert sum(assert_working_sites_agree(s) for s in states) > 0
+
+
+@pytest.mark.parametrize("i", [51, 35, 7, 47, 48])
+def test_sites_match_the_former_derivations_on_explored_states(i):
+    # every surgery site of every state the exploration visits
+    states = []
+    reference_explore(O.random_dotted_graph(random.Random(f"confluence/{i}")),
+                      check_A=False, states=states)
+    assert sum(assert_sites_match_reference(s) for s in states) > 0
 
 
 def reference_first_good_group(g):
