@@ -212,15 +212,21 @@ class Arrangement:
             cells[face].append(divmod(i, self._nrow))
         return [frozenset(c) for c in cells]
 
-    def face_of_2x(self, p2: Pt) -> int:
-        """Face of the cell holding a doubled-grid point (x2, y2).
+    def cell_of_2x(self, p2: Pt) -> tuple[int, int]:
+        """The (column, row) cell holding a doubled-grid point (x2, y2): the
+        one cell lookup.
 
         The column is the number of grid lines x with 2 * x < x2, that is
         x < (x2 + 1) // 2; rows alike.  A point on a grid line counts to the
-        cell left of or below it; odd coordinates, as in face samples and
-        crossing quadrants, are interior to their cell."""
-        return self.face_of_cell((bisect_left(self.xs, (p2[0] + 1) // 2),
-                                  bisect_left(self.ys, (p2[1] + 1) // 2)))
+        cell left of or below it; odd coordinates, as in face samples,
+        crossing quadrants and points just beside a segment, are interior to
+        their cell."""
+        return (bisect_left(self.xs, (p2[0] + 1) // 2),
+                bisect_left(self.ys, (p2[1] + 1) // 2))
+
+    def face_of_2x(self, p2: Pt) -> int:
+        """Face of the cell holding a doubled-grid point (``cell_of_2x``)."""
+        return self.face_of_cell(self.cell_of_2x(p2))
 
     def cell_bounds(self, cell: tuple[int, int]) -> tuple[int | None, int | None, int | None, int | None]:
         """(xlo, xhi, ylo, yhi) of a cell; None marks an unbounded side."""

@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     p_or.add_argument("--max-points", type=int, default=2)
     p_or.add_argument("--max-coord", type=int, default=3)
     p_or.add_argument("--seed", type=int, default=0,
-                      help="random corpus; omit for exhaustive")
+                      help="seed of the random corpus (unused with --count 0)")
     p_or.add_argument("--count", type=int, default=0,
                       help="number of random polytopes (0 = exhaustive)")
     p_or.add_argument("--report", help="write a CSV report")
@@ -169,6 +169,8 @@ def _dispatch(args) -> int:
     if args.verb == "oracle":
         if args.corpus:
             return _oracle_corpus(args)
+        if args.path is None:
+            raise errors.ParseError("oracle needs a polytope file or --corpus")
         p = _need_polytope(F.load(args.path))
         cost, plan = O.min_cost(p.ver0, p.ver1)
         print(f"minimal cost {cost} (area_abs {G.area_abs(p)})")

@@ -191,11 +191,14 @@ def surgery(g: DottedGraph, p1: Pt, p2: Pt, core=None, hug_crossing=None) -> Def
         core = tuple(tuple(p) for p in core)
     _, _, F = surgery_site(an, p1, p2, core)
     eps = 1 if an.label(F) > 0 else -1
-    w = _working_pair(g, p1, p2, extra=core or (), hug_crossing=hug_crossing)
+    if core is not None:
+        fx, fy = _joint_maps(g, core)   # the core's off-grid points placed in their gaps
+    grid = _working_grid(g)
+    w = _working_pair(g, p1, p2, stay_near=core is not None, hug_crossing=hug_crossing)
     if hug_crossing is not None:
-        core_s = _hug_core(w.q1, w.n1, w.q2, w.up(hug_crossing))
+        core_s = _hug_core(w.q1, w.n1, w.q2, grid.up(hug_crossing))
     elif core is not None:
-        core_s = _core_matching(w, p1, core, p2)
+        core_s = _core_matching(w, [(fx[x], fy[y]) for x, y in (p1,) + core[1:] + (p2,)])
     else:
         core_s = _canonical_core(w)
     raw, nd1, nd2 = _cut_and_join(w, core_s)
@@ -206,23 +209,24 @@ def surgery(g: DottedGraph, p1: Pt, p2: Pt, core=None, hug_crossing=None) -> Def
         return (gx[p[0]], gy[p[1]])
 
     meta = (("new_dots", (down(nd1), down(nd2))),
-            ("apex", down(w.up(hug_crossing)) if hug_crossing is not None else None))
+            ("apex", down(grid.up(hug_crossing)) if hug_crossing is not None else None))
     return Deformation("IV", (p1, p2, core), eps, abs(an.label(F)), g, out, meta)
 
 
 class _Grid:
     """A graph at working scale, set up once for all its surgeries: the
-    compression maps ``fx``/``fy`` scaled by SCALE (with the ``extra``
-    points of an explicit core placed inside their gaps), the scaled graph
-    ``gs`` and its geometry ``geo``, the corners, and the points no slid
-    dot may take besides the dots (``fixed``: corners and crossings).  It
+    compression maps ``fx``/``fy`` scaled by SCALE, the scaled graph ``gs``
+    and its own geometry ``geo``, the corners, and the points no slid dot
+    may take besides the dots (``fixed``: corners and crossings).  It
     memoizes each arc's slide candidates (``candidates``) and each surgery
-    site's working pair (``pairs``)."""
+    site's working pair (``pairs``).  An explicit core's off-grid points
+    only add entries to the maps (``_joint_maps``), so one grid serves
+    every surgery on the graph."""
 
-    def __init__(self, g: DottedGraph, extra):
-        self.fx, self.fy = _joint_maps(g, extra)
+    def __init__(self, g: DottedGraph):
+        self.fx, self.fy = _joint_maps(g, ())
         self.gs = DG.transform_coords(g, self.fx, self.fy)
-        self.geo = DG.curve_geometry(self.gs.curves)
+        self.geo = DG.CurveGeometry(self.gs.curves)
         self.corners = {p for curve in self.gs.curves for p in curve}
         self.fixed = self.corners | set(self.geo.crossings)
         self.candidates: dict = {}
@@ -233,12 +237,12 @@ class _Grid:
 
 
 @lru_cache(maxsize=1)
-def _working_grid(g: DottedGraph, extra: tuple) -> _Grid:
+def _working_grid(g: DottedGraph) -> _Grid:
     """The working grid of g, kept for the last graph worked on: the
     explorer checks condition (A) at a state and then builds its surgeries
     before it moves to the next state, so the reuse of a grid falls within
     one state's work, and a second grid would only be held in memory."""
-    return _Grid(g, extra)
+    return _Grid(g)
 
 
 class _Pair(NamedTuple):
@@ -246,8 +250,7 @@ class _Pair(NamedTuple):
     the dots slid to q1 and q2 (never analysed), Fs their middle region,
     d1, d2 the arc directions at the dots and n1, n2 the normals from the
     dots into Fs.  ``key`` is the working site of ``sharing_key``.  ``geo``
-    is the grid's geometry and ``fx``/``fy`` its maps of original
-    coordinates up."""
+    is the grid's geometry."""
     gs: DottedGraph
     geo: DG.CurveGeometry
     Fs: int
@@ -257,26 +260,21 @@ class _Pair(NamedTuple):
     q2: Pt
     d2: Pt
     n2: Pt
-    fx: dict
-    fy: dict
     key: tuple
 
-    def up(self, p: Pt) -> Pt:
-        return (self.fx[p[0]], self.fy[p[1]])
 
-
-def _working_pair(g: DottedGraph, p1: Pt, p2: Pt, extra=(), hug_crossing=None) -> _Pair:
-    """The set-up of one surgery on the working grid of g (with the
-    ``extra`` points of an explicit core): the dots at p1 and p2 slide to
-    canonical positions (beside ``hug_crossing`` when given, as little as
-    possible for an explicit core), and their arcs, directions, normals and
-    middle region are read off the grid's geometry.  Nothing is analysed,
-    and each site's pair is built once per grid."""
-    grid = _working_grid(g, extra)
-    site = (p1, p2, hug_crossing)
+def _working_pair(g: DottedGraph, p1: Pt, p2: Pt, stay_near=False, hug_crossing=None) -> _Pair:
+    """The set-up of one surgery on the working grid of g: the dots at p1
+    and p2 slide to canonical positions (beside ``hug_crossing`` when
+    given, as little as possible with ``stay_near``, as for an explicit
+    core), and their arcs, directions, normals and middle region are read
+    off the grid's geometry.  Nothing is analysed, and each site's pair is
+    built once per grid."""
+    grid = _working_grid(g)
+    site = (p1, p2, hug_crossing, stay_near)
     w = grid.pairs.get(site)
     if w is None:
-        w = grid.pairs[site] = _slide_pair(grid, p1, p2, hug_crossing, stay_near=bool(extra))
+        w = grid.pairs[site] = _slide_pair(grid, p1, p2, hug_crossing, stay_near)
     return w
 
 
@@ -325,10 +323,8 @@ def _middle_region(geo, a1, a2, core):
             raise errors.NoCommonFace("core does not run beside both arcs")
         if geo.label(F) == 0:
             raise errors.ZeroLabel("middle region label is zero")
-        for a in (a1, a2):
-            if (F == geo.left_face[a.key]) != (geo.label(F) >= 1):
-                raise errors.OrientationClash(
-                    "arcs do not admit the induced orientations")
+        if geo.band_face[a1.key] != F or geo.band_face[a2.key] != F:
+            raise errors.OrientationClash("arcs do not admit the induced orientations")
         return F
     F = geo.band_face[a1.key]
     if geo.band_face[a2.key] != F:
@@ -373,7 +369,7 @@ def _slide_pair(grid: _Grid, p1: Pt, p2: Pt, hug_crossing, stay_near) -> _Pair:
     d1, d2 = _dir_at(a1, s1), _dir_at(a2, s2)
     gs = DottedGraph(grid.gs.curves, (dots - {q1, q2}) | {s1, s2})
     return _Pair(gs, geo, Fs, s1, d1, _normal_into(geo, a1, d1, Fs), s2, d2,
-                 _normal_into(geo, a2, d2, Fs), grid.fx, grid.fy, (a1.key, s1, a2.key, s2))
+                 _normal_into(geo, a2, d2, Fs), (a1.key, s1, a2.key, s2))
 
 
 def _quarter_of(geo, arc, q: Pt, F):
@@ -435,17 +431,6 @@ def _near_crossing_positions(arc, c: Pt) -> list[Pt]:
 
 
 # core construction ----------------------------------------------------------
-
-def _cell_beside(arr, q: Pt, n: Pt):
-    qx, qy = q
-    if n[0] == 0:   # q on a horizontal piece, step vertically
-        col = bisect_right(arr.xs, qx)
-        row = arr.ys.index(qy) + (1 if n[1] > 0 else 0)
-    else:
-        row = bisect_right(arr.ys, qy)
-        col = arr.xs.index(qx) + (1 if n[0] > 0 else 0)
-    return (col, row)
-
 
 def _clean_polyline(pts) -> tuple[Pt, ...]:
     out: list[Pt] = []
@@ -596,16 +581,6 @@ def _curve_of_point(geo, q: Pt) -> int:
 
 # homotopy classes of cores ----------------------------------------------------
 
-def _polyline_winding_2x(sample2: Pt, pts) -> int:
-    segs = []
-    m = len(pts)
-    for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        if a != b:
-            segs.append((a, b))
-    return winding_2x(sample2, segs)
-
-
 def _rect_closed(pts) -> list[Pt]:
     """Close a waypoint cycle into an axis-parallel polyline, inserting an
     elbow wherever consecutive waypoints are diagonal."""
@@ -655,7 +630,9 @@ def _quarter_neighbors(F_cells, node):
 
 
 def _quarter_beside(arr, q: Pt, n: Pt):
-    cell = _cell_beside(arr, q, n)
+    """The quarter of the cell beside the point q of an arc piece, on the
+    side of the normal n."""
+    cell = arr.cell_of_2x((2 * q[0] + (n[0] or 1), 2 * q[1] + (n[1] or 1)))
     xlo, xhi, ylo, yhi = arr.cell_bounds(cell)
     cx, cy = (xlo + xhi) // 2, (ylo + yhi) // 2
     if n[0] == 0:
@@ -837,7 +814,7 @@ def _enumerate_core_classes(w: _Pair, base, holes, cap=20000):
         nodes = routes[tvec]
         pts = [base[0]] + [center(nd) for nd in nodes] + [base[-1]] + list(reversed(base))
         loop = _rect_closed(pts)
-        sig = tuple(_polyline_winding_2x(h, loop) for h in holes)
+        sig = tuple(winding_2x(h, DG.curve_segments(loop)) for h in holes)
         if sig not in found:
             found[sig] = _route_through_quarters(arr, nodes, q1, n1, q2, n2)
     found[zero] = base
@@ -858,9 +835,10 @@ def _distances_to(forward, goal) -> dict:
     return dist
 
 
-def _core_matching(w: _Pair, p1: Pt, core, p2: Pt):
-    """Route a core in the homotopy class of an explicitly given core from
-    p1 to p2 (original coordinates).
+def _core_matching(w: _Pair, path) -> tuple[Pt, ...]:
+    """Route a core in the homotopy class of an explicitly given core.
+    ``path`` is that core at working scale with the two dots' own places at
+    its ends: p1, the core's points after its first, then p2.
 
     The given core's endpoints are transported along their arcs to the
     canonical slid positions (a free move, with the forward walk along the
@@ -872,11 +850,10 @@ def _core_matching(w: _Pair, p1: Pt, core, p2: Pt):
     if not holes:
         return base
     geo, q1, q2 = w.geo, w.q1, w.q2
-    conn1 = _shorter_path_between(geo, _curve_of_point(geo, q1), q1, w.up(p1))
-    conn2 = _shorter_path_between(geo, _curve_of_point(geo, q2), w.up(p2), q2)
-    loop = _rect_closed(list(conn1) + [w.up(p) for p in core[1:]] + list(conn2)[1:] +
-                        list(reversed(base))[1:-1])
-    want = tuple(_polyline_winding_2x(h, loop) for h in holes)
+    conn1 = _shorter_path_between(geo, _curve_of_point(geo, q1), q1, path[0])
+    conn2 = _shorter_path_between(geo, _curve_of_point(geo, q2), path[-1], q2)
+    loop = _rect_closed(conn1 + path[1:-1] + conn2[1:] + list(reversed(base))[1:-1])
+    want = tuple(winding_2x(h, DG.curve_segments(loop)) for h in holes)
     classes = _enumerate_core_classes(w, base, holes)
     if want not in classes:
         raise errors.RoutingFailure("no embedded core in the requested class")
@@ -1190,8 +1167,8 @@ def try_good_IV(g: DottedGraph, move: Move):
     if cert1 is not None and cert2 is not None and cert1 != cert2:
         s1 = (2 * cert1.boundary[0][0] + 1, 2 * cert1.boundary[0][1] + 1)
         s2 = (2 * cert2.boundary[0][0] + 1, 2 * cert2.boundary[0][1] + 1)
-        nested = (_polyline_winding_2x(s2, list(cert1.boundary)) != 0 or
-                  _polyline_winding_2x(s1, list(cert2.boundary)) != 0)
+        nested = (winding_2x(s2, DG.curve_segments(cert1.boundary)) != 0 or
+                  winding_2x(s1, DG.curve_segments(cert2.boundary)) != 0)
         if nested:
             try:
                 dIV = surgery(g, p1, p2)

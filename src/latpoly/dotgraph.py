@@ -27,7 +27,7 @@ from .arrangement import Arrangement, Pt, Seg, segments_by_line, winding_2x
 
 E, N, W, S = (1, 0), (0, 1), (-1, 0), (0, -1)
 CCW_DIRS = (E, N, W, S)
-FORM_CACHE_SIZE = 16384     # bound of every cache keyed by canonical_form
+FORM_CACHE_SIZE = 16384     # bounds canonical_form's and reduce._condition_A's graph-keyed caches
 
 
 def _direction(a: Pt, b: Pt) -> Pt:
@@ -398,28 +398,18 @@ class CurveGeometry:
     def _sides(self) -> None:
         """Each arc's left and right faces, and its band face, the one side
         where a band may attach: the side whose label magnitude dominates.
-        Across an arc the label drops by one from left to right, which is
-        checked here."""
+        Each side is the face of a doubled-grid sample half a unit along the
+        arc's first piece and half a unit off it.  Across an arc the label
+        drops by one from left to right, which is checked here."""
         self.left_face: dict = {}
         self.right_face: dict = {}
         self.band_face: dict = {}
         self._face_arcs: dict[int, list] = {}       # face -> the keys of the arcs beside it
-        arr = self.arr
+        face_of_2x = self.arr.face_of_2x
         for a in self.arcs:
-            p0, p1 = a.path[0], a.path[1]
-            d = _direction(p0, p1)
-            if d[0]:   # horizontal first piece
-                row = arr.ys.index(p0[1])
-                col = arr.xs.index(p0[0]) + (1 if d[0] > 0 else 0)
-                north = arr.face_of_cell((col, row + 1))
-                south = arr.face_of_cell((col, row))
-                left, right = (north, south) if d[0] > 0 else (south, north)
-            else:
-                col = arr.xs.index(p0[0])
-                row = arr.ys.index(p0[1]) + (1 if d[1] > 0 else 0)
-                west = arr.face_of_cell((col, row))
-                east = arr.face_of_cell((col + 1, row))
-                left, right = (west, east) if d[1] > 0 else (east, west)
+            (x0, y0), (dx, dy) = a.path[0], a.start_dir
+            left = face_of_2x((2 * x0 + dx - dy, 2 * y0 + dy + dx))
+            right = face_of_2x((2 * x0 + dx + dy, 2 * y0 + dy - dx))
             L, R = self.label(left), self.label(right)
             if L != R + 1:
                 raise errors.InvalidGraph(
@@ -568,17 +558,9 @@ class CurveGeometry:
                              orientation, faces[inner].omega, faces[outer].omega)
 
 
+# the one geometry of each analysed curve set, for as long as an analysis holds it
 _GEOMETRIES: "weakref.WeakValueDictionary[tuple, CurveGeometry]" = \
     weakref.WeakValueDictionary()
-
-
-def curve_geometry(curves: tuple[tuple[Pt, ...], ...]) -> CurveGeometry:
-    """The one ``CurveGeometry`` of a curve set, built on first use and
-    shared for as long as something holds it."""
-    geo = _GEOMETRIES.get(curves)
-    if geo is None:
-        geo = _GEOMETRIES[curves] = CurveGeometry(curves)
-    return geo
 
 
 class GraphAnalysis:
@@ -590,7 +572,9 @@ class GraphAnalysis:
     and put on their arcs, and ``arc_of`` reads each dot's arc."""
 
     def __init__(self, g: DottedGraph):
-        geo = curve_geometry(g.curves)
+        geo = _GEOMETRIES.get(g.curves)
+        if geo is None:
+            geo = _GEOMETRIES[g.curves] = CurveGeometry(g.curves)
         self.g = g
         self.geometry = geo             # keeps geo in _GEOMETRIES while self lives
         self.crossings, self.arr, self.arms = geo.crossings, geo.arr, geo.arms

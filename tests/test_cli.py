@@ -259,6 +259,11 @@ def test_bad_corpus_arguments_exit_2(capsys):
     assert err.count("error: need count >= 0, got count=-3") == 1
     assert err.count("error: empty exhaustive corpus") == 2
     assert err.count("error: need 1 <= max_points <= max_coord + 1") == 1
+    # neither a polytope file nor --corpus
+    for args in ([], ["--max-points", "3"]):
+        assert cli.main(["oracle", *args]) == 2, args
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: oracle needs a polytope file or --corpus"] * 2
 
 
 def readme_transcript():

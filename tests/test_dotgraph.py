@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from latpoly import errors, geometry as G, oracle as O
 from latpoly import deform as DF, dotgraph as D, formats as F
 from latpoly.arrangement import Arrangement, segments_by_line, winding_2x
+from test_deform import reference_cell_beside
 
 
 # ----------------------------------------------------------- fixtures ---
@@ -238,6 +239,18 @@ def test_face_of_2x_matches_cell_lookup(p):
             for sy in (-1, 1):
                 cell = (arr.xs.index(cx) + (sx > 0), arr.ys.index(cy) + (sy > 0))
                 assert arr.face_of_2x((2 * cx + sx, 2 * cy + sy)) == arr.face_of_cell(cell)
+    for a in an.arcs:
+        # the two sides of the arc's first piece
+        assert (an.left_face[a.key], an.right_face[a.key]) == reference_sides(arr, a)
+        # the cell beside each point inside a piece, on either side, as
+        # deform._quarter_beside reads it
+        for (x0, y0), (x1, y1) in a.pieces:
+            d = D._direction((x0, y0), (x1, y1))
+            for t in range(1, abs(x1 - x0) + abs(y1 - y0)):
+                qx, qy = x0 + t * d[0], y0 + t * d[1]
+                for nx, ny in ((-d[1], d[0]), (d[1], -d[0])):
+                    assert arr.cell_of_2x((2 * qx + (nx or 1), 2 * qy + (ny or 1))) == \
+                        reference_cell_beside(arr, (qx, qy), (nx, ny))
 
 
 @settings(max_examples=150, deadline=None)
@@ -364,6 +377,22 @@ def test_certificates_reverify():
 
 # ---------------------------------------------------- analysis layers ----
 
+def reference_sides(arr, a):
+    """The former side faces of an arc, (left, right), by index arithmetic
+    on the grid lines through its first piece's start."""
+    p0, p1 = a.path[0], a.path[1]
+    d = D._direction(p0, p1)
+    if d[0]:
+        row = arr.ys.index(p0[1])
+        col = arr.xs.index(p0[0]) + (1 if d[0] > 0 else 0)
+        north, south = arr.face_of_cell((col, row + 1)), arr.face_of_cell((col, row))
+        return (north, south) if d[0] > 0 else (south, north)
+    col = arr.xs.index(p0[0])
+    row = arr.ys.index(p0[1]) + (1 if d[1] > 0 else 0)
+    west, east = arr.face_of_cell((col, row)), arr.face_of_cell((col + 1, row))
+    return (west, east) if d[1] > 0 else (east, west)
+
+
 class reference_analysis:
     """The one-layer analysis that ``GraphAnalysis`` replaced: everything is
     rebuilt per graph, and each dot is placed by a scan over its curve's
@@ -450,22 +479,8 @@ class reference_analysis:
 
     def _sides(self):
         self.left_face, self.right_face = {}, {}
-        arr = self.arr
         for a in self.arcs:
-            p0, p1 = a.path[0], a.path[1]
-            d = D._direction(p0, p1)
-            if d[0]:
-                row = arr.ys.index(p0[1])
-                col = arr.xs.index(p0[0]) + (1 if d[0] > 0 else 0)
-                north, south = arr.face_of_cell((col, row + 1)), arr.face_of_cell((col, row))
-                left, right = (north, south) if d[0] > 0 else (south, north)
-            else:
-                col = arr.xs.index(p0[0])
-                row = arr.ys.index(p0[1]) + (1 if d[1] > 0 else 0)
-                west, east = arr.face_of_cell((col, row)), arr.face_of_cell((col + 1, row))
-                left, right = (west, east) if d[1] > 0 else (east, west)
-            self.left_face[a.key] = left
-            self.right_face[a.key] = right
+            self.left_face[a.key], self.right_face[a.key] = reference_sides(self.arr, a)
 
     def _arm_map(self):
         arms = {}
@@ -746,7 +761,6 @@ def test_graphs_with_equal_curves_share_one_geometry():
     assert [len(a.dots) for a in a2.arcs] == [2, 2]
     del a1, a2
     D.analyze.cache_clear()
-    DF._working_grid.cache_clear()      # surgeries' working grids hold scaled geometries
     gc.collect()
     assert len(D._GEOMETRIES) == 0
 
