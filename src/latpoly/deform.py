@@ -11,7 +11,6 @@ analysis.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -158,47 +157,35 @@ def _chain_from(an, c: Pt, out_dir: Pt):
 
 # ------------------------------------------------------------ apply IV --
 
-def apply_IV(g: DottedGraph, p1: Pt, p2: Pt, core=None) -> DottedGraph:
-    """Band surgery between two dots across their shared middle region.
-
-    With ``core=None`` the canonical core is used: the shortest route
-    through the middle region's quarter cells, ties broken
-    lexicographically.  An explicit core polyline is matched by its
-    homotopy class around the region's obstacles and re-routed at working
-    scale (dot slides along arcs are free moves).
-    """
-    return surgery(g, p1, p2, core=core).after
+def apply_IV(g: DottedGraph, p1: Pt, p2: Pt) -> DottedGraph:
+    """Band surgery between two dots across their shared middle region,
+    along the canonical core: the shortest route through the middle
+    region's quarter cells, ties broken lexicographically."""
+    return surgery(g, p1, p2).after
 
 
-def surgery_site(an: GraphAnalysis, p1: Pt, p2: Pt, core=None):
+def surgery_site(an: GraphAnalysis, p1: Pt, p2: Pt):
     """The site ``(a1, a2, F)`` of a surgery between the dots p1 and p2:
-    their arcs and their middle region, the band face both arcs share, or
-    the face beside both arcs that an explicit ``core`` runs through.
+    their arcs and their middle region, the band face both arcs share.
     Raises ``MissingDot`` for a point that is no dot, and ``NotApplicable``
     where no surgery joins the two."""
     a1, a2 = an.arc_of(p1), an.arc_of(p2)
-    return a1, a2, _middle_region(an.geometry, a1, a2, core)
+    return a1, a2, _middle_region(an.geometry, a1, a2)
 
 
-def surgery(g: DottedGraph, p1: Pt, p2: Pt, core=None, hug_crossing=None) -> Deformation:
+def surgery(g: DottedGraph, p1: Pt, p2: Pt, hug_crossing=None) -> Deformation:
     """The surgery between the dots p1 and p2 as a deformation: along the
-    canonical core, an explicit ``core``, or the core that hugs the
-    crossing ``hug_crossing`` (subcase IVa1)."""
+    canonical core, or along the core that hugs the crossing
+    ``hug_crossing`` (subcase IVa1).  Its site is ``(p1, p2, None)``."""
     an = analyze(g)
     if p1 == p2:
         raise errors.MissingDot("the two dots must be distinct")
-    if core is not None:
-        core = tuple(tuple(p) for p in core)
-    _, _, F = surgery_site(an, p1, p2, core)
+    _, _, F = surgery_site(an, p1, p2)
     eps = 1 if an.label(F) > 0 else -1
-    if core is not None:
-        fx, fy = _joint_maps(g, core)   # the core's off-grid points placed in their gaps
     grid = _working_grid(g)
-    w = _working_pair(g, p1, p2, stay_near=core is not None, hug_crossing=hug_crossing)
+    w = _working_pair(g, p1, p2, hug_crossing)
     if hug_crossing is not None:
         core_s = _hug_core(w.q1, w.n1, w.q2, grid.up(hug_crossing))
-    elif core is not None:
-        core_s = _core_matching(w, [(fx[x], fy[y]) for x, y in (p1,) + core[1:] + (p2,)])
     else:
         core_s = _canonical_core(w)
     raw, nd1, nd2 = _cut_and_join(w, core_s)
@@ -210,25 +197,24 @@ def surgery(g: DottedGraph, p1: Pt, p2: Pt, core=None, hug_crossing=None) -> Def
 
     meta = (("new_dots", (down(nd1), down(nd2))),
             ("apex", down(grid.up(hug_crossing)) if hug_crossing is not None else None))
-    return Deformation("IV", (p1, p2, core), eps, abs(an.label(F)), g, out, meta)
+    return Deformation("IV", (p1, p2, None), eps, abs(an.label(F)), g, out, meta)
 
 
 class _Grid:
     """A graph at working scale, set up once for all its surgeries: the
     compression maps ``fx``/``fy`` scaled by SCALE, the scaled graph ``gs``
-    and its own geometry ``geo``, the corners, and the points no slid dot
-    may take besides the dots (``fixed``: corners and crossings).  It
-    memoizes each arc's slide candidates (``candidates``) and each surgery
-    site's working pair (``pairs``).  An explicit core's off-grid points
-    only add entries to the maps (``_joint_maps``), so one grid serves
-    every surgery on the graph."""
+    and its own geometry ``geo``, and the points no slid dot may take
+    besides the dots (``fixed``: corners and crossings).  It memoizes each
+    arc's slide candidates (``candidates``) and each surgery site's working
+    pair (``pairs``)."""
 
     def __init__(self, g: DottedGraph):
-        self.fx, self.fy = _joint_maps(g, ())
+        xs, ys = DG.coordinate_values(g)
+        self.fx = {x: SCALE * i for i, x in enumerate(xs)}
+        self.fy = {y: SCALE * i for i, y in enumerate(ys)}
         self.gs = DG.transform_coords(g, self.fx, self.fy)
         self.geo = DG.CurveGeometry(self.gs.curves)
-        self.corners = {p for curve in self.gs.curves for p in curve}
-        self.fixed = self.corners | set(self.geo.crossings)
+        self.fixed = {p for curve in self.gs.curves for p in curve} | set(self.geo.crossings)
         self.candidates: dict = {}
         self.pairs: dict = {}
 
@@ -263,69 +249,21 @@ class _Pair(NamedTuple):
     key: tuple
 
 
-def _working_pair(g: DottedGraph, p1: Pt, p2: Pt, stay_near=False, hug_crossing=None) -> _Pair:
+def _working_pair(g: DottedGraph, p1: Pt, p2: Pt, hug_crossing=None) -> _Pair:
     """The set-up of one surgery on the working grid of g: the dots at p1
     and p2 slide to canonical positions (beside ``hug_crossing`` when
-    given, as little as possible with ``stay_near``, as for an explicit
-    core), and their arcs, directions, normals and middle region are read
+    given), and their arcs, directions, normals and middle region are read
     off the grid's geometry.  Nothing is analysed, and each site's pair is
     built once per grid."""
     grid = _working_grid(g)
-    site = (p1, p2, hug_crossing, stay_near)
+    site = (p1, p2, hug_crossing)
     w = grid.pairs.get(site)
     if w is None:
-        w = grid.pairs[site] = _slide_pair(grid, p1, p2, hug_crossing, stay_near)
+        w = grid.pairs[site] = _slide_pair(grid, p1, p2, hug_crossing)
     return w
 
 
-def _joint_maps(g: DottedGraph, extra_points):
-    """Scaled compression maps covering the graph coordinates plus any
-    off-grid core coordinates (placed strictly inside their gaps)."""
-    xs, ys = DG.coordinate_values(g)
-    fx = {x: SCALE * i for i, x in enumerate(xs)}
-    fy = {y: SCALE * i for i, y in enumerate(ys)}
-    _extend_monotone(fx, xs, sorted({p[0] for p in extra_points} - set(xs)))
-    _extend_monotone(fy, ys, sorted({p[1] for p in extra_points} - set(ys)))
-    return fx, fy
-
-
-def _extend_monotone(f: dict, base: list[int], extras: list[int]) -> None:
-    groups: dict[int, list[int]] = {}
-    for v in extras:
-        i = bisect_right(base, v)
-        if not 0 < i < len(base):
-            raise errors.RoutingFailure(f"core coordinate {v} outside the graph range")
-        groups.setdefault(i - 1, []).append(v)
-    for lo, vals in groups.items():
-        vals.sort()
-        k = len(vals)
-        if k >= SCALE:
-            raise errors.RoutingFailure("too many off-grid core coordinates in one gap")
-        for j, v in enumerate(vals, start=1):
-            f[v] = f[base[lo]] + (SCALE * j) // (k + 1)
-
-
-def _middle_region(geo, a1, a2, core):
-    if core is not None:
-        if len(core) < 2:
-            raise errors.NoCommonFace("core needs at least one segment")
-        for p in core[1:-1]:
-            if geo.locate(p) is not None:
-                raise errors.RoutingFailure("core interior touches the graph")
-        k = max(range(len(core) - 1),
-                key=lambda i: abs(core[i][0] - core[i + 1][0]) +
-                abs(core[i][1] - core[i + 1][1]))
-        probe2 = (core[k][0] + core[k + 1][0], core[k][1] + core[k + 1][1])
-        F = geo.arr.face_of_2x(probe2)
-        sides1 = (geo.left_face[a1.key], geo.right_face[a1.key])
-        sides2 = (geo.left_face[a2.key], geo.right_face[a2.key])
-        if F not in sides1 or F not in sides2:
-            raise errors.NoCommonFace("core does not run beside both arcs")
-        if geo.label(F) == 0:
-            raise errors.ZeroLabel("middle region label is zero")
-        if geo.band_face[a1.key] != F or geo.band_face[a2.key] != F:
-            raise errors.OrientationClash("arcs do not admit the induced orientations")
-        return F
+def _middle_region(geo, a1, a2):
     F = geo.band_face[a1.key]
     if geo.band_face[a2.key] != F:
         raise errors.NoCommonFace("dots have no shared middle region")
@@ -350,22 +288,20 @@ def _normal_into(an, arc, d: Pt, F) -> Pt:
 
 # dot sliding ---------------------------------------------------------------
 
-def _slide_pair(grid: _Grid, p1: Pt, p2: Pt, hug_crossing, stay_near) -> _Pair:
+def _slide_pair(grid: _Grid, p1: Pt, p2: Pt, hug_crossing) -> _Pair:
     """Slide both surgery dots to canonical arc positions.  Unless the dots
     hug a crossing, the second dot lands beside a different quarter-cell of
     the middle region than the first, so that band routes around it stay
-    enumerable.  With ``stay_near`` the dots move as little as possible
-    (the drag of an explicit core's endpoints must not wind around
-    obstacles).  The first dot has left its old place when the second
+    enumerable.  The first dot has left its old place when the second
     slides, so the second may take it."""
     geo, dots = grid.geo, grid.gs.dots
     q1, q2 = grid.up(p1), grid.up(p2)
     near = None if hug_crossing is None else grid.up(hug_crossing)
     a1, a2 = geo.arcs[geo.arc_at(q1)[0]], geo.arcs[geo.arc_at(q2)[0]]
-    Fs = _middle_region(geo, a1, a2, None)
-    s1 = _slide(grid, q1, a1, dots, near, stay_near)
-    avoid = None if near is not None or stay_near else _quarter_of(geo, a1, s1, Fs)
-    s2 = _slide(grid, q2, a2, (dots - {q1}) | {s1}, near, stay_near, avoid, Fs)
+    Fs = _middle_region(geo, a1, a2)
+    s1 = _slide(grid, q1, a1, dots, near)
+    avoid = None if near is not None else _quarter_of(geo, a1, s1, Fs)
+    s2 = _slide(grid, q2, a2, (dots - {q1}) | {s1}, near, avoid, Fs)
     d1, d2 = _dir_at(a1, s1), _dir_at(a2, s2)
     gs = DottedGraph(grid.gs.curves, (dots - {q1, q2}) | {s1, s2})
     return _Pair(gs, geo, Fs, s1, d1, _normal_into(geo, a1, d1, Fs), s2, d2,
@@ -393,8 +329,7 @@ def _slide_candidates(arc) -> list[Pt]:
     return out
 
 
-def _slide(grid: _Grid, q: Pt, arc, taken, near=None, stay_near=False, avoid=None,
-           F=None) -> Pt:
+def _slide(grid: _Grid, q: Pt, arc, taken, near=None, avoid=None, F=None) -> Pt:
     """Where the dot at q of the arc slides: the first free candidate, one
     that is no corner, crossing or ``taken`` dot (q itself is free), and
     not beside the quarter-cell ``avoid`` of face F if such a one exists."""
@@ -404,10 +339,6 @@ def _slide(grid: _Grid, q: Pt, arc, taken, near=None, stay_near=False, avoid=Non
         candidates = grid.candidates.get(arc.key)
         if candidates is None:
             candidates = grid.candidates[arc.key] = _slide_candidates(arc)
-        if stay_near:
-            candidates = sorted(candidates, key=lambda c: abs(c[0] - q[0]) + abs(c[1] - q[1]))
-            if q not in grid.corners:
-                candidates.insert(0, q)     # mid-piece dots need no slide at all
     free = [c for c in candidates if c == q or not (c in taken or c in grid.fixed)]
     if not free:
         raise errors.RoutingFailure("no free canonical position for a surgery dot")
@@ -511,24 +442,6 @@ def _path_between(geo, ci: int, qa: Pt, qb: Pt) -> list[Pt]:
             raise errors.RoutingFailure(f"{p} not on curve")
         offsets.append(loc[1])
     return [qa] + geo.corners_between(ci, *offsets) + [qb]
-
-
-def _shorter_path_between(geo, ci: int, qa: Pt, qb: Pt) -> list[Pt]:
-    """The shorter walk along curve ci (forward on ties); used as the
-    canonical drag of a core endpoint to its slid position."""
-    if qa == qb:
-        return [qa]
-    fwd = _path_between(geo, ci, qa, qb)
-    bwd = _path_between(geo, ci, qb, qa)
-
-    def length(path):
-        return sum(abs(path[i + 1][0] - path[i][0]) +
-                   abs(path[i + 1][1] - path[i][1])
-                   for i in range(len(path) - 1))
-
-    if length(bwd) < length(fwd):
-        return list(reversed(bwd))
-    return fwd
 
 
 def _cut_and_join(w: _Pair, core):
@@ -835,31 +748,6 @@ def _distances_to(forward, goal) -> dict:
     return dist
 
 
-def _core_matching(w: _Pair, path) -> tuple[Pt, ...]:
-    """Route a core in the homotopy class of an explicitly given core.
-    ``path`` is that core at working scale with the two dots' own places at
-    its ends: p1, the core's points after its first, then p2.
-
-    The given core's endpoints are transported along their arcs to the
-    canonical slid positions (a free move, with the forward walk along the
-    curve as the canonical drag); the class is measured against the
-    canonical core by winding numbers around the middle region's obstacles.
-    """
-    holes = w.geo.holes[w.Fs]
-    base = _canonical_core(w)
-    if not holes:
-        return base
-    geo, q1, q2 = w.geo, w.q1, w.q2
-    conn1 = _shorter_path_between(geo, _curve_of_point(geo, q1), q1, path[0])
-    conn2 = _shorter_path_between(geo, _curve_of_point(geo, q2), path[-1], q2)
-    loop = _rect_closed(conn1 + path[1:-1] + conn2[1:] + list(reversed(base))[1:-1])
-    want = tuple(winding_2x(h, DG.curve_segments(loop)) for h in holes)
-    classes = _enumerate_core_classes(w, base, holes)
-    if want not in classes:
-        raise errors.RoutingFailure("no embedded core in the requested class")
-    return classes[want]
-
-
 # ------------------------------------------------------------- epsilon ---
 
 def slide_dot(g: DottedGraph, dot: Pt, target: Pt) -> DottedGraph:
@@ -891,6 +779,9 @@ def apply_E(g: DottedGraph, a: Pt, b: Pt, new_path, moved_dots=()) -> DottedGrap
         raise errors.LabelMismatch("replacement path must run from a to b")
     an = analyze(g)
     geo = an.geometry
+    for p in (a, b):
+        if geo.locate(p) is None:
+            raise errors.LabelMismatch(f"{p} not on any curve")
     ci = _curve_of_point(geo, a)
     if _curve_of_point(geo, b) != ci:
         raise errors.LabelMismatch("a and b must lie on one curve")

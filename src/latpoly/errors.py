@@ -72,10 +72,6 @@ class NoCommonFace(NotApplicable):
     """The two dots do not bound a common middle region."""
 
 
-class ZeroLabel(NotApplicable):
-    """The middle region label is zero."""
-
-
 class OrientationClash(NotApplicable):
     """The arcs do not admit the induced orientations of a band surgery."""
 

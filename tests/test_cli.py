@@ -56,6 +56,19 @@ def test_reduce_square(tmp_path, capsys):
         ["step000.svg", "step001.svg", "step002.svg"]
 
 
+def test_reduce_trace_records_a_surgery_site(tmp_path, capsys):
+    # a surgery's site keeps a third slot, written as null
+    path = tmp_path / "iva2.poly"
+    path.write_text(json.dumps({"ver0": [[1, 6], [3, 3], [4, 5], [7, 2]],
+                                "ver1": [[1, 2], [3, 5], [4, 3], [7, 6]]}))
+    trace_out = tmp_path / "trace.json"
+    assert cli.main(["reduce", str(path), "--trace", str(trace_out)]) == 0
+    assert "steps: I I IVa2 II" in capsys.readouterr().out
+    trace = json.loads(trace_out.read_text())
+    assert trace[2] == {"epsilon": -1, "i": 1, "kind": "IVa2",
+                        "site": [[1, 6], [3, 3], None]}
+
+
 def test_confluence_budget_hit_prints_undecided(tmp_path, capsys, monkeypatch, request):
     def out_of_budget(g, cap=4000):
         raise errors.BudgetExceeded("core class enumeration budget hit")

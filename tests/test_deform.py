@@ -191,32 +191,16 @@ def test_apply_IV_errors():
     a, b = sorted(g2.dots)
     with pytest.raises(errors.NoCommonFace):
         DF.apply_IV(g2, a, b)
-    # explicit core through a zero-label region
-    with pytest.raises(errors.ZeroLabel):
-        DF.apply_IV(g2, a, b, core=[(0, 0), (0, -2), (8, -2), (8, 0)])
 
 
-def test_apply_IV_orientation_clash_with_core():
+def test_apply_IV_same_sign_nested_circles_share_no_region():
     # same-sign nested circles: the ring is not a legal middle region, the
-    # arcs run parallel along it
+    # arcs run parallel along it, so their band faces differ
     outer = [(0, 0), (16, 0), (16, 16), (0, 16)]
     inner = [(4, 4), (12, 4), (12, 12), (4, 12)]
     g = D.DottedGraph.build([outer, inner], [(8, 0), (8, 4)])
-    with pytest.raises(errors.OrientationClash):
-        DF.apply_IV(g, (8, 0), (8, 4), core=[(8, 0), (8, 4)])
-
-
-@pytest.mark.parametrize("core", [
-    [(4, 0), (4, 2), (8, 2), (8, 6), (20, 6), (20, 0)],     # inside a segment
-    [(4, 0), (4, 6), (6, 6), (20, 6), (20, 0)],             # on a corner
-    [(4, 0), (4, 2), (0, 2), (0, 20), (20, 20), (20, 0)],   # on the dots' own curve
-])
-def test_apply_IV_core_touching_the_graph_raises(core):
-    big = [(0, 0), (24, 0), (24, 16), (0, 16)]
-    junk = [(6, 6), (6, 10), (10, 10), (10, 6)]
-    g = D.DottedGraph.build([big, junk], [(4, 0), (20, 0)])
-    with pytest.raises(errors.RoutingFailure, match="^core interior touches the graph$"):
-        DF.apply_IV(g, (4, 0), (20, 0), core=core)
+    with pytest.raises(errors.NoCommonFace):
+        DF.apply_IV(g, (8, 0), (8, 4))
 
 
 # ------------------------------------------------------------- classify --
@@ -271,7 +255,7 @@ def test_apply_E_push_across_overlap():
 @pytest.mark.parametrize("b, error, message", [
     ((8, 4), errors.LabelMismatch, "cut points must avoid crossings"),
     ((12, 4), errors.LabelMismatch, "a and b must lie on one curve"),
-    ((20, 20), errors.RoutingFailure, "(20, 20) not on any curve"),
+    ((20, 20), errors.LabelMismatch, "(20, 20) not on any curve"),
 ])
 def test_apply_E_cut_at_a_crossing(b, error, message):
     # (8, 2) is a crossing of both squares; it counts as a point of the
@@ -365,14 +349,6 @@ def test_viable_side_rejects_unit_step_violation(monkeypatch):
     monkeypatch.setattr(D.CurveGeometry, "label", lambda geo, f: 2 * geo.arr.faces[f].omega)
     with pytest.raises(errors.InvalidGraph, match="left label 2 of arc .* right label 0 by one"):
         D.CurveGeometry(D.normal_curves([[(0, 0), (4, 0), (4, 4), (0, 4)]]))
-
-
-def test_extend_monotone_bounds_raise_routing_failure():
-    with pytest.raises(errors.RoutingFailure):
-        DF._extend_monotone({0: 0, 10: DF.SCALE}, [0, 10], [20])
-    crowded = list(range(1, DF.SCALE + 1))
-    with pytest.raises(errors.RoutingFailure):
-        DF._extend_monotone({0: 0, 10 * DF.SCALE: DF.SCALE}, [0, 10 * DF.SCALE], crowded)
 
 
 def test_quarter_center_rejects_unbounded_cell():
@@ -471,8 +447,7 @@ def test_broken_calls_raise_typed_errors(case, monkeypatch):
 
 # ------------------------------------------------------- dot slides --
 
-def reference_slide_one(gs, q, taken, near=None, distinct_quarter=None, F=None,
-                        stay_near=False):
+def reference_slide_one(gs, q, taken, near=None, distinct_quarter=None, F=None):
     """The former ``_slide_one``: the quarter of every candidate is computed
     before the first free one is taken."""
     an = D.analyze(gs)
@@ -482,11 +457,6 @@ def reference_slide_one(gs, q, taken, near=None, distinct_quarter=None, F=None,
         corners.update(curve)
     if near is not None:
         candidates = DF._near_crossing_positions(arc, near)
-    elif stay_near:
-        candidates = sorted(DF._slide_candidates(arc),
-                            key=lambda c: abs(c[0] - q[0]) + abs(c[1] - q[1]))
-        if q not in corners:
-            candidates.insert(0, q)
     else:
         candidates = DF._slide_candidates(arc)
         if distinct_quarter is not None:
@@ -519,13 +489,12 @@ def walked_graph(rng):
     return g
 
 
-def geometry_slide_one(grid, q, taken, near=None, distinct_quarter=None, F=None,
-                       stay_near=False):
+def geometry_slide_one(grid, q, taken, near=None, distinct_quarter=None, F=None):
     """``DF._slide`` called as the former ``_slide_one`` was, on the grid's
     graph; it returns the slid position."""
     arc = grid.geo.arcs[grid.geo.arc_at(q)[0]]
-    avoid = None if near is not None or stay_near else distinct_quarter
-    return DF._slide(grid, q, arc, grid.gs.dots | taken, near, stay_near, avoid, F)
+    avoid = None if near is not None else distinct_quarter
+    return DF._slide(grid, q, arc, grid.gs.dots | taken, near, avoid, F)
 
 
 def reference_slid_position(*args, **kwargs):
@@ -536,8 +505,8 @@ def reference_slid_position(*args, **kwargs):
 @given(st.integers(0, 2**32))
 def test_slide_one_matches_reference(seed):
     # the same position, or the same error, for every quarter the slid dot
-    # may be told to avoid, with stay_near, and beside each crossing at an
-    # end of the dot's arc
+    # may be told to avoid, and beside each crossing at an end of the dot's
+    # arc
     g = walked_graph(random.Random(seed))
     for m in DF.enumerate_moves(g, allowed={"IV"}):
         grid = DF._working_grid(g)
@@ -547,7 +516,6 @@ def test_slide_one_matches_reference(seed):
         arc, _, F = DF.surgery_site(an, q1, q2)
         quarters = {DF._quarter_of(an, arc, c, F) for c in DF._slide_candidates(arc)}
         options = [dict(distinct_quarter=dq, F=F) for dq in sorted(quarters) + [None]]
-        options += [dict(stay_near=True, distinct_quarter=dq, F=F) for dq in quarters]
         options += [dict(near=c) for c in {arc.path[0], arc.path[-1]} if c in an.crossings]
         for kwargs in options:
             assert outcome(geometry_slide_one, grid, q1, {q2}, **kwargs) == \
@@ -1157,7 +1125,8 @@ def reference_slide(g, p1, p2, hug_crossing=None):
     with the first's new position taken and, unless the dots hug a
     crossing, away from the quarter-cell beside the first; returns the slid
     positions."""
-    fx, fy = DF._joint_maps(g, ())
+    grid = DF._working_grid(g)
+    fx, fy = grid.fx, grid.fy
     gs = D.transform_coords(g, fx, fy)
     q1, q2 = [(fx[x], fy[y]) for x, y in (p1, p2)]
     near = None if hug_crossing is None else (fx[hug_crossing[0]], fy[hug_crossing[1]])
@@ -1267,18 +1236,29 @@ def test_no_IV_between_loop_and_outside_arc():
             assert not (in1 ^ in2)
 
 
-def test_apply_IV_explicit_core_class_matching():
-    # a core routed around an obstacle lands in a different class than the
-    # direct canonical core, and the surgery honors it
+def test_core_class_table_around_junk():
+    # the class-matching claim through the class table: both dots lie on
+    # one component around two holes, so there are 4 core classes; the
+    # zero class is the canonical core, and the core around the clockwise
+    # obstacle alone separates different content
     big = [(0, 0), (24, 0), (24, 16), (0, 16)]
     junk = [(6, 6), (6, 10), (10, 10), (10, 6)]     # clockwise obstacle
     marker = [(14, 6), (18, 6), (18, 10), (14, 10)]
     g = D.DottedGraph.build([big, junk, marker], [(4, 0), (20, 0)])
-    direct = DF.apply_IV(g, (4, 0), (20, 0))
-    around_junk = DF.apply_IV(g, (4, 0), (20, 0), core=[
-        (4, 0), (4, 3), (1, 3), (1, 12), (12, 12), (12, 3), (20, 3), (20, 0)])
-    assert not D.equivalent_mod_E_I(direct, around_junk)
-    # the trivial-class explicit core agrees with the canonical one
-    straight = DF.apply_IV(g, (4, 0), (20, 0), core=[
-        (4, 0), (4, 2), (20, 2), (20, 0)])
-    assert D.equivalent_mod_E_I(direct, straight)
+    w = DF._working_pair(g, (4, 0), (20, 0))
+    holes = w.geo.holes[w.Fs]
+    assert len(holes) == 2
+    classes = DF._enumerate_core_classes(w, DF._canonical_core(w), holes)
+    assert len(classes) == 4
+
+    def form(core):
+        return D.canonical_form(D.normalized(DF._cut_and_join(w, core)[0]))
+
+    junk_hole = min(holes)                          # junk lies left of marker
+    only_junk = [sig for sig in classes
+                 if [s != 0 for s in sig] == [h == junk_hole for h in holes]]
+    assert len(only_junk) == 1
+    zero = form(classes[(0, 0)])
+    assert zero == D.canonical_form(DF.apply_IV(g, (4, 0), (20, 0)))
+    assert form(classes[only_junk[0]]) != zero
+    assert not DF.check_condition_A(g, (4, 0), (20, 0))

@@ -865,9 +865,16 @@ def test_transform_coords_equals_build(seed, k):
         after = DF.apply_move(g, rng.choice(moves)).after if moves else g
         g = g if after.is_empty() else after
     xs, ys = D.coordinate_values(g)
-    extra = [(rng.randint(xs[0], xs[-1]), rng.randint(ys[0], ys[-1]))
-             for _ in range(rng.randint(0, 4))]
-    fx, fy = DF._joint_maps(g, extra)
+
+    def increasing_map(values):
+        """A strictly increasing, non-uniform map: random positive gaps."""
+        out, t = {}, rng.randint(-20, 20)
+        for v in values:
+            t += rng.randint(1, 9)
+            out[v] = t
+        return out
+
+    fx, fy = increasing_map(xs), increasing_map(ys)
     out, gx, gy = D.renormalize(g)
     pairs = [(out, built_image(g, gx, gy)),
              (D.scaled(g, k), built_image(g, {x: k * x for x in xs}, {y: k * y for y in ys})),
