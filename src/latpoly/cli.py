@@ -127,8 +127,7 @@ def _dispatch(args) -> int:
             import hashlib
             rep = R.explore_reductions(g)
             print(f"terminals: {len(rep.terminals)}")
-            held = ("undecided (budget hit)" if rep.condition_A_undecided
-                    else rep.condition_A_ok)
+            held = "undecided" if rep.condition_A_undecided else rep.condition_A_ok
             print(f"condition (A) throughout: {held}")
             for form in sorted(rep.terminals):
                 digest = hashlib.sha256(form.encode()).hexdigest()[:16]

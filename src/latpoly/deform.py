@@ -492,21 +492,6 @@ def _curve_of_point(geo, q: Pt) -> int:
     return loc[0]
 
 
-# homotopy classes of cores ----------------------------------------------------
-
-def _rect_closed(pts) -> list[Pt]:
-    """Close a waypoint cycle into an axis-parallel polyline, inserting an
-    elbow wherever consecutive waypoints are diagonal."""
-    out: list[Pt] = []
-    m = len(pts)
-    for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        out.append(a)
-        if a[0] != b[0] and a[1] != b[1]:
-            out.append((a[0], b[1]))
-    return out
-
-
 # quarter-cell routing: a core between two dots runs through the middle
 # region's arrangement cells split in four, so that an embedded core may
 # pass one cell twice
@@ -569,183 +554,160 @@ def _route_through_quarters(arr, nodes, q1, n1, q2, n2) -> tuple[Pt, ...]:
     return out
 
 
-def _ray_deltas(a: Pt, b: Pt, rays) -> tuple[int, ...]:
-    """Signed crossings of the step a->b with upward rays from the holes."""
-    out = [0] * len(rays)
-    if a[1] == b[1] and a[0] != b[0]:
-        y2 = 2 * a[1]
-        lo2, hi2 = sorted((2 * a[0], 2 * b[0]))
-        for i, (rx2, ry2) in enumerate(rays):
-            if y2 > ry2 and lo2 < rx2 < hi2:
-                out[i] = 1 if b[0] > a[0] else -1
-    return tuple(out)
+# core classes: a core is built around each set of holes ---------------------
+
+_STEPS = ((2, 0), (0, 2), (-2, 0), (0, -2))
 
 
-def _enumerate_core_classes(w: _Pair, base, holes, cap=20000):
-    """One realized core per winding signature around the face's holes,
-    with ``base`` (the canonical core) for the zero signature.
+def _enumerate_core_classes(w: _Pair, base, holes):
+    """One core per class of routes between the two dots, keyed by its
+    winding signature around the middle region's holes: the windings of
+    the route followed by ``base``, the canonical core, backwards.  The
+    canonical core keeps the zero signature.  For a site whose two dots
+    lie on one graph component; a class that no route was built for is
+    missing from the result.
 
-    Reachable crossing vectors are found on the product of the quarter-cell
-    graph with the winding lattice bounded by 1 around each hole; each is
-    then realized by a simple route found under reachability pruning.
-    Windings beyond 1 are outside the enumeration; an exhausted budget
-    raises.
+    Both dots then lie on one boundary component K of the middle region,
+    so a simple route from q1 to q2, closed up along K, is a Jordan curve,
+    and its class is fixed by the set of holes it encloses (the planar
+    fact behind the classification of arcs on surfaces; Epstein, *Curves
+    on 2-manifolds and isotopies*, 1966): k holes give 2^k classes.
 
-    The product graph is built once: an edge table holds each quarter
-    node's centre and its steps ``(neighbour, ray-delta vector)``, and per
-    target each product state keeps its successors ranked by distance to
-    the target.  The route search walks that ranked list, so it visits
-    states in the same order and spends the same budget as a search that
-    re-ranks the neighbours at every step.
-
-    The rounds run breadth-first: extra 0 for every target, then extra 4
-    for the targets still without a route, then extra 12.  Each target
-    keeps its own rounds and budgets, so it gets the route it would get
-    searched alone, or none; a target's distance table is built when it
-    is first searched.  The classes are realized in target order.
-
-    The search stops at 2^k routes for k holes when the two dots' curves
-    lie in one graph component.  Both dots then lie on one boundary
-    component of F, so a simple route from q1 to q2, closed up along that
-    boundary, is a Jordan curve, and its class is fixed by the set of
-    holes it encloses (the planar fact behind the classification of arcs
-    on surfaces; Epstein, *Curves on 2-manifolds and isotopies*, 1966):
-    at most 2^k classes exist.  Distinct targets give distinct
-    signatures, since a loop's winding around a hole is its signed
-    crossing count with the hole's ray.  So once 2^k routes are found no
-    other target has one, and stopping changes no result."""
-    if not holes:
-        return {(): base}
-    arr, q1, n1, q2, n2 = w.geo.arr, w.q1, w.n1, w.q2, w.n2
-    F_cells = w.geo.face_cells[w.Fs]
-    rays = list(holes)          # odd coordinates: no ties with route points
-    nd1 = _quarter_beside(arr, q1, n1)
-    nd2 = _quarter_beside(arr, q2, n2)
-    zero = tuple(0 for _ in rays)
-
-    centers = {}
-    edges = {}
-
-    def center(node):
-        if node not in centers:
-            centers[node] = _quarter_center(arr, node)
-        return centers[node]
-
-    def steps(node):
-        """``(neighbour, ray-delta vector)`` per step, with None for a step
-        that crosses no ray and so keeps the winding vector."""
-        if node not in edges:
-            a = center(node)
-            edges[node] = []
-            for nb in _quarter_neighbors(F_cells, node):
-                d = _ray_deltas(a, center(nb), rays)
-                edges[node].append((nb, d if any(d) else None))
-        return edges[node]
-
-    # forward closure of the product graph
-    start = (nd1, zero)
-    forward = {start: []}       # state -> predecessors
-    succ = {}                   # state -> successors, in neighbour order
-    dq = deque([start])
-    budget = cap
-    while dq:
-        budget -= 1
-        if budget <= 0:
-            raise errors.BudgetExceeded("core class enumeration budget hit")
-        node, vec = cur = dq.popleft()
-        succ[cur] = []
-        for nb, d in steps(node):
-            if d is None:
-                state = (nb, vec)
+    Each class is built.  Routes run on the region's quarter cells, as
+    points of a lattice (``_quarter_points``).  A walk from the first
+    dot's quarter cell that keeps K on one hand (``_hug``) reaches the
+    second dot's along one side of K.  For a set S of holes, slits join
+    that side of K to each hole of S in turn (``_slit``), and the walk
+    keeps K, the slits and the holes of S on its hand: closed up along
+    that side of K, it encloses exactly S.  Where a slit leaves a lane one
+    quarter cell wide, the walk runs in and back out, and the loop it so
+    closes, which encloses no hole, is cut out (``_erase_loops``).  The
+    walks on K's two sides close up differently when K is a hole, so both
+    sides are walked, until 2^k signatures are found."""
+    geo, arr, comp = w.geo, w.geo.arr, w.geo.component
+    P = _quarter_points(geo.face_cells[w.Fs])
+    start = _lattice(_quarter_beside(arr, w.q1, w.n1))
+    goal = _lattice(_quarter_beside(arr, w.q2, w.n2))
+    into_K = (-2 * w.n1[0], -2 * w.n1[1])
+    # each hole's slit ends at the corner in the middle of its sample's
+    # cell's top side, under the hole's top segment; K, when a hole, has none
+    K = comp[_curve_of_point(geo, w.q1)]
+    ends = []
+    for x2, y2 in holes:
+        c, r = arr.cell_of_2x((x2, y2))
+        top = ((x2 - 1) // 2, (y2 + 1) // 2)        # a point of the top segment
+        ends.append(None if comp[_curve_of_point(geo, top)] == K else (4 * c + 1, 4 * r + 3))
+    found = {tuple(0 for _ in holes): base}
+    for hand in ((_rot_right, _rot_left), (_rot_left, _rot_right)):
+        # the slits start at the corners where the walk along K touches it
+        rim = _hug(P, (), start, goal, into_K, *hand)
+        sources = []
+        for a, b in zip(rim, rim[1:]):
+            for v in sorted(set(_diagonals(a)) & set(_diagonals(b))):
+                if v not in sources and not all(p in P for p in _diagonals(v)):
+                    sources.append(v)
+        for mask in range(2 ** len(holes)):
+            if len(found) == 2 ** len(holes):
+                return found
+            cut, corners = set(), list(sources)
+            for i, end in enumerate(ends):
+                if mask >> i & 1 and end is not None:
+                    slit = _slit(P, corners, end)
+                    if slit is None:
+                        break
+                    cut.update(((u[0] + v[0]) // 2, (u[1] + v[1]) // 2)
+                               for u, v in zip(slit, slit[1:]))
+                    corners += slit
             else:
-                nvec = tuple(v + x for v, x in zip(vec, d))
-                if any(abs(v) > 1 for v in nvec):
-                    continue
-                state = (nb, nvec)
-            succ[cur].append(state)
-            forward.setdefault(state, []).append(cur)
-            if len(forward[state]) == 1:
-                dq.append(state)
-
-    targets = sorted(vec for node, vec in forward if node == nd2)
-    comp = w.geo.component
-    one_component = comp[_curve_of_point(w.geo, q1)] == comp[_curve_of_point(w.geo, q2)]
-    limit = 2 ** len(rays) if one_component else len(targets)
-    tables = {}                 # target -> (goal, distances, ranked successors)
-    routes = {}                 # target -> quarter nodes of its route
-
-    def dfs(path, visited, state, room):
-        """A simple route to the goal within ``room`` more steps, or None;
-        each call spends one unit of the round's budget ``left``."""
-        nonlocal left
-        left -= 1
-        if state == goal:
-            return list(path)
-        moves = ranked.get(state)
-        if moves is None:
-            moves = ranked[state] = sorted((dist[s], s[0], s)
-                                           for s in succ[state] if s in dist)
-        for nd, nb, nxt in moves:
-            # nearest first: past the first move out of reach, or with the
-            # budget spent, no later move can be taken
-            if nd > room or left <= 0:
-                return None
-            if nb not in visited:
-                visited.add(nb)
-                path.append(nb)
-                route = dfs(path, visited, nxt, room - 1)
-                path.pop()
-                visited.remove(nb)
-                if route is not None:
-                    return route
-        return None
-
-    # near-geodesic representatives only: bounded iterative deepening;
-    # vectors without a short simple route are outside the enumeration
-    pending = targets
-    for extra in (0, 4, 12):
-        missed = []
-        for tvec in pending:
-            if len(routes) == limit:
-                break
-            if tvec not in tables:
-                goal = (nd2, tvec)
-                tables[tvec] = goal, _distances_to(forward, goal), {}
-            goal, dist, ranked = tables[tvec]
-            if start not in dist:
-                continue
-            left = min(3000, cap)
-            nodes = dfs([nd1], {nd1}, start, dist[start] + extra - 1)
-            if nodes is None:
-                missed.append(tvec)
-            else:
-                routes[tvec] = nodes
-        pending = missed
-
-    found: dict[tuple, tuple[Pt, ...]] = {}
-    for tvec in sorted(routes):
-        nodes = routes[tvec]
-        pts = [base[0]] + [center(nd) for nd in nodes] + [base[-1]] + list(reversed(base))
-        loop = _rect_closed(pts)
-        sig = tuple(winding_2x(h, DG.curve_segments(loop)) for h in holes)
-        if sig not in found:
-            found[sig] = _route_through_quarters(arr, nodes, q1, n1, q2, n2)
-    found[zero] = base
+                walk = _erase_loops(_hug(P, cut, start, goal, into_K, *hand))
+                core = _route_through_quarters(arr, [_node(p) for p in walk],
+                                               w.q1, w.n1, w.q2, w.n2)
+                loop = DG.curve_segments(core + tuple(reversed(base))[1:-1])
+                found.setdefault(tuple(winding_2x(h, loop) for h in holes), core)
     return found
 
 
-def _distances_to(forward, goal) -> dict:
-    """Steps from each state of the product graph to the goal, by backward
-    closure."""
-    dist = {goal: 0}
-    dq = deque([goal])
+def _quarter_points(cells) -> set[Pt]:
+    """The quarter cells of the given arrangement cells as lattice points:
+    quarter (c, r, qx, qy) is the point (4c + 2qx, 4r + 2qy), so the
+    lattice's steps between quarter cells are 2 long, and the points with
+    odd coordinates are the corners where four quarter cells meet."""
+    return {(4 * c + i, 4 * r + j) for c, r in cells for i in (0, 2) for j in (0, 2)}
+
+
+def _lattice(node) -> Pt:
+    return (4 * node[0] + 2 * node[2], 4 * node[1] + 2 * node[3])
+
+
+def _node(p: Pt):
+    return (p[0] // 4, p[1] // 4, p[0] // 2 % 2, p[1] // 2 % 2)
+
+
+def _diagonals(p: Pt):
+    """The four lattice points diagonal to p: a quarter point's corners, or
+    the quarter points that meet at a corner."""
+    return ((p[0] - 1, p[1] - 1), (p[0] + 1, p[1] - 1), (p[0] - 1, p[1] + 1), (p[0] + 1, p[1] + 1))
+
+
+def _hug(P, cut, start, goal, into_wall, toward, away) -> list[Pt]:
+    """The walk on the lattice points P from start to goal that keeps a
+    wall on one hand: ``toward`` turns a heading to that hand and ``away``
+    to the other, and the step ``into_wall`` leads from start into the
+    wall.  Walls are the points off P and the steps across ``cut``, a set
+    of step midpoints.  At each point the walk turns toward its hand if
+    it can, else goes straight on, else turns away, else goes back."""
+    d = away(into_wall)
+    walk = [start]
+    for _ in range(4 * len(P)):
+        p = walk[-1]
+        if p == goal:
+            return walk
+        for d in (toward(d), d, away(d), (-d[0], -d[1])):
+            q = (p[0] + d[0], p[1] + d[1])
+            if q in P and (p[0] + d[0] // 2, p[1] + d[1] // 2) not in cut:
+                break
+        walk.append(q)
+    raise errors.RoutingFailure("the walk along the region's boundary missed the second dot")
+
+
+def _slit(P, sources, end: Pt):
+    """The corners of a shortest slit from one of the corners ``sources``
+    to the corner ``end``, or None when there is no source, as when both
+    dots are beside one quarter cell.  Its inner corners touch no wall:
+    their four quarter points lie in P."""
+    prev = dict.fromkeys(sources)
+    dq = deque(sources)
     while dq:
-        state = dq.popleft()
-        for prev in forward.get(state, ()):
-            if prev not in dist:
-                dist[prev] = dist[state] + 1
-                dq.append(prev)
-    return dist
+        v = dq.popleft()
+        if v == end:
+            slit = [v]
+            while prev[slit[-1]] is not None:
+                slit.append(prev[slit[-1]])
+            return slit
+        if prev[v] is None or all(p in P for p in _diagonals(v)):
+            for d in _STEPS:
+                u = (v[0] + d[0], v[1] + d[1])
+                if u not in prev:
+                    prev[u] = v
+                    dq.append(u)
+    return None
+
+
+def _erase_loops(walk: list[Pt]) -> list[Pt]:
+    """The walk with each closed stretch cut out, in walking order: where
+    it comes back to a point, what it walked since that point's first
+    visit is dropped."""
+    out: list[Pt] = []
+    at: dict[Pt, int] = {}
+    for p in walk:
+        if p in at:
+            for q in out[at[p] + 1:]:
+                del at[q]
+            del out[at[p] + 1:]
+        else:
+            at[p] = len(out)
+            out.append(p)
+    return out
 
 
 # ------------------------------------------------------------- epsilon ---
@@ -893,12 +855,16 @@ def applicable_star(g: DottedGraph, kind: str, site) -> bool:
 
 # ------------------------------------------------------------ condition A
 
-def check_condition_A(g: DottedGraph, p1: Pt, p2: Pt, cap: int = 4000) -> bool:
-    """True when all cores between the two dots give the same result up to
-    local moves and dot merging (compared by canonical form).  Raises
-    BudgetExceeded past the enumeration cap.
+def check_condition_A(g: DottedGraph, p1: Pt, p2: Pt) -> bool | None:
+    """Whether all cores between the two dots give the same result up to
+    local moves and dot merging (compared by canonical form): False when
+    two built core classes give different forms, which proves it fails,
+    None when it is undecided, and True otherwise.  It is undecided when
+    some class was not built (``_enumerate_core_classes``), or when the
+    dots lie on different graph components around two or more holes,
+    where nothing bounds the number of classes.
 
-    Two cases hold without enumerating cores.  A middle region without
+    Two cases hold without building cores.  A middle region without
     holes is a disk, where all cores are isotopic.  A region with one hole
     whose two dots lie on different graph components is an annulus with a
     dot on each boundary: its cores differ only by twists around the hole
@@ -906,30 +872,31 @@ def check_condition_A(g: DottedGraph, p1: Pt, p2: Pt, cap: int = 4000) -> bool:
     twist is undone by rotating the hole's disk, an isotopy of the plane
     (Farb & Margalit, *A Primer on Mapping Class Groups*, 2012), so every
     core gives the same canonical form."""
-    return not _needs_core_search(analyze(g), p1, p2) or \
-        _cores_agree(_working_pair(g, p1, p2), cap)
+    return not _needs_core_classes(analyze(g), p1, p2) or \
+        _cores_agree(_working_pair(g, p1, p2))
 
 
-def check_condition_A_everywhere(g: DottedGraph, cap: int = 4000) -> bool:
+def check_condition_A_everywhere(g: DottedGraph) -> bool | None:
     """Condition (A) over every dot pair where a surgery applies, checked
     once per ``sharing_key``: each core gives one canonical form at all the
-    sites of one key (see there), so they share one verdict."""
+    sites of one key (see there), so they share one verdict.  False when
+    some site fails, else None when some site is undecided, else True."""
     an = analyze(g)
-    agreed = set()              # keys where every core gives one form
+    verdicts = {}               # sharing key -> the verdict of its sites
     for move in enumerate_moves(g, allowed=frozenset({"IV"})):
-        if not _needs_core_search(an, *move.site):
+        if not _needs_core_classes(an, *move.site):
             continue
         key = sharing_key(g, *move.site)
-        if key not in agreed:
-            if not _cores_agree(_working_pair(g, *move.site), cap):
+        if key not in verdicts:
+            verdicts[key] = _cores_agree(_working_pair(g, *move.site))
+            if verdicts[key] is False:
                 return False
-            agreed.add(key)
-    return True
+    return None not in verdicts.values() or None
 
 
-def _needs_core_search(an: GraphAnalysis, p1: Pt, p2: Pt) -> bool:
-    """Whether condition (A) at a surgery site needs a core search: not in
-    a disk, nor in an annulus with a dot on each boundary
+def _needs_core_classes(an: GraphAnalysis, p1: Pt, p2: Pt) -> bool:
+    """Whether condition (A) at a surgery site needs its core classes: not
+    in a disk, nor in an annulus with a dot on each boundary
     (``check_condition_A``)."""
     a1, a2, F = surgery_site(an, p1, p2)
     geo = an.geometry
@@ -962,15 +929,20 @@ def sharing_key(g: DottedGraph, p1: Pt, p2: Pt):
     return _working_pair(g, p1, p2).key
 
 
-def _cores_agree(w: _Pair, cap: int) -> bool:
-    classes = _enumerate_core_classes(w, _canonical_core(w), w.geo.holes[w.Fs], cap=cap)
+def _cores_agree(w: _Pair) -> bool | None:
+    """``check_condition_A`` at a site that needs its core classes."""
+    holes = w.geo.holes[w.Fs]
+    comp = w.geo.component
+    if comp[_curve_of_point(w.geo, w.q1)] != comp[_curve_of_point(w.geo, w.q2)]:
+        return None
+    classes = _enumerate_core_classes(w, _canonical_core(w), holes)
     forms = set()
     for core in classes.values():
         raw, _, _ = _cut_and_join(w, core)
         forms.add(canonical_form(DG.normalized(raw)))
         if len(forms) > 1:
             return False
-    return True
+    return len(classes) == 2 ** len(holes) or None
 
 
 # ------------------------------------------------------------ enumerate --

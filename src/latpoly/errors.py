@@ -87,7 +87,9 @@ class CreatesLoop(LatPolyError):
 # reducer / planner ------------------------------------------------------
 
 class BudgetExceeded(LatPolyError):
-    """A reduction exceeded its step budget; signals a bug or a pathology."""
+    """A reduction or an exploration exceeded its step budget
+    (``good_reduce``, ``reduce_all_dotted``, ``explore_reductions``);
+    signals a bug or a pathology."""
 
 
 class StuckReduction(LatPolyError):

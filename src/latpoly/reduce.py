@@ -202,8 +202,10 @@ def _first_dot(an, cert):
 @dataclass
 class ExplorationReport:
     """``condition_A_ok`` is True only when condition (A) was shown at every
-    visited state; ``condition_A_undecided`` marks a run where a check ran
-    out of budget instead, which also leaves ``condition_A_ok`` False."""
+    visited state; ``condition_A_undecided`` marks a run where a check was
+    undecided instead (some site's core classes were not all built, or its
+    dots lie on two graph components around two or more holes), which also
+    leaves ``condition_A_ok`` False."""
     terminals: set[str] = field(default_factory=set)
     condition_A_ok: bool = True
     condition_A_undecided: bool = False
@@ -213,16 +215,13 @@ class ExplorationReport:
 
 @lru_cache(maxsize=DG.FORM_CACHE_SIZE)
 def _condition_A(g: DottedGraph) -> bool | None:
-    """Whether condition (A) holds at g, or None when its check runs out
-    of budget.  Cached per graph, not per canonical form: graphs of one
-    form can differ in it.  The start and every surgery's result are
-    normalized, but a deletion's result keeps the gaps its removed curve
-    leaves in the coordinates, so one graph up to isotopy can hold several
-    entries."""
-    try:
-        return DF.check_condition_A_everywhere(g)
-    except errors.BudgetExceeded:
-        return None
+    """Whether condition (A) holds at g, or None when that is undecided
+    (``deform.check_condition_A``).  Cached per graph, not per canonical
+    form: graphs of one form can differ in it.  The start and every
+    surgery's result are normalized, but a deletion's result keeps the
+    gaps its removed curve leaves in the coordinates, so one graph up to
+    isotopy can hold several entries."""
+    return DF.check_condition_A_everywhere(g)
 
 
 def explore_reductions(g: DottedGraph, budget: int = 2000,

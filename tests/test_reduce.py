@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from latpoly import errors, geometry as G, dotgraph as D, deform as DF, oracle as O, reduce as R
 from test_deform import (assert_sites_match_reference, assert_working_sites_agree,
-                         reference_check_condition_A, reference_disk_arc_pair)
+                         reference_check_condition_A, reference_disk_arc_pair,
+                         two_holes_on_two_components)
 
 
 def square_graph():
@@ -251,15 +252,14 @@ def fresh_condition_A():
 
 
 def test_condition_A_budget_hit_is_undecided(monkeypatch, fresh_condition_A):
-    def out_of_budget(g, cap=4000):
-        raise errors.BudgetExceeded("core class enumeration budget hit")
-    monkeypatch.setattr(DF, "check_condition_A_everywhere", out_of_budget)
-    rep = R.explore_reductions(square_graph())
+    # every surgery site of this graph has its dots on two graph components
+    # around two holes, where condition (A) is undecided
+    rep = R.explore_reductions(two_holes_on_two_components())
     assert rep.condition_A_undecided and not rep.condition_A_ok
     assert rep.terminals == {D.canonical_form(D.empty_graph())}
     R._condition_A.cache_clear()
-    monkeypatch.setattr(DF, "check_condition_A_everywhere", lambda g, cap=4000: False)
-    rep = R.explore_reductions(square_graph())
+    monkeypatch.setattr(DF, "check_condition_A_everywhere", lambda g: False)
+    rep = R.explore_reductions(two_holes_on_two_components())
     assert not rep.condition_A_undecided and not rep.condition_A_ok
 
 
@@ -295,13 +295,11 @@ def test_condition_A_verdict_belongs_to_the_graph_not_its_form():
 
 def reference_condition_A(g):
     """Condition (A) at every surgery site by the former check, which
-    enumerates the core classes wherever the middle region has holes; None
-    when it runs out of budget."""
-    try:
-        return all(reference_check_condition_A(g, *m.site)
-                   for m in DF.enumerate_moves(g, allowed={"IV"}))
-    except errors.BudgetExceeded:
-        return None
+    searches for the core classes wherever the middle region has holes:
+    False when some site fails, else None when some site is undecided."""
+    verdicts = [reference_check_condition_A(g, *m.site)
+                for m in DF.enumerate_moves(g, allowed={"IV"})]
+    return False if False in verdicts else None not in verdicts or None
 
 
 def reference_explore(g, budget=2000, check_A=True, states=None):
