@@ -129,6 +129,8 @@ def _dispatch(args) -> int:
             print(f"terminals: {len(rep.terminals)}")
             held = "undecided" if rep.condition_A_undecided else rep.condition_A_ok
             print(f"condition (A) throughout: {held}")
+            if not rep.terminals:
+                print("no terminal found: every visited state had a usable move")
             for form in sorted(rep.terminals):
                 digest = hashlib.sha256(form.encode()).hexdigest()[:16]
                 print(f"  {digest}")

@@ -908,15 +908,16 @@ def _needs_core_classes(an: GraphAnalysis, p1: Pt, p2: Pt) -> bool:
 def sharing_key(g: DottedGraph, p1: Pt, p2: Pt):
     """The key under which the surgeries at one state share their result's
     canonical form, and condition (A) its verdict: the unordered pair of
-    the two arcs' keys when their middle region has no hole, and around
-    holes the working site (a1.key, q1, a2.key, q2) of ``_working_pair``,
-    the original arcs with the slid dots' positions, in site order.  Only
-    a key around holes sets up the working grid.
+    the two arcs' keys where the plane map fixes the result, that is when
+    their middle region has no hole or the two dots lie on different graph
+    components, and otherwise the working site (a1.key, q1, a2.key, q2) of
+    ``_working_pair``, the original arcs with the slid dots' positions, in
+    site order.  Only a working site sets up the working grid.
 
-    It is sound.  A hole-free middle region is a disk, where all cores
-    between the two arcs are isotopic, and ``_cut_and_join`` puts a new dot
-    on every arc the band creates, so which dots of the arcs carry the band
-    cannot change the form.  Around holes, each core, its cut and the band
+    It is sound.  Where the plane map fixes the result, ``surgery_form``
+    reads it off a1, a2 and their middle region alone; there condition (A)
+    holds in a disk or an annulus and is undecided around two or more
+    holes, whichever the dots.  Elsewhere each core, its cut and the band
     are functions of the geometry, q1 and q2 alone.  Sites with one working
     site differ only in which old dots of a1 and a2 survive, and every
     piece of a1 and a2 ends on an arc the band creates, which
@@ -924,9 +925,84 @@ def sharing_key(g: DottedGraph, p1: Pt, p2: Pt):
     them."""
     an = analyze(g)
     a1, a2, F = surgery_site(an, p1, p2)
-    if not an.geometry.holes[F]:
+    geo = an.geometry
+    if not geo.holes[F] or geo.component[a1.curve] != geo.component[a2.curve]:
         return frozenset((a1.key, a2.key))
     return _working_pair(g, p1, p2).key
+
+
+def surgery_form(g: DottedGraph, p1: Pt, p2: Pt) -> str | None:
+    """The canonical form of the surgery's result, read off g's labeled
+    plane map, or None where only the routed core fixes it: around holes,
+    with both dots on one graph component, which holes fall on each side
+    of the band depends on the core (condition (A)).
+
+    Everywhere else the band's route does not matter.  With a1 cut at p1
+    and a2 at p2, the new arcs are a1[start..p1] + band + a2[p2..end] and
+    a2[start..p2] + band + a1[p1..end], closed up alike where a1 = a2 or
+    an arc is closed, and each carries a dot, as ``_cut_and_join`` puts one
+    on it.  The faces across a1 and across a2 merge through the band.  A
+    middle region F without holes is a disk, and the band splits it in two:
+    the side along F's boundary from p1 to p2 and the side from p2 to p1.
+    With the dots on two graph components, the band joins two boundary
+    cycles of F, and F stays one face.  No label changes."""
+    an = analyze(g)
+    a1, a2, F = surgery_site(an, p1, p2)
+    geo = an.geometry
+    split = geo.component[a1.curve] == geo.component[a2.curve]
+    if split and geo.holes[F]:
+        return None
+    labels = [f.omega for f in an.arr.faces]
+    on_left = an.left_face[a1.key] == F         # and so on the left of a2
+    across = an.right_face if on_left else an.left_face
+    G = across[a1.key]
+    F2 = len(labels)                # a new face: the side from p1 to p2 of a split
+    labels.append(labels[F])
+
+    def arc(i: int, start, end, closed=False, f=F):
+        """A new dotted arc from ``start``'s start to ``end``'s end, with
+        the face f on F's side and G on the other.  Its path keeps only its
+        end pieces, which fix all the form reads of it: its ends and their
+        directions."""
+        path = start.path if closed else (start.path[0], start.path[1], end.path[-2], end.path[-1])
+        return (DG.Arc(-1 - i, path, closed, (p1,)), *((f, G) if on_left else (G, f)))
+
+    drop = {a1.key, a2.key}
+    if a1.key == a2.key:            # the piece between the dots closes up alone
+        new = [arc(0, a1, a1, a1.closed), arc(1, a1, a1, True, F2)]
+    elif a1.closed or a2.closed:    # two components: the closed arc joins the other
+        a = a1 if a2.closed else a2
+        new = [arc(0, a, a, a.closed)]
+    else:
+        # walking F's boundary with F on the left runs forward along a1 when
+        # F is on its left, so then a2[start..p2] + band + a1[p1..end]
+        # bounds the side from p1 to p2, and else a1[start..p1] + band + a2[p2..end]
+        f1 = F2 if split else F
+        new = [arc(0, a1, a2, f=F if on_left else f1), arc(1, a2, a1, f=f1 if on_left else F)]
+        if split:
+            walk = _face_walk(an, a1.key, F)
+            for k in walk[1:walk.index(a2.key)]:
+                drop.add(k)
+                lf, rf = an.left_face[k], an.right_face[k]
+                new.append((an.arcs_by_key[k], F2 if lf == F else lf, F2 if rf == F else rf))
+    return DG._edited_form(an, drop, new, [(G, across[a2.key])], labels)
+
+
+def _face_walk(an: GraphAnalysis, k: tuple, F: int) -> list:
+    """The keys of the arcs along the boundary cycle of face F through the
+    arc k, in order from k, walking with F on the left: at each crossing
+    the walk turns left."""
+    walk = [k]
+    while True:
+        a = an.arcs_by_key[k]
+        if an.left_face[k] == F:
+            c, h = a.end, a.end_dir
+        else:
+            c, h = a.start, (-a.start_dir[0], -a.start_dir[1])
+        k = an.arms[(c, _rot_left(h))][0]
+        if k == walk[0]:
+            return walk
+        walk.append(k)
 
 
 def _cores_agree(w: _Pair) -> bool | None:

@@ -649,25 +649,81 @@ def canonical_form(g: DottedGraph) -> str:
                        [f.omega for f in an.arr.faces], an.arr.unbounded_face)
 
 
-def form_without_circle(g: DottedGraph, cert: ComponentCert) -> str:
-    """``canonical_form`` of g with the circle of ``cert`` deleted, read
-    off g's own analysis; the circle must cross nothing, so that it is one
-    closed arc.  Deleting it merges its inner side face into its outer one
-    and drops every label of its disk by its orientation, as deformation II
-    states; no other arc, face or crossing changes.  Unlike the graph the
-    deletion builds, this needs no validation, geometry or analysis."""
+def form_after_deletion(g: DottedGraph, cert: ComponentCert) -> str:
+    """``canonical_form`` of g with the circle or loop of ``cert`` deleted
+    (deformation II or III), read off g's own analysis.  The deletion
+    merges the two side faces of each of the component's arcs and drops
+    every label of its disk by its orientation.  Every other strand through
+    a crossing the component leaves fuses its two arcs there, into a closed
+    arc when no crossing is left on it; at a loop's apex the two tail arcs
+    fuse, and the fused arc is dotted when the loop was, as ``apply_III``
+    dots the apex.  No other arc, face or crossing changes.  Unlike the
+    graph the deletion builds, this needs no validation, geometry or
+    analysis."""
     an = analyze(g)
-    k = cert.arcs[0]
-    if not an.arcs_by_key[k].closed:
-        raise ValueError("form_without_circle needs a circle that crosses nothing")
-    lf, rf = an.left_face[k], an.right_face[k]
-    inner, outer = (lf, rf) if lf in cert.disk_faces else (rf, lf)
-    left = {key: outer if f == inner else f for key, f in an.left_face.items()}
-    right = {key: outer if f == inner else f for key, f in an.right_face.items()}
+    gone = [an.arcs_by_key[k] for k in cert.arcs]
+    drop = set(cert.arcs)
+    # each kept arc that runs into a crossing the component leaves -> the
+    # kept arc that runs on from there
+    nxt = {}
+    apex_in = None
+    for c in {p for a in gone if not a.closed for p in (a.start, a.end)}:
+        run = {role: k for k, role in (an.arms[(c, d)] for d in CCW_DIRS) if k not in drop}
+        nxt[run["in"]] = run["out"]
+        if c == cert.apex and any(a.dots for a in gone):
+            apex_in = run["in"]
+    # the fused arcs: chains from the arcs that nothing runs into, then cycles
+    new = []
+    runs_on = set(nxt.values())
+    for head in [k for k in nxt if k not in runs_on] + list(nxt):
+        if head in drop:
+            continue
+        chain, k = [], head
+        while k is not None and k not in drop:
+            drop.add(k)
+            chain.append(an.arcs_by_key[k])
+            k = nxt.get(k)
+        dots = tuple(d for a in chain for d in a.dots)
+        if any(a.key == apex_in for a in chain):
+            dots += (cert.apex,)
+        path = chain[0].path + tuple(p for a in chain[1:] for p in a.path[1:])
+        first = chain[0].key
+        new.append((Arc(-1 - len(new), path, k is not None, dots),
+                    an.left_face[first], an.right_face[first]))
     labels = [f.omega - cert.orientation if f.index in cert.disk_faces else f.omega
               for f in an.arr.faces]
-    return _plane_form([a for a in an.arcs if a.key != k], left, right, labels,
-                       an.arr.unbounded_face)
+    merge = [(an.left_face[a.key], an.right_face[a.key]) for a in gone]
+    return _edited_form(an, drop, new, merge, labels)
+
+
+def _edited_form(an: GraphAnalysis, drop: set, new: list, merge: list, labels: list) -> str:
+    """The ``canonical_form`` code of an edit of the labeled plane map of
+    ``an``: the arcs keyed in ``drop`` go, each ``(arc, left face, right
+    face)`` of ``new`` comes, the two faces of each pair in ``merge``
+    become one, and ``labels`` gives each face's label by index.  A merged
+    face keeps the unbounded face's index when it is that face."""
+    root = an.arr.unbounded_face
+    ren: dict[int, int] = {}
+
+    def find(f: int) -> int:
+        while f in ren:
+            f = ren[f]
+        return f
+
+    for f, h in merge:
+        f, h = find(f), find(h)
+        if f == root:
+            f, h = h, f
+        if f != h:
+            ren[f] = h
+    ren = {f: find(f) for f in ren}
+    left = {k: ren.get(f, f) for k, f in an.left_face.items()}
+    right = {k: ren.get(f, f) for k, f in an.right_face.items()}
+    arcs = [a for a in an.arcs if a.key not in drop]
+    for a, lf, rf in new:
+        arcs.append(a)
+        left[a.key], right[a.key] = ren.get(lf, lf), ren.get(rf, rf)
+    return _plane_form(arcs, left, right, labels, root)
 
 
 def _plane_form(arcs: list[Arc], left_face: dict, right_face: dict, labels, root: int) -> str:

@@ -87,9 +87,10 @@ class CreatesLoop(LatPolyError):
 # reducer / planner ------------------------------------------------------
 
 class BudgetExceeded(LatPolyError):
-    """A reduction or an exploration exceeded its step budget
-    (``good_reduce``, ``reduce_all_dotted``, ``explore_reductions``);
-    signals a bug or a pathology."""
+    """A reduction or an exploration exceeded its budget (``good_reduce``
+    and ``reduce_all_dotted`` count steps, ``explore_reductions`` visited
+    states); signals a bug or a pathology.  The message names the budget,
+    its limit and how far the run got."""
 
 
 class StuckReduction(LatPolyError):

@@ -82,7 +82,8 @@ def good_reduce(g: DottedGraph) -> ReductionTrace:
         if group is None:
             break
         if len(steps) + len(group) > budget:
-            raise errors.BudgetExceeded("good reduction exceeded its budget")
+            raise errors.BudgetExceeded(f"good reduction exceeded its step budget: limit "
+                                        f"{budget}, {len(steps)} steps taken")
         steps.extend(group)
         current = group[-1].after
     return ReductionTrace(g, tuple(steps))
@@ -123,7 +124,8 @@ def reduce_all_dotted(g: DottedGraph) -> ReductionTrace:
     current = g
     while not current.is_empty():
         if len(steps) > budget:
-            raise errors.BudgetExceeded("all-dotted reduction exceeded its budget")
+            raise errors.BudgetExceeded(f"all-dotted reduction exceeded its step budget: "
+                                        f"limit {budget}, {len(steps)} steps taken")
         group = _all_dotted_group(current)
         steps.extend(group)
         current = group[-1].after
@@ -201,11 +203,15 @@ def _first_dot(an, cert):
 
 @dataclass
 class ExplorationReport:
-    """``condition_A_ok`` is True only when condition (A) was shown at every
-    visited state; ``condition_A_undecided`` marks a run where a check was
-    undecided instead (some site's core classes were not all built, or its
-    dots lie on two graph components around two or more holes), which also
-    leaves ``condition_A_ok`` False."""
+    """What ``explore_reductions`` found: the canonical forms of the
+    states without a usable move (``terminals``, empty when every visited
+    state had one), the number of states visited, one per form reached,
+    and the surgeries skipped as excluded.  ``condition_A_ok`` is True only
+    when condition (A) was shown at every visited state;
+    ``condition_A_undecided`` marks a run where a check was undecided
+    instead (some site's core classes were not all built, or its dots lie
+    on two graph components around two or more holes), which also leaves
+    ``condition_A_ok`` False."""
     terminals: set[str] = field(default_factory=set)
     condition_A_ok: bool = True
     condition_A_undecided: bool = False
@@ -231,22 +237,26 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
     hypothesis; reports the distinct terminal forms.  The frontier is a
     stack, and ``visited`` counts the states popped in that order.
 
-    A successor whose form is already seen is dropped, so three kinds are
-    not built at all: a merge (I), whose successor has the current graph's
-    own form, since the form collapses dot counts to flags; the deletion
-    (II) of a circle that crosses nothing, when ``form_without_circle``
-    finds its form seen; and every surgery (IV) after the first with one
-    ``deform.sharing_key``, whose form is already in ``seen`` (that
-    function's docstring says why)."""
+    A successor is built only when its canonical form is new, and the form
+    is read off the current graph's plane map before any build wherever
+    the map fixes it.  A merge (I) keeps the current graph's own form,
+    since the form collapses dot counts to flags, so it is never built.
+    A deletion (II or III) gets its form from
+    ``dotgraph.form_after_deletion``.  A surgery (IV) is met once per
+    ``deform.sharing_key``, and ``deform.surgery_form`` reads its form off
+    unless its middle region has holes and both dots lie on one graph
+    component; only such a surgery is built to learn its form."""
     report = ExplorationReport()
     start = DG.normalized(g)
     seen = {canonical_form(start)}
     frontier = [start]
     while frontier:
         cur = frontier.pop()
+        if report.visited == budget:
+            raise errors.BudgetExceeded(
+                f"reduction exploration exceeded its state budget: limit {budget}, "
+                f"{report.visited} states visited, {len(seen)} forms seen")
         report.visited += 1
-        if report.visited > budget:
-            raise errors.BudgetExceeded("reduction exploration budget hit")
         if check_A and report.condition_A_ok:
             ok = _condition_A(cur)
             if not ok:
@@ -262,21 +272,27 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
         if not usable:
             report.terminals.add(canonical_form(cur))
             continue
-        built = set()           # the sharing keys of the surgeries built
+        met = set()             # the sharing keys of the surgeries met
         for m in usable:
-            if m.kind == "I" or (m.kind == "II" and len(m.site.arcs) == 1 and
-                                 DG.form_without_circle(cur, m.site) in seen):
+            if m.kind == "I":
                 continue
             if m.kind == "IV":
                 key = DF.sharing_key(cur, *m.site)
-                if key in built:
+                if key in met:
                     continue
-                built.add(key)
-            d = DF.apply_move(cur, m)
-            f = canonical_form(d.after)
-            if f not in seen:
-                seen.add(f)
-                frontier.append(d.after)
+                met.add(key)
+                f = DF.surgery_form(cur, *m.site)
+            else:
+                f = DG.form_after_deletion(cur, m.site)
+            if f in seen:
+                continue
+            after = DF.apply_move(cur, m).after
+            if f is None:               # only the built graph tells its form
+                f = canonical_form(after)
+                if f in seen:
+                    continue
+            seen.add(f)
+            frontier.append(after)
     return report
 
 

@@ -1,11 +1,11 @@
 """The plane-map canonical form against the colour-refinement form it
 replaced: both must split graphs into the same classes.  And the form that
-``form_without_circle`` derives for a circle deletion against the form of
-the graph the deletion builds."""
+``form_after_deletion`` reads off for a circle or loop deletion against the
+form of the graph the deletion builds."""
 import random
 import time
+from unittest import mock
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latpoly import deform as DF, dotgraph as D, errors, geometry as G, oracle as O, reduce as R
@@ -203,20 +203,25 @@ def graphs_with_circles(draw):
     return D.DottedGraph.build(curves, dots)
 
 
+EIGHT = [(4, 4), (10, 4), (10, 10), (7, 10), (7, 2), (4, 2)]     # two loops, apex (7, 4)
+
+
 @settings(max_examples=150, deadline=None)
 @given(graphs_with_circles())
 @example(D.DottedGraph.build([_square(0, 0, 4, True)], [(0, 0)]))
 @example(D.DottedGraph.build([_square(0, 0, 12, True), _square(3, 3, 6, False),
                               _square(5, 5, 2, True)], [(0, 0), (3, 3)]))
-def test_form_without_circle_is_the_form_after_the_deletion(g):
+@example(D.DottedGraph.build([_square(0, 0, 16, True), EIGHT], [(0, 0), (10, 6)]))
+@example(D.DottedGraph.build([EIGHT, [(8, 0), (9, 0), (9, 12), (8, 12)]], [(10, 6), (8, 1)]))
+def test_deletion_form_is_the_form_after_the_deletion(g):
+    # every circle and every loop, whether or not its disk carries its sign
     an = D.analyze(g)
     for c in an.circles:
         dots = set(g.dots).difference(*(an.arcs_by_key[k].dots for k in c.arcs))
         rest = D.DottedGraph.build([cv for i, cv in enumerate(g.curves) if i != c.curve], dots)
         if DF.component_sign_ok(an, c):
             assert DF.apply_II(g, c) == rest
-        if len(c.arcs) == 1:
-            assert D.form_without_circle(g, c) == D.canonical_form(rest)
-        else:
-            with pytest.raises(ValueError):
-                D.form_without_circle(g, c)
+        assert D.form_after_deletion(g, c) == D.canonical_form(rest)
+    with mock.patch.object(DF, "component_sign_ok", lambda an, cert: True):
+        for c in an.loops:
+            assert D.form_after_deletion(g, c) == D.canonical_form(DF.apply_III(g, c))

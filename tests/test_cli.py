@@ -10,6 +10,7 @@ from latpoly import (cli, errors, formats as F, geometry as G, deform as DF,
                      dotgraph as D, plan as PL, reduce as R)
 from latpoly.render import render_svg
 from test_deform import two_holes_on_two_components
+from test_reduce import polytope_draw
 
 
 def write_square(tmp_path):
@@ -79,6 +80,17 @@ def test_confluence_budget_hit_prints_undecided(tmp_path, capsys, request):
     assert cli.main(["reduce", str(path), "--confluence"]) == 0
     out = capsys.readouterr().out
     assert "terminals: 1\ncondition (A) throughout: undecided\n" in out
+
+
+def test_confluence_without_a_terminal_says_so(tmp_path, capsys):
+    # n = 9 draw 1: every state the explorer visits has a usable move, so it
+    # reports no terminal form; that is a property violation (exit 3)
+    path = tmp_path / "draw.json"
+    path.write_text(F.dumps(F.graph_to_obj(polytope_draw(9, 1))))
+    assert cli.main(["reduce", str(path), "--confluence"]) == 3
+    assert capsys.readouterr().out == (
+        "terminals: 0\ncondition (A) throughout: True\n"
+        "no terminal found: every visited state had a usable move\n")
 
 
 @pytest.mark.parametrize("module, name, verb, error", [

@@ -1219,7 +1219,9 @@ def reference_site_record(g, move):
     if holes:
         w = DF._working_pair(g, *move.site)
         grid_holes = reference_hole_samples(w.geo, w.Fs)
-    key = reference_disk_arc_pair(g, move) or DF._working_pair(g, *move.site).key
+    key = frozenset((a1.key, a2.key))
+    if holes and reference_dots_share_component(an.geometry, *move.site):
+        key = DF._working_pair(g, *move.site).key
     return (a1.key, a2.key, F, holes, grid_holes, key,
             reference_core_search_site(g, *move.site) is not None)
 
@@ -1308,6 +1310,41 @@ def test_sites_with_one_working_site_key_agree(g):
     # the rule behind one surgery and one condition (A) verdict per working
     # site: the slid dots' positions and the arcs fix the result's form
     assert_working_sites_agree(g)
+
+
+# ------------------------------------------------------- read-off forms --
+
+def assert_read_off_forms(g):
+    """At every deletion of g, and at every surgery whose result the plane
+    map fixes, the canonical form read off g is the form of the graph the
+    move builds.  A surgery's form is left to the build exactly where its
+    middle region has holes and both dots lie on one graph component.
+    Returns the number of moves read off, by kind."""
+    an = D.analyze(g)
+    read = dict.fromkeys(("II", "III", "IV"), 0)
+    for m in DF.enumerate_moves(g):
+        if m.kind == "I":
+            continue
+        if m.kind == "IV":
+            form = DF.surgery_form(g, *m.site)
+            a1, a2 = (reference_arc_of_dot(an, p) for p in m.site)
+            holed = reference_hole_samples(an.geometry, reference_middle_region(an, a1, a2))
+            one_component = reference_dots_share_component(an.geometry, *m.site)
+            assert (form is None) == bool(holed and one_component)
+            if form is None:
+                continue
+        else:
+            form = D.form_after_deletion(g, m.site)
+        assert form == D.canonical_form(DF.apply_move(g, m).after), m
+        read[m.kind] += 1
+    return read
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 2**32).map(lambda seed: walked_graph(random.Random(seed))),
+                 holed_graphs()))
+def test_read_off_forms_are_the_forms_of_the_built_graphs(g):
+    assert_read_off_forms(g)
 
 
 # ----------------------------------------------------------- properties --

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latpoly import errors, geometry as G, dotgraph as D, deform as DF, oracle as O, reduce as R
-from test_deform import (assert_sites_match_reference, assert_working_sites_agree,
-                         reference_check_condition_A, reference_disk_arc_pair,
-                         two_holes_on_two_components)
+from test_deform import (assert_read_off_forms, assert_sites_match_reference,
+                         assert_working_sites_agree, reference_check_condition_A,
+                         reference_disk_arc_pair, two_holes_on_two_components)
 
 
 def square_graph():
@@ -263,6 +263,28 @@ def test_condition_A_budget_hit_is_undecided(monkeypatch, fresh_condition_A):
     assert not rep.condition_A_undecided and not rep.condition_A_ok
 
 
+def test_exploration_budget_names_its_limit_and_progress():
+    with pytest.raises(errors.BudgetExceeded,
+                       match=r"^reduction exploration exceeded its state budget: limit 1, "
+                             r"1 states visited, 2 forms seen$"):
+        R.explore_reductions(circle_graph(1), budget=1, check_A=False)
+
+
+def test_step_budgets_name_their_limit_and_progress(monkeypatch):
+    # the square reduces by I II, so a good reduction of 1 step stops after
+    # I; two nested circles take two all-dotted steps, so an all-dotted
+    # budget of 4 * -4 + 16 = 0 steps stops after the first
+    monkeypatch.setattr(R, "step_budget", lambda g: 1)
+    with pytest.raises(errors.BudgetExceeded,
+                       match=r"^good reduction exceeded its step budget: limit 1, 1 steps taken$"):
+        R.good_reduce(square_graph())
+    monkeypatch.setattr(R, "step_budget", lambda g: -4)
+    with pytest.raises(errors.BudgetExceeded,
+                       match=r"^all-dotted reduction exceeded its step budget: limit 0, "
+                             r"1 steps taken$"):
+        R.reduce_all_dotted(nested((True, True)))
+
+
 def test_condition_A_cache_stays_bounded(fresh_condition_A):
     assert R._condition_A.cache_info().maxsize == D.FORM_CACHE_SIZE
     R.explore_reductions(square_graph())
@@ -431,6 +453,33 @@ def random_polytope(rng, n):
     ys1 = ys[:]
     rng.shuffle(ys1)
     return G.validate_polytope(list(zip(xs, ys)), list(zip(xs, ys1)))
+
+
+def polytope_draw(n, k):
+    """The associated graph of draw k (from 0) of the seeded n-point
+    polytopes, ``random_polytope(Random(1000 + n), n)`` drawn k + 1 times."""
+    rng = random.Random(1000 + n)
+    for _ in range(k + 1):
+        p = random_polytope(rng, n)
+    return D.associate(p)
+
+
+# the draws on which the explorer reports no terminal at all, with
+# condition (A) at every state it visits
+NO_TERMINAL_DRAWS = [(9, 1), (9, 7), (9, 11), (10, 9)]
+
+
+@pytest.mark.parametrize("g", [O.random_dotted_graph(random.Random(f"confluence/{i}"))
+                               for i in (51, 16, 35, 7, 47, 48)] +
+                         [polytope_draw(n, k) for n, k in NO_TERMINAL_DRAWS],
+                         ids=[f"confluence-{i}" for i in (51, 16, 35, 7, 47, 48)] +
+                         [f"n{n}-draw{k}" for n, k in NO_TERMINAL_DRAWS])
+def test_read_off_forms_on_explored_states(g):
+    # at every state the exploration visits, building every successor
+    states = []
+    reference_explore(g, check_A=False, states=states)
+    read = [assert_read_off_forms(s) for s in states]
+    assert sum(sum(r.values()) for r in read) > 0
 
 
 @pytest.mark.parametrize("n", range(6, 12))
