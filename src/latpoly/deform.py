@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import errors
 from .arrangement import Pt, winding_2x
 from . import dotgraph as DG
-from .dotgraph import DottedGraph, ComponentCert, GraphAnalysis, analyze, canonical_form
+from .dotgraph import DottedGraph, ComponentCert, GraphAnalysis, analyze
 
 SCALE = 16
 
@@ -225,9 +225,9 @@ class _Grid:
 @lru_cache(maxsize=1)
 def _working_grid(g: DottedGraph) -> _Grid:
     """The working grid of g, kept for the last graph worked on: the
-    explorer checks condition (A) at a state and then builds its surgeries
-    before it moves to the next state, so the reuse of a grid falls within
-    one state's work, and a second grid would only be held in memory."""
+    explorer keys a state's surgeries and builds them before it moves to
+    the next state, so the reuse of a grid falls within one state's work,
+    and a second grid would only be held in memory."""
     return _Grid(g)
 
 
@@ -291,9 +291,10 @@ def _normal_into(an, arc, d: Pt, F) -> Pt:
 def _slide_pair(grid: _Grid, p1: Pt, p2: Pt, hug_crossing) -> _Pair:
     """Slide both surgery dots to canonical arc positions.  Unless the dots
     hug a crossing, the second dot lands beside a different quarter-cell of
-    the middle region than the first, so that band routes around it stay
-    enumerable.  The first dot has left its old place when the second
-    slides, so the second may take it."""
+    the middle region than the first where it can.  No routing needs that
+    rule; it fixes where the canonical core starts and ends, and so the
+    coordinates of every surgery's result.  The first dot has left its old
+    place when the second slides, so the second may take it."""
     geo, dots = grid.geo, grid.gs.dots
     q1, q2 = grid.up(p1), grid.up(p2)
     near = None if hug_crossing is None else grid.up(hug_crossing)
@@ -554,162 +555,6 @@ def _route_through_quarters(arr, nodes, q1, n1, q2, n2) -> tuple[Pt, ...]:
     return out
 
 
-# core classes: a core is built around each set of holes ---------------------
-
-_STEPS = ((2, 0), (0, 2), (-2, 0), (0, -2))
-
-
-def _enumerate_core_classes(w: _Pair, base, holes):
-    """One core per class of routes between the two dots, keyed by its
-    winding signature around the middle region's holes: the windings of
-    the route followed by ``base``, the canonical core, backwards.  The
-    canonical core keeps the zero signature.  For a site whose two dots
-    lie on one graph component; a class that no route was built for is
-    missing from the result.
-
-    Both dots then lie on one boundary component K of the middle region,
-    so a simple route from q1 to q2, closed up along K, is a Jordan curve,
-    and its class is fixed by the set of holes it encloses (the planar
-    fact behind the classification of arcs on surfaces; Epstein, *Curves
-    on 2-manifolds and isotopies*, 1966): k holes give 2^k classes.
-
-    Each class is built.  Routes run on the region's quarter cells, as
-    points of a lattice (``_quarter_points``).  A walk from the first
-    dot's quarter cell that keeps K on one hand (``_hug``) reaches the
-    second dot's along one side of K.  For a set S of holes, slits join
-    that side of K to each hole of S in turn (``_slit``), and the walk
-    keeps K, the slits and the holes of S on its hand: closed up along
-    that side of K, it encloses exactly S.  Where a slit leaves a lane one
-    quarter cell wide, the walk runs in and back out, and the loop it so
-    closes, which encloses no hole, is cut out (``_erase_loops``).  The
-    walks on K's two sides close up differently when K is a hole, so both
-    sides are walked, until 2^k signatures are found."""
-    geo, arr, comp = w.geo, w.geo.arr, w.geo.component
-    P = _quarter_points(geo.face_cells[w.Fs])
-    start = _lattice(_quarter_beside(arr, w.q1, w.n1))
-    goal = _lattice(_quarter_beside(arr, w.q2, w.n2))
-    into_K = (-2 * w.n1[0], -2 * w.n1[1])
-    # each hole's slit ends at the corner in the middle of its sample's
-    # cell's top side, under the hole's top segment; K, when a hole, has none
-    K = comp[_curve_of_point(geo, w.q1)]
-    ends = []
-    for x2, y2 in holes:
-        c, r = arr.cell_of_2x((x2, y2))
-        top = ((x2 - 1) // 2, (y2 + 1) // 2)        # a point of the top segment
-        ends.append(None if comp[_curve_of_point(geo, top)] == K else (4 * c + 1, 4 * r + 3))
-    found = {tuple(0 for _ in holes): base}
-    for hand in ((_rot_right, _rot_left), (_rot_left, _rot_right)):
-        # the slits start at the corners where the walk along K touches it
-        rim = _hug(P, (), start, goal, into_K, *hand)
-        sources = []
-        for a, b in zip(rim, rim[1:]):
-            for v in sorted(set(_diagonals(a)) & set(_diagonals(b))):
-                if v not in sources and not all(p in P for p in _diagonals(v)):
-                    sources.append(v)
-        for mask in range(2 ** len(holes)):
-            if len(found) == 2 ** len(holes):
-                return found
-            cut, corners = set(), list(sources)
-            for i, end in enumerate(ends):
-                if mask >> i & 1 and end is not None:
-                    slit = _slit(P, corners, end)
-                    if slit is None:
-                        break
-                    cut.update(((u[0] + v[0]) // 2, (u[1] + v[1]) // 2)
-                               for u, v in zip(slit, slit[1:]))
-                    corners += slit
-            else:
-                walk = _erase_loops(_hug(P, cut, start, goal, into_K, *hand))
-                core = _route_through_quarters(arr, [_node(p) for p in walk],
-                                               w.q1, w.n1, w.q2, w.n2)
-                loop = DG.curve_segments(core + tuple(reversed(base))[1:-1])
-                found.setdefault(tuple(winding_2x(h, loop) for h in holes), core)
-    return found
-
-
-def _quarter_points(cells) -> set[Pt]:
-    """The quarter cells of the given arrangement cells as lattice points:
-    quarter (c, r, qx, qy) is the point (4c + 2qx, 4r + 2qy), so the
-    lattice's steps between quarter cells are 2 long, and the points with
-    odd coordinates are the corners where four quarter cells meet."""
-    return {(4 * c + i, 4 * r + j) for c, r in cells for i in (0, 2) for j in (0, 2)}
-
-
-def _lattice(node) -> Pt:
-    return (4 * node[0] + 2 * node[2], 4 * node[1] + 2 * node[3])
-
-
-def _node(p: Pt):
-    return (p[0] // 4, p[1] // 4, p[0] // 2 % 2, p[1] // 2 % 2)
-
-
-def _diagonals(p: Pt):
-    """The four lattice points diagonal to p: a quarter point's corners, or
-    the quarter points that meet at a corner."""
-    return ((p[0] - 1, p[1] - 1), (p[0] + 1, p[1] - 1), (p[0] - 1, p[1] + 1), (p[0] + 1, p[1] + 1))
-
-
-def _hug(P, cut, start, goal, into_wall, toward, away) -> list[Pt]:
-    """The walk on the lattice points P from start to goal that keeps a
-    wall on one hand: ``toward`` turns a heading to that hand and ``away``
-    to the other, and the step ``into_wall`` leads from start into the
-    wall.  Walls are the points off P and the steps across ``cut``, a set
-    of step midpoints.  At each point the walk turns toward its hand if
-    it can, else goes straight on, else turns away, else goes back."""
-    d = away(into_wall)
-    walk = [start]
-    for _ in range(4 * len(P)):
-        p = walk[-1]
-        if p == goal:
-            return walk
-        for d in (toward(d), d, away(d), (-d[0], -d[1])):
-            q = (p[0] + d[0], p[1] + d[1])
-            if q in P and (p[0] + d[0] // 2, p[1] + d[1] // 2) not in cut:
-                break
-        walk.append(q)
-    raise errors.RoutingFailure("the walk along the region's boundary missed the second dot")
-
-
-def _slit(P, sources, end: Pt):
-    """The corners of a shortest slit from one of the corners ``sources``
-    to the corner ``end``, or None when there is no source, as when both
-    dots are beside one quarter cell.  Its inner corners touch no wall:
-    their four quarter points lie in P."""
-    prev = dict.fromkeys(sources)
-    dq = deque(sources)
-    while dq:
-        v = dq.popleft()
-        if v == end:
-            slit = [v]
-            while prev[slit[-1]] is not None:
-                slit.append(prev[slit[-1]])
-            return slit
-        if prev[v] is None or all(p in P for p in _diagonals(v)):
-            for d in _STEPS:
-                u = (v[0] + d[0], v[1] + d[1])
-                if u not in prev:
-                    prev[u] = v
-                    dq.append(u)
-    return None
-
-
-def _erase_loops(walk: list[Pt]) -> list[Pt]:
-    """The walk with each closed stretch cut out, in walking order: where
-    it comes back to a point, what it walked since that point's first
-    visit is dropped."""
-    out: list[Pt] = []
-    at: dict[Pt, int] = {}
-    for p in walk:
-        if p in at:
-            for q in out[at[p] + 1:]:
-                del at[q]
-            del out[at[p] + 1:]
-        else:
-            at[p] = len(out)
-            out.append(p)
-    return out
-
-
 # ------------------------------------------------------------- epsilon ---
 
 def slide_dot(g: DottedGraph, dot: Pt, target: Pt) -> DottedGraph:
@@ -857,135 +702,143 @@ def applicable_star(g: DottedGraph, kind: str, site) -> bool:
 
 def check_condition_A(g: DottedGraph, p1: Pt, p2: Pt) -> bool | None:
     """Whether all cores between the two dots give the same result up to
-    local moves and dot merging (compared by canonical form): False when
-    two built core classes give different forms, which proves it fails,
-    None when it is undecided, and True otherwise.  It is undecided when
-    some class was not built (``_enumerate_core_classes``), or when the
-    dots lie on different graph components around two or more holes,
-    where nothing bounds the number of classes.
+    local moves and dot merging (compared by canonical form): True when the
+    forms of the surgery's splits (``surgery_form``) agree, False when they
+    differ, and None where the dots lie on different graph components
+    around two or more holes, where nothing bounds the number of core
+    classes.
 
-    Two cases hold without building cores.  A middle region without
-    holes is a disk, where all cores are isotopic.  A region with one hole
-    whose two dots lie on different graph components is an annulus with a
-    dot on each boundary: its cores differ only by twists around the hole
-    (Epstein, *Curves on 2-manifolds and isotopies*, 1966), and a full
-    twist is undone by rotating the hole's disk, an isotopy of the plane
-    (Farb & Margalit, *A Primer on Mapping Class Groups*, 2012), so every
-    core gives the same canonical form."""
-    return not _needs_core_classes(analyze(g), p1, p2) or \
-        _cores_agree(_working_pair(g, p1, p2))
+    With both dots on one graph component K, a core closed up along K is a
+    simple loop, and its class is fixed by the boundary cycles of the
+    middle region it encloses (Epstein, *Curves on 2-manifolds and
+    isotopies*, 1966): that is the split its band makes.  A middle region
+    without holes is a disk, with one split.  A region with one hole whose
+    two dots lie on different graph components is an annulus with a dot on
+    each boundary: its cores differ only by twists around the hole
+    (Epstein), and a full twist is undone by rotating the hole's disk, an
+    isotopy of the plane (Farb & Margalit, *A Primer on Mapping Class
+    Groups*, 2012), so the plane map fixes the result.  In both, the one
+    form needs no reading."""
+    an = analyze(g)
+    a1, a2, F = surgery_site(an, p1, p2)
+    geo = an.geometry
+    holes = geo.holes[F]
+    if geo.component[a1.curve] != geo.component[a2.curve]:
+        return len(holes) < 2 or None
+    return not holes or len(set(surgery_form(g, p1, p2))) == 1
 
 
 def check_condition_A_everywhere(g: DottedGraph) -> bool | None:
     """Condition (A) over every dot pair where a surgery applies, checked
-    once per ``sharing_key``: each core gives one canonical form at all the
-    sites of one key (see there), so they share one verdict.  False when
-    some site fails, else None when some site is undecided, else True."""
+    once per unordered arc pair: the verdict reads only the two arcs, their
+    middle region and the plane map, so all the sites of one pair share it.
+    False when some site fails, else None when some site is undecided, else
+    True."""
     an = analyze(g)
-    verdicts = {}               # sharing key -> the verdict of its sites
+    verdicts = {}               # arc pair -> the verdict of its sites
     for move in enumerate_moves(g, allowed=frozenset({"IV"})):
-        if not _needs_core_classes(an, *move.site):
-            continue
-        key = sharing_key(g, *move.site)
+        a1, a2, _ = surgery_site(an, *move.site)
+        key = frozenset((a1.key, a2.key))
         if key not in verdicts:
-            verdicts[key] = _cores_agree(_working_pair(g, *move.site))
+            verdicts[key] = check_condition_A(g, *move.site)
             if verdicts[key] is False:
                 return False
     return None not in verdicts.values() or None
 
 
-def _needs_core_classes(an: GraphAnalysis, p1: Pt, p2: Pt) -> bool:
-    """Whether condition (A) at a surgery site needs its core classes: not
-    in a disk, nor in an annulus with a dot on each boundary
-    (``check_condition_A``)."""
-    a1, a2, F = surgery_site(an, p1, p2)
-    geo = an.geometry
-    holes = geo.holes[F]
-    return len(holes) > 1 or (len(holes) == 1 and
-                              geo.component[a1.curve] == geo.component[a2.curve])
-
-
 def sharing_key(g: DottedGraph, p1: Pt, p2: Pt):
     """The key under which the surgeries at one state share their result's
-    canonical form, and condition (A) its verdict: the unordered pair of
-    the two arcs' keys where the plane map fixes the result, that is when
-    their middle region has no hole or the two dots lie on different graph
-    components, and otherwise the working site (a1.key, q1, a2.key, q2) of
-    ``_working_pair``, the original arcs with the slid dots' positions, in
-    site order.  Only a working site sets up the working grid.
+    canonical form: the unordered pair of the two arcs' keys wherever the
+    forms of the surgery's splits agree (``surgery_form``), and otherwise,
+    where condition (A) fails at the site, the working site (a1.key, q1,
+    a2.key, q2) of ``_working_pair``, the original arcs with the slid dots'
+    positions, in site order.  Only a working site sets up the working
+    grid.
 
-    It is sound.  Where the plane map fixes the result, ``surgery_form``
-    reads it off a1, a2 and their middle region alone; there condition (A)
-    holds in a disk or an annulus and is undecided around two or more
-    holes, whichever the dots.  Elsewhere each core, its cut and the band
-    are functions of the geometry, q1 and q2 alone.  Sites with one working
-    site differ only in which old dots of a1 and a2 survive, and every
-    piece of a1 and a2 ends on an arc the band creates, which
-    ``_cut_and_join`` dots, so each core gives one canonical form at all of
-    them."""
+    It is sound.  Where the splits agree, ``surgery_form`` reads the one
+    form off a1, a2 and their middle region alone.  Elsewhere the canonical
+    core, its cut and the band are functions of the geometry, q1 and q2
+    alone.  Sites with one working site differ only in which old dots of
+    a1 and a2 survive, and every piece of a1 and a2 ends on an arc the band
+    creates, which ``_cut_and_join`` dots, so the surgery gives one
+    canonical form at all of them."""
+    if check_condition_A(g, p1, p2) is False:
+        return _working_pair(g, p1, p2).key
+    a1, a2, _ = surgery_site(analyze(g), p1, p2)
+    return frozenset((a1.key, a2.key))
+
+
+def surgery_form(g: DottedGraph, p1: Pt, p2: Pt) -> tuple[str, ...]:
+    """The canonical forms of the surgery's result, read off g's labeled
+    plane map: one per split of the middle region F, the result along the
+    cores that make that split (``check_condition_A``).
+
+    With a1 cut at p1 and a2 at p2, the new arcs are a1[start..p1] + band +
+    a2[p2..end] and a2[start..p2] + band + a1[p1..end], closed up alike
+    where a1 = a2 or an arc is closed, and each carries a dot, as
+    ``_cut_and_join`` puts one on it.  The faces across a1 and across a2
+    merge through the band.  No label changes.  With the dots on two graph
+    components, the band joins two boundary cycles of F, and F stays one
+    face: there is one split, whatever the band's route.  With both dots on
+    one component K, the band splits F in two, a new face along K from p1
+    to p2 and F along K from p2 to p1, and each other boundary cycle of F,
+    one per graph component, falls on one side.  Those are F's holes, less
+    K if K is one, plus F's outer boundary if K is one (F, a band face,
+    has a nonzero label, so it is bounded): k holes give 2^k splits.
+    Split i moves the j-th cycle, by graph component, to the new face when
+    bit j of i is set.  A disk, without holes, has the one split."""
     an = analyze(g)
     a1, a2, F = surgery_site(an, p1, p2)
     geo = an.geometry
-    if not geo.holes[F] or geo.component[a1.curve] != geo.component[a2.curve]:
-        return frozenset((a1.key, a2.key))
-    return _working_pair(g, p1, p2).key
-
-
-def surgery_form(g: DottedGraph, p1: Pt, p2: Pt) -> str | None:
-    """The canonical form of the surgery's result, read off g's labeled
-    plane map, or None where only the routed core fixes it: around holes,
-    with both dots on one graph component, which holes fall on each side
-    of the band depends on the core (condition (A)).
-
-    Everywhere else the band's route does not matter.  With a1 cut at p1
-    and a2 at p2, the new arcs are a1[start..p1] + band + a2[p2..end] and
-    a2[start..p2] + band + a1[p1..end], closed up alike where a1 = a2 or
-    an arc is closed, and each carries a dot, as ``_cut_and_join`` puts one
-    on it.  The faces across a1 and across a2 merge through the band.  A
-    middle region F without holes is a disk, and the band splits it in two:
-    the side along F's boundary from p1 to p2 and the side from p2 to p1.
-    With the dots on two graph components, the band joins two boundary
-    cycles of F, and F stays one face.  No label changes."""
-    an = analyze(g)
-    a1, a2, F = surgery_site(an, p1, p2)
-    geo = an.geometry
-    split = geo.component[a1.curve] == geo.component[a2.curve]
-    if split and geo.holes[F]:
-        return None
+    K = geo.component[a1.curve]
+    split = geo.component[a2.curve] == K
     labels = [f.omega for f in an.arr.faces]
     on_left = an.left_face[a1.key] == F         # and so on the left of a2
     across = an.right_face if on_left else an.left_face
     G = across[a1.key]
-    F2 = len(labels)                # a new face: the side from p1 to p2 of a split
+    F2 = len(labels)                # the new face of a split
     labels.append(labels[F])
 
-    def arc(i: int, start, end, closed=False, f=F):
-        """A new dotted arc from ``start``'s start to ``end``'s end, with
-        the face f on F's side and G on the other.  Its path keeps only its
-        end pieces, which fix all the form reads of it: its ends and their
-        directions."""
+    def arc(i: int, start, end, closed=False):
+        """A new dotted arc from ``start``'s start to ``end``'s end.  Its
+        path keeps only its end pieces, which fix all the form reads of it:
+        its ends and their directions."""
         path = start.path if closed else (start.path[0], start.path[1], end.path[-2], end.path[-1])
-        return (DG.Arc(-1 - i, path, closed, (p1,)), *((f, G) if on_left else (G, f)))
+        return DG.Arc(-1 - i, path, closed, (p1,))
 
-    drop = {a1.key, a2.key}
+    # the new arcs, each with the side of a split it bounds: 1 the new face, 0 F
     if a1.key == a2.key:            # the piece between the dots closes up alone
-        new = [arc(0, a1, a1, a1.closed), arc(1, a1, a1, True, F2)]
+        new = [(arc(0, a1, a1, a1.closed), 0), (arc(1, a1, a1, True), 1)]
     elif a1.closed or a2.closed:    # two components: the closed arc joins the other
         a = a1 if a2.closed else a2
-        new = [arc(0, a, a, a.closed)]
+        new = [(arc(0, a, a, a.closed), 0)]
     else:
         # walking F's boundary with F on the left runs forward along a1 when
         # F is on its left, so then a2[start..p2] + band + a1[p1..end]
-        # bounds the side from p1 to p2, and else a1[start..p1] + band + a2[p2..end]
-        f1 = F2 if split else F
-        new = [arc(0, a1, a2, f=F if on_left else f1), arc(1, a2, a1, f=f1 if on_left else F)]
-        if split:
+        # bounds the new face, and else a1[start..p1] + band + a2[p2..end]
+        new = [(arc(0, a1, a2), 0 if on_left else 1), (arc(1, a2, a1), 1 if on_left else 0)]
+    side, beside, cycles = {}, [], []
+    if split:
+        if a1.key != a2.key:        # K's arcs along the new face
             walk = _face_walk(an, a1.key, F)
-            for k in walk[1:walk.index(a2.key)]:
-                drop.add(k)
-                lf, rf = an.left_face[k], an.right_face[k]
-                new.append((an.arcs_by_key[k], F2 if lf == F else lf, F2 if rf == F else rf))
-    return DG._edited_form(an, drop, new, [(G, across[a2.key])], labels)
+            side = dict.fromkeys(walk[1:walk.index(a2.key)], 1)
+        beside = [a for a in an.arcs if a.key not in (a1.key, a2.key) and
+                  F in (an.left_face[a.key], an.right_face[a.key])]
+        cycles = sorted({geo.component[a.curve] for a in beside} - {K})
+    faces = (F, F2 if split else F)                 # each side's face
+    forms = []
+    for i in range(2 ** len(cycles)):
+        moved = {c for j, c in enumerate(cycles) if i >> j & 1}
+        drop = {a1.key, a2.key}
+        edit = [(a, *((faces[s], G) if on_left else (G, faces[s]))) for a, s in new]
+        for a in beside:
+            f = faces[side.get(a.key, int(geo.component[a.curve] in moved))]
+            if f != F:
+                drop.add(a.key)
+                lf, rf = an.left_face[a.key], an.right_face[a.key]
+                edit.append((a, f if lf == F else lf, f if rf == F else rf))
+        forms.append(DG._edited_form(an, drop, edit, [(G, across[a2.key])], labels))
+    return tuple(forms)
 
 
 def _face_walk(an: GraphAnalysis, k: tuple, F: int) -> list:
@@ -1003,22 +856,6 @@ def _face_walk(an: GraphAnalysis, k: tuple, F: int) -> list:
         if k == walk[0]:
             return walk
         walk.append(k)
-
-
-def _cores_agree(w: _Pair) -> bool | None:
-    """``check_condition_A`` at a site that needs its core classes."""
-    holes = w.geo.holes[w.Fs]
-    comp = w.geo.component
-    if comp[_curve_of_point(w.geo, w.q1)] != comp[_curve_of_point(w.geo, w.q2)]:
-        return None
-    classes = _enumerate_core_classes(w, _canonical_core(w), holes)
-    forms = set()
-    for core in classes.values():
-        raw, _, _ = _cut_and_join(w, core)
-        forms.add(canonical_form(DG.normalized(raw)))
-        if len(forms) > 1:
-            return False
-    return len(classes) == 2 ** len(holes) or None
 
 
 # ------------------------------------------------------------ enumerate --

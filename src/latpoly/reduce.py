@@ -209,9 +209,8 @@ class ExplorationReport:
     and the surgeries skipped as excluded.  ``condition_A_ok`` is True only
     when condition (A) was shown at every visited state;
     ``condition_A_undecided`` marks a run where a check was undecided
-    instead (some site's core classes were not all built, or its dots lie
-    on two graph components around two or more holes), which also leaves
-    ``condition_A_ok`` False."""
+    instead (some site's dots lie on two graph components around two or
+    more holes), which also leaves ``condition_A_ok`` False."""
     terminals: set[str] = field(default_factory=set)
     condition_A_ok: bool = True
     condition_A_undecided: bool = False
@@ -230,12 +229,12 @@ def _condition_A(g: DottedGraph) -> bool | None:
     return DF.check_condition_A_everywhere(g)
 
 
-def explore_reductions(g: DottedGraph, budget: int = 2000,
-                       check_A: bool = True) -> ExplorationReport:
+def explore_reductions(g: DottedGraph, budget: int = 2000) -> ExplorationReport:
     """Depth-first closure of all deformation sequences I-IV (canonical
     cores), skipping the surgeries excluded by the uniqueness theorem's
-    hypothesis; reports the distinct terminal forms.  The frontier is a
-    stack, and ``visited`` counts the states popped in that order.
+    hypothesis; reports the distinct terminal forms and whether condition
+    (A) held throughout.  The frontier is a stack, and ``visited`` counts
+    the states popped in that order.
 
     A successor is built only when its canonical form is new, and the form
     is read off the current graph's plane map before any build wherever
@@ -244,8 +243,9 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
     A deletion (II or III) gets its form from
     ``dotgraph.form_after_deletion``.  A surgery (IV) is met once per
     ``deform.sharing_key``, and ``deform.surgery_form`` reads its form off
-    unless its middle region has holes and both dots lie on one graph
-    component; only such a surgery is built to learn its form."""
+    wherever the forms of its splits agree.  A surgery whose splits give
+    different forms, where condition (A) fails, is skipped when every one
+    of them was seen, and is otherwise built to learn its form."""
     report = ExplorationReport()
     start = DG.normalized(g)
     seen = {canonical_form(start)}
@@ -257,7 +257,7 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
                 f"reduction exploration exceeded its state budget: limit {budget}, "
                 f"{report.visited} states visited, {len(seen)} forms seen")
         report.visited += 1
-        if check_A and report.condition_A_ok:
+        if report.condition_A_ok:
             ok = _condition_A(cur)
             if not ok:
                 report.condition_A_ok = False
@@ -281,7 +281,10 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
                 if key in met:
                     continue
                 met.add(key)
-                f = DF.surgery_form(cur, *m.site)
+                forms = set(DF.surgery_form(cur, *m.site))
+                if forms <= seen:
+                    continue
+                f = forms.pop() if len(forms) == 1 else None
             else:
                 f = DG.form_after_deletion(cur, m.site)
             if f in seen:
@@ -294,11 +297,6 @@ def explore_reductions(g: DottedGraph, budget: int = 2000,
             seen.add(f)
             frontier.append(after)
     return report
-
-
-def enumerate_reductions(g: DottedGraph, budget: int = 2000) -> set[str]:
-    """Canonical forms of all reachable reduced graphs."""
-    return explore_reductions(g, budget, check_A=False).terminals
 
 
 def _excluded_IV(g: DottedGraph, move) -> bool:

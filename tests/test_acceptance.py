@@ -139,7 +139,7 @@ def test_criterion_5_confluence_under_condition_A():
     single = 0
     skipped = 0
     for form, g in pool.items():
-        rep = R.explore_reductions(g, budget=4000, check_A=True)
+        rep = R.explore_reductions(g, budget=4000)
         if not rep.condition_A_ok:
             skipped += 1
             continue
@@ -286,7 +286,7 @@ def test_criterion_9_negative_fixtures():
     # under the four deformations alone the same graph reduces fine
     assert R.good_reduce(flat).terminal.is_empty()
     assert R.good_reduce(poked).terminal.is_empty()
-    assert R.enumerate_reductions(poked) == {D.canonical_form(D.empty_graph())}
+    assert R.explore_reductions(poked).terminals == {D.canonical_form(D.empty_graph())}
 
     # label-condition counterexamples are rejected
     def nested(orients, size=18):

@@ -331,16 +331,17 @@ def test_condition_A_fails_on_incoherent_content():
 
 
 def test_core_routing_bugs_reach_the_caller(monkeypatch):
-    # the overlay's inner circle is a hole, so core classes are enumerated
-    # and each found class is routed through the quarter cells
+    # the surgery routes its canonical core through the quarter cells;
+    # condition (A) reads its verdict off the plane map and routes none
     def broken(*args):
         raise errors.RoutingFailure("route failed")
     big = [(0, 0), (16, 0), (16, 16), (0, 16)]
     inner = [(6, 6), (10, 6), (10, 10), (6, 10)]
     g = D.DottedGraph.build([big, inner], [(0, 0), (16, 0)])
     monkeypatch.setattr(DF, "_route_through_quarters", broken)
+    assert DF.check_condition_A_everywhere(g) is True
     with pytest.raises(errors.RoutingFailure, match="route failed"):
-        DF.check_condition_A_everywhere(g)
+        DF.apply_IV(g, (0, 0), (16, 0))
 
 
 def test_viable_side_rejects_unit_step_violation(monkeypatch):
@@ -693,7 +694,7 @@ def holed_graphs(draw):
 def one_component_sites(g):
     """(site, working pair, canonical core, holes) at every surgery site of
     g whose middle region has holes and whose dots lie on one graph
-    component, the sites where the core classes are built."""
+    component, the sites with more than one split."""
     out = []
     for m in DF.enumerate_moves(g, allowed={"IV"}):
         w = DF._working_pair(g, *m.site)
@@ -707,53 +708,57 @@ def cut_form(w, core):
     return D.canonical_form(D.normalized(DF._cut_and_join(w, core)[0]))
 
 
-def assert_core_classes_match(g):
-    """At every site of g where the core classes are built, every class the
-    former search finds within check_condition_A's former cap of 4000 is
-    built, and the cut along its core gives the same canonical form (or
-    the same error); the canonical core keeps the zero signature."""
-    for _, w, base, holes in one_component_sites(g):
-        built = DF._enumerate_core_classes(w, base, holes)
-        assert built[tuple(0 for _ in holes)] is base
+def assert_split_forms_match(g):
+    """At every site of g with more than one split: one form per split, 2^k
+    of them around k holes; the surgery along the canonical core gives one
+    of them; every class the former search finds within check_condition_A's
+    former cap of 4000 cuts to one of them; and where it finds all 2^k
+    classes, their cuts give exactly the split forms."""
+    for site, w, base, holes in one_component_sites(g):
+        forms = DF.surgery_form(g, *site)
+        assert len(forms) == 2 ** len(holes)
+        assert D.canonical_form(DF.apply_IV(g, *site)) in forms
         try:
-            want = reference_core_classes(w, base, holes, cap=4000)
+            classes = reference_core_classes(w, base, holes, cap=4000)
         except errors.BudgetExceeded:
             continue
-        assert set(want) <= set(built)
-        for sig, core in want.items():
-            assert outcome(cut_form, w, built[sig]) == outcome(cut_form, w, core)
+        cut = {outcome(cut_form, w, core) for core in classes.values()}
+        assert cut <= set(forms)
+        if len(classes) == 2 ** len(holes):
+            assert cut == set(forms)
 
 
 @settings(max_examples=25, deadline=None)
 @given(holed_graphs())
 def test_core_classes_match_reference(g):
-    assert_core_classes_match(g)
+    assert_split_forms_match(g)
 
 
-def test_core_classes_match_reference_around_two_holes():
+def junk_and_marker(dots=((0, 0), (24, 0))):
+    """A counterclockwise rectangle around a clockwise square and a
+    counterclockwise one, dotted on the rectangle: a band between the dots
+    separates different content on either side of the clockwise one."""
     big = [(0, 0), (24, 0), (24, 16), (0, 16)]
     junk = [(6, 6), (6, 10), (10, 10), (10, 6)]
     marker = [(14, 6), (18, 6), (18, 10), (14, 10)]
-    g = D.DottedGraph.build([big, junk, marker], [(0, 0), (24, 0)])
-    [(_, w, base, holes)] = one_component_sites(g)
-    assert len(holes) == 2 and len(DF._enumerate_core_classes(w, base, holes)) == 4
-    assert_core_classes_match(g)
+    return D.DottedGraph.build([big, junk, marker], dots)
+
+
+def test_core_classes_match_reference_around_two_holes():
+    g = junk_and_marker()
+    [(site, _, _, holes)] = one_component_sites(g)
+    assert len(holes) == 2 and len(DF.surgery_form(g, *site)) == 4
+    assert_split_forms_match(g)
 
 
 @settings(max_examples=40, deadline=None)
 @given(holed_graphs())
-def test_every_core_class_is_built_or_the_check_is_undecided(g):
-    # at every site where the core classes are built: 2^k distinct
-    # signatures, or check_condition_A is not True (None, or False when two
-    # built classes already give different forms)
-    for site, w, base, holes in one_component_sites(g):
-        classes = DF._enumerate_core_classes(w, base, holes)
-        assert len(classes) <= 2 ** len(holes)
-        verdict = condition_A_outcome(DF.check_condition_A, g, *site)
-        if len(classes) < 2 ** len(holes):
-            assert verdict is not True
-        else:
-            assert verdict is not None
+def test_condition_A_is_decided_where_the_dots_share_a_component(g):
+    # at every site with more than one split, condition (A) holds exactly
+    # when the splits give one form, and is never undecided
+    for site, _, _, _ in one_component_sites(g):
+        forms = DF.surgery_form(g, *site)
+        assert DF.check_condition_A(g, *site) is (len(set(forms)) == 1)
 
 
 def dots_on_a_hole(w):
@@ -796,24 +801,24 @@ def test_dots_on_a_hole_give_three_values_and_still_2_to_the_k_classes():
     h0 = [(6, 6), (6, 18), (14, 18), (14, 6)]
     h = [(24, 6), (24, 18), (32, 18), (32, 6)]
     g = D.DottedGraph.build([big, h0, h], [(6, 10), (14, 10)])
-    [(w, base, holes)] = holed_sites(g)
-    assert reference_dots_share_component(w.geo, w.q1, w.q2) and dots_on_a_hole(w)
+    [(site, w, base, holes)] = one_component_sites(g)
+    assert dots_on_a_hole(w)
     classes = reference_core_classes(w, base, holes)
     assert list(classes) == [(1, 1), (1, 0), (0, 0), (0, -1)]
-    assert set(DF._enumerate_core_classes(w, base, holes)) == set(classes)
-    assert_core_classes_match(g)
+    assert len(DF.surgery_form(g, *site)) == len(classes)
+    assert_split_forms_match(g)
 
 
-def test_route_search_stops_at_two_classes_around_one_hole():
-    # both dots on the outer square: a route passes the hole on one side or
-    # the other, so there are two classes
+def test_one_hole_gives_two_splits():
+    # both dots on the outer square: a band passes the hole on one side or
+    # the other, so the hole falls on one side of the split or the other
     big = [(0, 0), (16, 0), (16, 16), (0, 16)]
     inner = [(6, 6), (10, 6), (10, 10), (6, 10)]
     g = D.DottedGraph.build([big, inner], [(0, 0), (16, 0)])
-    [(w, base, holes)] = holed_sites(g)
-    assert reference_dots_share_component(w.geo, w.q1, w.q2) and not dots_on_a_hole(w)
-    assert len(holes) == 1
-    assert len(DF._enumerate_core_classes(w, base, holes)) == 2
+    [(site, w, _, holes)] = one_component_sites(g)
+    assert not dots_on_a_hole(w) and len(holes) == 1
+    assert len(DF.surgery_form(g, *site)) == 2
+    assert_split_forms_match(g)
 
 
 # (curves, dots, site) of three states that exploring a random dotted graph
@@ -838,32 +843,21 @@ CONFLUENCE_16 = ([[(0, 0), (3, 0), (3, 5), (0, 5)], [(1, 1), (2, 1), (2, 4), (1,
                   (14, 1), (15, 0)], ((4, 0), (11, 0)))
 
 
-@pytest.mark.parametrize("state, holes, classes, verdict", [
-    (PROBE_277, 1, 2, True),        # random_dotted_graph(Random("probe/277")): the search found 1
-    (PROBE_189, 2, 4, False),       # "probe/189": the search found 3
-    (CONFLUENCE_16, 2, 4, False),   # "confluence/16": a hole in the notch of another hole
+@pytest.mark.parametrize("state, holes, forms, verdict", [
+    (PROBE_277, 1, 1, True),        # random_dotted_graph(Random("probe/277")): the search found 1 class
+    (PROBE_189, 2, 2, False),       # "probe/189": the search found 3 classes
+    (CONFLUENCE_16, 2, 2, False),   # "confluence/16": a hole in the notch of another hole
 ], ids=["probe-277", "probe-189", "confluence-16"])
-def test_core_classes_of_explored_states(state, holes, classes, verdict):
+def test_core_classes_of_explored_states(state, holes, forms, verdict):
+    # 2^k splits around k holes, and how many forms they give
     curves, dots, site = state
     g = D.DottedGraph.build(curves, dots)
     w = DF._working_pair(g, *site)
     assert len(w.geo.holes[w.Fs]) == holes
-    built = DF._enumerate_core_classes(w, DF._canonical_core(w), w.geo.holes[w.Fs])
-    assert len(built) == classes
+    split_forms = DF.surgery_form(g, *site)
+    assert (len(split_forms), len(set(split_forms))) == (2 ** holes, forms)
     assert DF.check_condition_A(g, *site) is verdict
-    assert_core_classes_match(g)
-
-
-def test_fewer_classes_than_two_to_the_k_are_undecided(monkeypatch):
-    # the overlay's one hole gives two classes; with the canonical core's
-    # class alone, the cores are not shown to agree
-    big = [(0, 0), (16, 0), (16, 16), (0, 16)]
-    inner = [(6, 6), (10, 6), (10, 10), (6, 10)]
-    g = D.DottedGraph.build([big, inner], [(0, 0), (16, 0)])
-    assert DF.check_condition_A(g, (0, 0), (16, 0)) is True
-    monkeypatch.setattr(DF, "_enumerate_core_classes", lambda w, base, holes: {(0,): base})
-    assert DF.check_condition_A(g, (0, 0), (16, 0)) is None
-    assert DF.check_condition_A_everywhere(g) is None
+    assert_split_forms_match(g)
 
 
 def two_holes_on_two_components():
@@ -932,6 +926,16 @@ def assert_verdict_matches_reference(g, site):
         assert condition_A_outcome(DF.check_condition_A, g, *site) == want
 
 
+@pytest.mark.parametrize("g", [two_holes_on_two_components(), junk_and_marker(((4, 0), (20, 0)))],
+                         ids=["two-components", "one-component"])
+def test_condition_A_sets_up_no_working_grid(g):
+    # the verdicts are read off the plane map, around two holes with the
+    # dots on two graph components and with both on one
+    DF._working_grid.cache_clear()
+    DF.check_condition_A_everywhere(g)
+    assert DF._working_grid.cache_info().misses == 0
+
+
 def annulus_sites(g):
     """(dots, working pair, canonical core, holes) at every surgery site of
     g whose middle region has one hole and whose dots lie on different
@@ -948,7 +952,7 @@ def annulus_sites(g):
 def assert_annulus_rule(g):
     """At every surgery site the verdict is the former check's where that
     one decides; at annulus sites every core class that the former search
-    finds gives one form, and the check builds none of them."""
+    finds gives one form, and the check sets up no working grid."""
     for m in DF.enumerate_moves(g, allowed={"IV"}):
         assert_verdict_matches_reference(g, m.site)
     sites = annulus_sites(g)
@@ -956,10 +960,10 @@ def assert_annulus_rule(g):
         classes = reference_core_classes(w, base, holes)
         assert len({cut_form(w, core) for core in classes.values()}) == 1
 
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("core classes built at an annulus site")
+    def no_grid(*args, **kwargs):
+        raise AssertionError("working grid set up at an annulus site")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DF, "_enumerate_core_classes", no_enumeration)
+        mp.setattr(DF, "_working_grid", no_grid)
         for (p1, p2), _, _, _ in sites:
             assert DF.check_condition_A(g, p1, p2) is True
     return len(sites)
@@ -1171,18 +1175,6 @@ def reference_dots_share_component(geo, p1, p2):
     return any(c1 in comp and c2 in comp for comp in reference_graph_components(geo))
 
 
-def reference_core_search_site(g, p1, p2):
-    """The former ``_core_search_site``: the working pair of a site where
-    condition (A) needs a core search, or None."""
-    an = D.analyze(g)
-    F = reference_middle_region(an, reference_arc_of_dot(an, p1), reference_arc_of_dot(an, p2))
-    holes = reference_hole_samples(an.geometry, F)
-    if not holes or (len(holes) == 1 and
-                     not reference_dots_share_component(an.geometry, p1, p2)):
-        return None
-    return DF._working_pair(g, p1, p2)
-
-
 def reference_disk_arc_pair(g, move):
     """The former ``reduce._disk_arc_pair``: the unordered pair of arc keys
     of a site whose middle region has no hole, or None."""
@@ -1196,8 +1188,7 @@ def reference_disk_arc_pair(g, move):
 def site_record(g, move):
     """A surgery site as the library derives it: its arcs and middle
     region, the hole samples on the graph's geometry and, around holes, on
-    the working grid's, the sharing key and whether condition (A) searches
-    cores there."""
+    the working grid's, and the sharing key."""
     an = D.analyze(g)
     a1, a2, F = DF.surgery_site(an, *move.site)
     holes = list(an.geometry.holes[F])
@@ -1205,12 +1196,13 @@ def site_record(g, move):
     if holes:
         w = DF._working_pair(g, *move.site)
         grid_holes = list(w.geo.holes[w.Fs])
-    return (a1.key, a2.key, F, holes, grid_holes, DF.sharing_key(g, *move.site),
-            DF._needs_core_classes(an, *move.site))
+    return a1.key, a2.key, F, holes, grid_holes, DF.sharing_key(g, *move.site)
 
 
 def reference_site_record(g, move):
-    """``site_record`` by the former helpers."""
+    """``site_record`` by the former helpers; the key is the working site
+    where the dots lie on one graph component around holes and condition
+    (A) fails at the site."""
     an = D.analyze(g)
     a1, a2 = (reference_arc_of_dot(an, p) for p in move.site)
     F = reference_middle_region(an, a1, a2)
@@ -1220,16 +1212,16 @@ def reference_site_record(g, move):
         w = DF._working_pair(g, *move.site)
         grid_holes = reference_hole_samples(w.geo, w.Fs)
     key = frozenset((a1.key, a2.key))
-    if holes and reference_dots_share_component(an.geometry, *move.site):
+    if holes and reference_dots_share_component(an.geometry, *move.site) and \
+            DF.check_condition_A(g, *move.site) is False:
         key = DF._working_pair(g, *move.site).key
-    return (a1.key, a2.key, F, holes, grid_holes, key,
-            reference_core_search_site(g, *move.site) is not None)
+    return a1.key, a2.key, F, holes, grid_holes, key
 
 
 def assert_sites_match_reference(g):
-    """At every surgery site of g, the site, its holes, its sharing key and
-    condition (A)'s choice to search are those of the former helpers, or
-    both raise the same error; returns the number of sites."""
+    """At every surgery site of g, the site, its holes and its sharing key
+    are those of the former helpers, or both raise the same error; returns
+    the number of sites."""
     moves = DF.enumerate_moves(g, allowed={"IV"})
     for m in moves:
         assert outcome(site_record, g, m) == outcome(reference_site_record, g, m)
@@ -1315,27 +1307,29 @@ def test_sites_with_one_working_site_key_agree(g):
 # ------------------------------------------------------- read-off forms --
 
 def assert_read_off_forms(g):
-    """At every deletion of g, and at every surgery whose result the plane
-    map fixes, the canonical form read off g is the form of the graph the
-    move builds.  A surgery's form is left to the build exactly where its
-    middle region has holes and both dots lie on one graph component.
-    Returns the number of moves read off, by kind."""
+    """At every deletion of g, the canonical form read off g is the form of
+    the graph the move builds, and at every surgery that graph's form is
+    one of the forms read off its splits.  A surgery has one split, except
+    where its middle region has k >= 1 holes and both dots lie on one graph
+    component: there it has 2^k.  Returns the number of moves whose one
+    form is read off, by kind."""
     an = D.analyze(g)
     read = dict.fromkeys(("II", "III", "IV"), 0)
     for m in DF.enumerate_moves(g):
         if m.kind == "I":
             continue
+        built = D.canonical_form(DF.apply_move(g, m).after)
         if m.kind == "IV":
-            form = DF.surgery_form(g, *m.site)
+            forms = DF.surgery_form(g, *m.site)
             a1, a2 = (reference_arc_of_dot(an, p) for p in m.site)
-            holed = reference_hole_samples(an.geometry, reference_middle_region(an, a1, a2))
+            holes = reference_hole_samples(an.geometry, reference_middle_region(an, a1, a2))
             one_component = reference_dots_share_component(an.geometry, *m.site)
-            assert (form is None) == bool(holed and one_component)
-            if form is None:
+            assert len(forms) == (2 ** len(holes) if one_component else 1)
+            assert built in forms, m
+            if len(set(forms)) > 1:
                 continue
         else:
-            form = D.form_after_deletion(g, m.site)
-        assert form == D.canonical_form(DF.apply_move(g, m).after), m
+            assert D.form_after_deletion(g, m.site) == built, m
         read[m.kind] += 1
     return read
 
@@ -1398,28 +1392,22 @@ def test_no_IV_between_loop_and_outside_arc():
 
 
 def test_core_class_table_around_junk():
-    # the class-matching claim through the class table: both dots lie on
-    # one component around two holes, so there are 4 core classes; the
-    # zero class is the canonical core, and the core around the clockwise
-    # obstacle alone separates different content
-    big = [(0, 0), (24, 0), (24, 16), (0, 16)]
-    junk = [(6, 6), (6, 10), (10, 10), (10, 6)]     # clockwise obstacle
-    marker = [(14, 6), (18, 6), (18, 10), (14, 10)]
-    g = D.DottedGraph.build([big, junk, marker], [(4, 0), (20, 0)])
-    w = DF._working_pair(g, (4, 0), (20, 0))
+    # the class-matching claim through the splits: both dots lie on one
+    # component around two holes, so there are 4 splits; the canonical
+    # core's class gives one of their forms, and the core around the
+    # clockwise obstacle alone separates different content
+    g = junk_and_marker(((4, 0), (20, 0)))
+    site = ((4, 0), (20, 0))
+    forms = DF.surgery_form(g, *site)
+    assert len(forms) == 4
+    w = DF._working_pair(g, *site)
     holes = w.geo.holes[w.Fs]
-    assert len(holes) == 2
-    classes = DF._enumerate_core_classes(w, DF._canonical_core(w), holes)
-    assert len(classes) == 4
-
-    def form(core):
-        return D.canonical_form(D.normalized(DF._cut_and_join(w, core)[0]))
-
+    classes = reference_core_classes(w, DF._canonical_core(w), holes)
     junk_hole = min(holes)                          # junk lies left of marker
     only_junk = [sig for sig in classes
                  if [s != 0 for s in sig] == [h == junk_hole for h in holes]]
     assert len(only_junk) == 1
-    zero = form(classes[(0, 0)])
-    assert zero == D.canonical_form(DF.apply_IV(g, (4, 0), (20, 0)))
-    assert form(classes[only_junk[0]]) != zero
-    assert not DF.check_condition_A(g, (4, 0), (20, 0))
+    zero = cut_form(w, classes[(0, 0)])
+    assert zero == D.canonical_form(DF.apply_IV(g, *site)) and zero in forms
+    assert cut_form(w, classes[only_junk[0]]) in set(forms) - {zero}
+    assert not DF.check_condition_A(g, *site)

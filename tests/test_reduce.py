@@ -215,7 +215,7 @@ def test_bad_curve_input_rejected():
 # ------------------------------------------------------------- explore ---
 
 def test_enumerate_square_single_terminal():
-    forms = R.enumerate_reductions(square_graph())
+    forms = R.explore_reductions(square_graph()).terminals
     assert forms == {D.canonical_form(D.empty_graph())}
 
 
@@ -224,12 +224,12 @@ def test_enumerate_reduced_input():
     curves = [[(0, 0), (12, 0), (12, 12), (0, 12)],
               [(3, 3), (3, 9), (9, 9), (9, 3)]]
     g = D.DottedGraph.build(curves, [(0, 0)])
-    forms = R.enumerate_reductions(g)
+    forms = R.explore_reductions(g).terminals
     assert forms == {D.canonical_form(g)}
 
 
 def test_explore_reports_condition_A():
-    rep = R.explore_reductions(square_graph(), check_A=True)
+    rep = R.explore_reductions(square_graph())
     assert rep.condition_A_ok
     assert rep.terminals == {D.canonical_form(D.empty_graph())}
 
@@ -237,7 +237,7 @@ def test_explore_reports_condition_A():
 def test_explore_confluence_on_fixtures():
     for g in (circle_graph(3), nested((True, False)), figure_eight(1, 1),
               figure_eight(2, 2)):
-        rep = R.explore_reductions(g, check_A=True)
+        rep = R.explore_reductions(g)
         if rep.condition_A_ok:
             assert len(rep.terminals) == 1
 
@@ -267,7 +267,7 @@ def test_exploration_budget_names_its_limit_and_progress():
     with pytest.raises(errors.BudgetExceeded,
                        match=r"^reduction exploration exceeded its state budget: limit 1, "
                              r"1 states visited, 2 forms seen$"):
-        R.explore_reductions(circle_graph(1), budget=1, check_A=False)
+        R.explore_reductions(circle_graph(1), budget=1)
 
 
 def test_step_budgets_name_their_limit_and_progress(monkeypatch):
